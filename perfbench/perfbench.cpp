@@ -9,8 +9,10 @@
 //
 //   ckv_perfbench --workload chat_decode --seed 7 --seconds 10 --trace 0
 //
-// prints one JSON object on its last stdout line; perfbench/run.py builds
-// this program, runs it and turns that object into the benchmark result.
+// prints one JSON object on its last stdout line; a traced run also writes
+// its spans to spans_<workload>_<seed>.json next to the binary.
+// perfbench/run.py builds this program, runs it and turns that object into
+// the benchmark result.
 // perfbench/RATIONALE.md explains the workloads and the metric table.
 #include <sys/resource.h>
 
@@ -19,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -26,6 +29,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/clusterkv_engine.hpp"
@@ -88,15 +92,6 @@ struct Workload {
 };
 
 std::vector<Workload> workloads() {
-  Workload longdoc;
-  longdoc.name = "longdoc_prefill";
-  longdoc.requests = 8;
-  longdoc.prompt_min = 2048;
-  longdoc.prompt_max = 6144;
-  longdoc.decode_min = 4;
-  longdoc.decode_max = 8;
-  longdoc.rps = 2.0;
-
   Workload chat;
   chat.name = "chat_decode";
   chat.requests = 16;
@@ -117,7 +112,7 @@ std::vector<Workload> workloads() {
   contended.overcommit = 2.0;
   contended.transfer_engine = true;
   contended.link_gbps = 2.5;
-  return {longdoc, chat, contended};
+  return {chat, contended};
 }
 
 /// `n` values spread evenly over [lo, hi] (midpoints of n equal strata),
@@ -512,7 +507,7 @@ SimOutputs sim_outputs(const ServeMetrics& m) {
 }
 
 struct DrainResult {
-  std::vector<double> setup_s;  ///< one per set-up repetition
+  std::vector<double> setup_s;  ///< the drain's own set-up, then its samples
   double drain_s = 0.0;
   std::vector<double> tick_ms;  ///< ticks that returned true
   double tick_total_ms = 0.0;   ///< every tick, the final one included
@@ -559,12 +554,19 @@ Setup build_setup(const Plan& plan, const SelectorFactory& factory) {
   return setup;
 }
 
+/// Share of a drain's own wall time its set-up samples may take, at most.
+constexpr double kSetupShare = 0.05;
+
 /// Sets up (timed), then drains the scheduler, timing every tick. With
-/// `sample_setup`, one throwaway set-up is also built and timed before
-/// every tick: set-up takes microseconds, so one sample sees one short
-/// machine phase, and spreading the samples over the whole drain lets
-/// their median see the same machine the drain does. The samples' time
-/// (construction and destruction) is excluded from the drain.
+/// `sample_setup`, a throwaway set-up is also built, timed and destroyed
+/// before a tick whenever the samples so far took at most kSetupShare of
+/// the drain's own time. Set-up takes microseconds, so that is nearly
+/// every tick: one sample sees one short machine phase, and spreading the
+/// samples over the whole drain lets their median see the same machine
+/// the drain does. A set-up that grows (work moved out of the drain)
+/// thins the samples out to one per drain instead of stretching the run.
+/// The samples' time is excluded from the drain, and no throwaway exists
+/// while a tick runs.
 DrainResult run_drain(const Plan& plan, bool sample_setup, Recorder* recorder) {
   DrainResult result;
   SelectorFactory factory = make_clusterkv_factory(plan.clusterkv, plan.seed);
@@ -580,7 +582,8 @@ DrainResult run_drain(const Plan& plan, bool sample_setup, Recorder* recorder) {
   double sampling_s = 0.0;
   std::int64_t tick = 0;
   while (true) {
-    if (sample_setup) {
+    if (sample_setup &&
+        sampling_s <= kSetupShare * (seconds_since(drain_begin) - sampling_s)) {
       const auto sample_begin = Clock::now();
       {
         const Setup sample = build_setup(plan, factory);
@@ -802,8 +805,8 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int workers = 1;
-  std::string trace_out;
+  int workers = 1;         ///< pinned pool size: min(4, hardware threads)
+  std::string spans_path;  ///< traced runs' Chrome trace, next to the binary
 };
 
 constexpr double kMsPerNs = 1e-6;
@@ -958,8 +961,8 @@ LayerTable traced_drain(const Plan& plan, const Options& opt, bool keep_spans) {
   t.cancel_enforce = recorder.totals(SpanKind::kCancelEnforce);
   t.cancel_retire = recorder.totals(SpanKind::kCancelRetire);
   t.prompt_tokens = recorder.prompt_tokens;
-  if (keep_spans && !opt.trace_out.empty()) {
-    write_chrome_trace(recorder, opt.trace_out, opt.workload);
+  if (keep_spans) {
+    write_chrome_trace(recorder, opt.spans_path, opt.workload);
   }
   return t;
 }
@@ -1024,7 +1027,10 @@ int run_traced(const Plan& plan, const Options& opt) {
 
   // Additive decomposition of the traced drain (see RATIONALE.md):
   // enforcement's release/cancel calls run inside the advance window
-  // (commit phase), retirement's cancels and synthesis outside it.
+  // (commit phase), retirement's cancels and synthesis outside it. The
+  // advance window also holds the whole commit phase (metrics, transfer
+  // engine enqueue/resolve, ledger check, enforcement's victim sort), so
+  // "oracle" is the engine step plus that scheduler bookkeeping.
   const double tick_ms = t.drain.tick_total_ms;
   const double advance_ms = t.drain.advance_ms;
   const double kv_in_advance_ms = ms(t.release) + ms(t.cancel_enforce);
@@ -1090,17 +1096,22 @@ int run_traced(const Plan& plan, const Options& opt) {
             << ", \"layer_workers\": 1"
             << ", \"kvcache_in_advance_ms\": " << json_number(kv_in_advance_ms)
             << ", \"kvcache_retire_ms\": " << json_number(ms(t.cancel_retire))
-            << ", \"spans\": " << (opt.trace_out.empty() ? "null" : json_string(opt.trace_out))
+            << ", \"spans\": " << json_string(opt.spans_path)
             << "}}" << std::endl;
   return 0;
 }
 
 int usage(const std::string& error) {
   std::cerr << "error: " << error << "\n"
-            << "usage: ckv_perfbench --workload <longdoc_prefill|chat_decode|"
-               "contended_tiered> --seed N --seconds S --trace 0|1 [--workers N] "
-               "[--trace-out FILE]\n";
+            << "usage: ckv_perfbench --workload <chat_decode|contended_tiered> "
+               "--seed N --seconds S --trace 0|1\n";
   return 2;
+}
+
+/// Pool size of every timed drain: min(4, hardware threads).
+int pinned_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::clamp(hw, 1U, 4U));
 }
 
 }  // namespace
@@ -1122,10 +1133,6 @@ int main(int argc, char** argv) {
         opt.seconds = std::stod(value);
       } else if (flag == "--trace") {
         opt.trace = value == "1";
-      } else if (flag == "--workers") {
-        opt.workers = std::stoi(value);
-      } else if (flag == "--trace-out") {
-        opt.trace_out = value;
       } else {
         return usage("unknown flag " + flag);
       }
@@ -1133,8 +1140,8 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     return usage(e.what());
   }
-  if (opt.workers < 1 || !(opt.seconds > 0.0)) {
-    return usage("--workers and --seconds must be positive");
+  if (!(opt.seconds > 0.0)) {
+    return usage("--seconds must be positive");
   }
   Plan plan;
   bool found = false;
@@ -1147,6 +1154,10 @@ int main(int argc, char** argv) {
   if (!found) {
     return usage("unknown workload '" + opt.workload + "'");
   }
+  opt.workers = pinned_workers();
+  opt.spans_path = (std::filesystem::path(argv[0]).parent_path() /
+                    ("spans_" + opt.workload + "_" + std::to_string(opt.seed) + ".json"))
+                       .string();
   plan.seed = opt.seed;
   plan.session = session_config();
   plan.clusterkv = clusterkv_config();

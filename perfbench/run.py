@@ -26,8 +26,7 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ("longdoc_prefill", "chat_decode", "contended_tiered")
-MAX_WORKERS = 4
+WORKLOADS = ("chat_decode", "contended_tiered")
 BUILD_TIMEOUT_S = 840
 RUN_MARGIN_S = 120
 
@@ -158,21 +157,15 @@ def main():
     binary = build(root, build_dir)
     log(f"perfbench: build ready in {time.monotonic() - started:.1f} s")
 
-    nproc = os.cpu_count() or 1
-    workers = min(MAX_WORKERS, nproc)
     command = [binary, "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace),
-               "--workers", str(workers)]
-    spans = None
-    if args.trace:
-        spans = os.path.join(build_dir, f"spans_{args.workload}_{args.seed}.json")
-        command += ["--trace-out", spans]
+               "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = run_checked(command, args.seconds + RUN_MARGIN_S, "ckv_perfbench")
     raw = json.loads(proc.stdout.strip().splitlines()[-1])
     info = raw["info"]
 
     correct = bool(raw["correct"])
-    if spans is not None:
+    spans = info.get("spans")
+    if args.trace:
         check = subprocess.run([sys.executable, os.path.join(root, "tools", "check_trace.py"),
                                 spans, "--min-events", "2"],
                                capture_output=True, text=True, timeout=120)
@@ -191,7 +184,7 @@ def main():
     metrics = {name: raw["metrics"][name] for name in wanted}
 
     stamp = {
-        "nproc": nproc,
+        "nproc": os.cpu_count(),
         "workers": info["workers"],
         "build_type": info["build_type"],
         "lto": info["lto"],
