@@ -44,13 +44,14 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
           "invariant would not cover transfers on the wire)");
   expects(config.link_gbps >= 0.0,
           "BatchScheduler: link_gbps must be >= 0 (0 = hardware gather rate)");
-  expects(!config.use_transfer_engine ||
-              (config.method == LatencyModel::Method::kClusterKV &&
-               config.tiered_residency),
-          "BatchScheduler: the transfer engine models ClusterKV's tiered "
-          "slow->fast fetch traffic; it requires method kClusterKV with "
-          "tiered_residency");
-  if (config_.use_transfer_engine) {
+  const bool clusterkv = config.method == LatencyModel::Method::kClusterKV;
+  expects(clusterkv || !config.use_transfer_engine,
+          "BatchScheduler: use_transfer_engine requires method kClusterKV "
+          "(the transfer engine models ClusterKV's slow->fast fetch traffic)");
+  expects(clusterkv || config.link_gbps == 0.0,
+          "BatchScheduler: link_gbps requires method kClusterKV (no other "
+          "method has a modeled slow->fast wire)");
+  if (clusterkv) {
     transfer_link_gbps_ = config_.link_gbps > 0.0 ? config_.link_gbps
                                                   : latency_.link_gather_gbps();
     transfer_engine_ = std::make_unique<TransferEngine>(transfer_link_gbps_);
@@ -62,14 +63,8 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
             "BatchScheduler: fault injection requires kClusterKV with "
             "tiered_residency (graceful degradation falls back to "
             "resident-only cluster selection)");
-    expects(config_.use_transfer_engine ||
-                (config_.fault_plan.brownout_period_ms == 0.0 &&
-                 config_.fault_plan.wire_failure_rate == 0.0),
-            "BatchScheduler: link brownouts and wire failures model the "
-            "transfer engine's wire; enable use_transfer_engine");
     fault_injector_ = std::make_unique<FaultInjector>(config_.fault_plan);
-    if (transfer_engine_ != nullptr &&
-        config_.fault_plan.wire_failure_rate > 0.0) {
+    if (config_.fault_plan.wire_failure_rate > 0.0) {
       transfer_engine_->set_fault_hook(
           [injector = fault_injector_.get()](std::uint64_t id, Index client,
                                              Index attempt) {
@@ -134,27 +129,11 @@ StepBreakdown BatchScheduler::step_cost(const Session& session) const {
     case LatencyModel::Method::kFullKV:
       return latency_.full_kv_step(context);
     case LatencyModel::Method::kClusterKV: {
-      // Measured miss rate so far; the first selection after prefill has no
-      // history (hit rate 0) and misses everything.
-      const double miss_rate = 1.0 - session.cache_hit_rate();
+      // Compute-only step: the fetch stall is billed from the transfer
+      // engine's contended queue in the tick pre-pass (one shared wire).
       const Index clusters =
           std::max<Index>(1, context / std::max<Index>(1, config_.tokens_per_cluster));
-      if (config_.use_transfer_engine) {
-        // Compute-only step: the fetch stall is billed from the transfer
-        // engine's contended queue in the tick pre-pass (one shared wire),
-        // not by the closed-form per-session division.
-        return latency_.clusterkv_step(context, budget, 0.0, clusters);
-      }
-      if (config_.prefetch_clusters > 0) {
-        // Overlap-aware split: only the misses the prediction failed to
-        // cover stall; issued speculative traffic (hits + waste) hides
-        // under the step's own compute.
-        return latency_.clusterkv_prefetch_step(context, budget,
-                                                session.demand_miss_rate(),
-                                                session.prefetch_issue_rate(),
-                                                clusters);
-      }
-      return latency_.clusterkv_step(context, budget, miss_rate, clusters);
+      return latency_.clusterkv_step(context, budget, 0.0, clusters);
     }
     case LatencyModel::Method::kQuest:
       return latency_.quest_step(context, budget);
@@ -473,13 +452,11 @@ double BatchScheduler::projected_demand_bytes(const Session& session) const {
   const Index context = session.request().prompt_len + session.tokens_generated();
   const double attended =
       static_cast<double>(std::min<Index>(session_config_.engine.budget, context));
-  // The same measured rate the closed-form path bills with, so a lone
-  // session on an idle wire reproduces the closed-form transfer term
-  // exactly (the single-session calibration contract).
-  const double demand_rate = config_.prefetch_clusters > 0
-                                 ? session.demand_miss_rate()
-                                 : 1.0 - session.cache_hit_rate();
-  return demand_rate * attended *
+  // Measured share of selected tokens fetched on the demand path so far
+  // (1 before the first selection: no history, everything misses). On an
+  // idle wire this prices a lone session exactly like clusterkv_step's
+  // transfer term at that miss rate.
+  return session.demand_miss_rate() * attended *
          static_cast<double>(latency_.fetch_bytes_per_token());
 }
 
@@ -739,7 +716,7 @@ bool BatchScheduler::tick() {
   // tick's window, so billed time and modeled wire time degrade together.
   const double link_rate_factor =
       fault_injector_ != nullptr ? fault_injector_->rate_factor_at(now_ms_) : 1.0;
-  if (fault_injector_ != nullptr && transfer_engine_ != nullptr) {
+  if (fault_injector_ != nullptr) {  // faults imply kClusterKV, so a wire
     transfer_engine_->set_rate_factor(link_rate_factor);
   }
 
@@ -761,16 +738,16 @@ bool BatchScheduler::tick() {
   if (batch > 0) {
     // Mixed prefill+decode billing. Decoders share one weight pass and one
     // framework overhead per tick — the continuous-batching economy — and
-    // each adds its private KV-read / selection / transfer cost. Prefill
-    // chunks are compute-bound GEMM + causal-prefix attention (their
-    // weight traffic rides the batch's shared pass), billed per chunk so a
-    // long prompt stalls the batch by at most one chunk per tick.
+    // each adds its private KV-read / selection cost. Prefill chunks are
+    // compute-bound GEMM + causal-prefix attention (their weight traffic
+    // rides the batch's shared pass), billed per chunk so a long prompt
+    // stalls the batch by at most one chunk per tick.
     double tick_ms = 0.0;
     double repair_ms = 0.0;
     double decode_ms = 0.0;  // decode share of tick_ms (phase sub-span)
     const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
                                config_.repair_refine_iterations > 0;
-    // Engine-mode demand billing: the wire serves one contended queue, so
+    // ClusterKV demand billing: the wire serves one contended queue, so
     // a decoder's stall is the completion time of the backlog plus every
     // demand request at or ahead of its position — later decoders wait
     // longer, which is exactly how fleet contention becomes visible. The

@@ -7,11 +7,13 @@
 //      prompt chunk of prefill_chunk_tokens, decoding sessions run one
 //      decode step round-robin. The tick bills a mixed prefill+decode cost:
 //      decoders share one weight pass and one framework overhead, each adds
-//      its private KV-read / selection / transfer cost, and each prefill
-//      chunk adds its causal-prefix attention + GEMM compute (plus visible
-//      clustering overhead for ClusterKV; the final chunk of a multi-chunk
-//      prompt also bills one cross-chunk cluster-repair pass, as does every
-//      repair_decode_interval-th decode step when periodic repair is on);
+//      its private KV-read / selection cost (ClusterKV fetch stalls are
+//      billed once per tick off the transfer engine's shared wire), and
+//      each prefill chunk adds its causal-prefix attention + GEMM compute
+//      (plus visible clustering overhead for ClusterKV; the final chunk of
+//      a multi-chunk prompt also bills one cross-chunk cluster-repair pass,
+//      as does every repair_decode_interval-th decode step when periodic
+//      repair is on);
 //   3. enforces the budget: while global residency exceeds it, the coldest
 //      session (least recent progress) offloads its non-sink, non-pending
 //      clusters to the slow tier (sinks are never offloaded). This holds
@@ -80,26 +82,24 @@ struct BatchSchedulerConfig {
   /// off, nothing billed.
   Index repair_refine_iterations = 4;
   Index repair_decode_interval = 0;
-  /// Async cluster-prefetch billing mirror (match the engine's
-  /// ClusterKVConfig::prefetch_clusters): > 0 bills ClusterKV decode steps
-  /// with the overlap-aware transfer split — demand misses stall as
-  /// before, speculatively issued fetches hide under the step's compute
-  /// via LatencyModel::overlapped_fetch_ms. 0 = sync-fetch billing.
-  /// Residency-wise nothing changes here: in-flight fetch bytes reach the
-  /// budget through the ledger's reserved counter regardless.
+  /// Async cluster-prefetch mirror (match the engine's
+  /// ClusterKVConfig::prefetch_clusters): bounds the speculative bytes one
+  /// decode step may reserve, which the fan-out headroom guard counts.
+  /// Billing needs no mirror — issued fetches reach the transfer engine's
+  /// queue from the step's observed traffic — and in-flight bytes reach
+  /// the budget through the ledger's reserved counter.
   Index prefetch_clusters = 0;
-  /// Model the slow->fast link as an explicit bandwidth-contended queue
-  /// (sim/transfer_engine) instead of per-session bytes/bandwidth
-  /// division: each tick's demand stall becomes the engine's modeled
-  /// completion time for the fleet's queued demand bytes (drain order
-  /// demand > speculative, FIFO within a class), so concurrent sessions'
-  /// misses and prefetches contend for the wire. Requires kClusterKV with
-  /// tiered_residency — the engine models that method's tiered fetch
-  /// traffic. Off by default: every existing row keeps the closed-form
-  /// per-session billing byte-identically.
+  /// Kept for source compatibility only: every kClusterKV run bills its
+  /// slow->fast fetches through the transfer engine. The scheduler rejects
+  /// it with any other method and otherwise ignores it.
   bool use_transfer_engine = false;
-  /// Link bandwidth for the transfer engine (GB/s); 0 = the hardware
-  /// model's pcie_gather_gbps. Sweeping this down makes contention bite.
+  /// Bandwidth (GB/s) of the one modeled slow->fast wire every kClusterKV
+  /// fetch crosses (sim/transfer_engine): each tick's demand stall is the
+  /// engine's completion time for the fleet's queued demand bytes (drain
+  /// order demand > speculative, FIFO within a class), so concurrent
+  /// sessions' misses and prefetches contend for it. 0 = the hardware
+  /// model's pcie_gather_gbps; sweeping it down makes contention bite.
+  /// Other methods have no modeled wire and reject a nonzero value.
   double link_gbps = 0.0;
   /// Fan session advancement out to the persistent worker pool. Sessions
   /// are independent (own engine, own RNG, own stores; the shared ledger
@@ -116,8 +116,7 @@ struct BatchSchedulerConfig {
   /// default: every fault branch in the scheduler is gated on the plan,
   /// so a disabled plan reproduces the fault-free schedule byte for
   /// byte. When enabled, requires kClusterKV with tiered_residency (the
-  /// degradation fallback is resident-only cluster selection); brownout
-  /// and wire-failure knobs additionally require use_transfer_engine.
+  /// degradation fallback is resident-only cluster selection).
   FaultPlan fault_plan;
 };
 
@@ -274,7 +273,7 @@ class BatchScheduler {
   void mark_resume_if_preempted(const Session& session)
       CKV_REQUIRES(serial_phase_);
 
-  // ---- transfer-engine mode (config_.use_transfer_engine) ----
+  // ---- transfer engine (every kClusterKV run) ----
 
   /// One session's outstanding speculative transfer on the engine's queue:
   /// issued at the decode commit that billed the prefetch, resolved into
@@ -291,7 +290,7 @@ class BatchScheduler {
   [[nodiscard]] double model_bytes_per_step_token() const;
   /// Demand bytes this decoder is projected to put on the wire this step
   /// (its measured demand rate x attended tokens, model scale) — the
-  /// engine-mode billing pre-pass input, a pure function of pre-tick state.
+  /// stall-billing pre-pass input, a pure function of pre-tick state.
   [[nodiscard]] double projected_demand_bytes(const Session& session) const;
   /// Decode-commit engine bookkeeping: resolves the session's outstanding
   /// speculation against the step's observed hits (late hits re-enqueue as
@@ -333,8 +332,8 @@ class BatchScheduler {
   /// Preemption count last observed per running session id — the
   /// scheduler's memory for preempt -> resume trace edges.
   std::unordered_map<Index, Index> preempt_seen_ CKV_GUARDED_BY(serial_phase_);
-  /// The contended slow->fast wire (null unless use_transfer_engine). All
-  /// engine state advances in the serial phase on the virtual clock.
+  /// The contended slow->fast wire (null unless the method is kClusterKV).
+  /// All engine state advances in the serial phase on the virtual clock.
   std::unique_ptr<TransferEngine> transfer_engine_ CKV_GUARDED_BY(serial_phase_);
   /// Effective engine link rate (GB/s) — config_.link_gbps or the
   /// hardware gather rate; cached so billing and the engine agree exactly.

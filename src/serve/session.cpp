@@ -183,12 +183,4 @@ double Session::demand_miss_rate() const {
   return total <= 0.0 ? 1.0 : static_cast<double>(demand_fetched_tokens()) / total;
 }
 
-double Session::prefetch_issue_rate() const {
-  const double total = static_cast<double>(engine_->total_cache_hits()) +
-                       static_cast<double>(engine_->total_fetched());
-  return total <= 0.0
-             ? 0.0
-             : static_cast<double>(engine_->total_prefetch_issued()) / total;
-}
-
 }  // namespace ckv

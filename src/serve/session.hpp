@@ -195,13 +195,11 @@ class Session {
   [[nodiscard]] std::int64_t prefetch_issued_tokens() const;
   /// Fetched tokens the prediction missed (fetched - prefetch hits).
   [[nodiscard]] std::int64_t demand_fetched_tokens() const;
-  /// Share of selected-token traffic fetched synchronously: the billing
-  /// split's demand term (equals 1 - cache_hit_rate with prefetch off).
-  /// 1.0 before any selection, mirroring cache_hit_rate's pessimism.
+  /// Share of selected-token traffic fetched synchronously: the rate the
+  /// scheduler projects demand wire bytes with (equals 1 - cache_hit_rate
+  /// with prefetch off). 1.0 before any selection, mirroring
+  /// cache_hit_rate's pessimism.
   [[nodiscard]] double demand_miss_rate() const;
-  /// Speculative fetches issued per selected token (hits and waste both
-  /// occupy the wire); 0 before any selection.
-  [[nodiscard]] double prefetch_issue_rate() const;
 
   /// The per-session decode engine (selector state; testing/metrics hook).
   [[nodiscard]] DecodeEngine& engine() noexcept { return *engine_; }

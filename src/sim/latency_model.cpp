@@ -148,41 +148,6 @@ StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
   return b;
 }
 
-double LatencyModel::overlapped_fetch_ms(double bytes,
-                                         double compute_ms) const noexcept {
-  const double fetch_ms = bytes / (hw_.pcie_gather_gbps * 1e6);
-  return std::max(0.0, fetch_ms - std::max(0.0, compute_ms));
-}
-
-StepBreakdown LatencyModel::clusterkv_prefetch_step(
-    Index context_len, Index budget, double demand_miss_rate,
-    double prefetch_issue_rate, Index clusters, Index transfer_element_bytes) const {
-  expects(prefetch_issue_rate >= 0.0,
-          "LatencyModel::clusterkv_prefetch_step: issue rate must be >= 0");
-  StepBreakdown b = clusterkv_step(context_len, budget, demand_miss_rate, clusters,
-                                   transfer_element_bytes);
-  const double attended = static_cast<double>(std::min<Index>(budget, context_len));
-  const Index wire_bytes =
-      transfer_element_bytes > 0 ? transfer_element_bytes : element_bytes_;
-  const double prefetch_bytes =
-      prefetch_issue_rate * attended *
-      static_cast<double>(model_.kv_bytes_per_token(wire_bytes));
-  // The async copies overlap the step's own computation (weights, KV
-  // reads, scoring, overheads); only a fetch outlasting all of it shows.
-  // Demand misses and speculative copies share one wire, so the demand
-  // gather's *full* occupancy (miss bytes / rate, before its own overlap
-  // discount) eats into the window the prefetch can hide under — the two
-  // transfers serialize on the link instead of each hiding under the
-  // other's compute.
-  const double compute_ms = b.total_ms() - b.transfer_ms;
-  const double miss_bytes = demand_miss_rate * attended *
-                            static_cast<double>(model_.kv_bytes_per_token(wire_bytes));
-  const double demand_wire_ms = miss_bytes / (hw_.pcie_gather_gbps * 1e6);
-  b.transfer_ms +=
-      overlapped_fetch_ms(prefetch_bytes, compute_ms - demand_wire_ms);
-  return b;
-}
-
 StepBreakdown LatencyModel::quest_step(Index context_len, Index budget,
                                        Index page_size) const {
   expects(page_size > 0, "LatencyModel::quest_step: page_size must be positive");

@@ -9,9 +9,10 @@
 // only from the tick's serial phase: drain order is (priority, enqueue
 // seq), ids are a monotone counter, and no host time or randomness enters,
 // so the serving columns stay byte-identical at any worker count (the
-// PR 7 determinism contract). The closed-form LatencyModel terms remain
-// the single-session reference; this engine reproduces them when the link
-// has headroom and degrades them under contention.
+// determinism contract of docs/PERFORMANCE.md). The scheduler prices the
+// queue's demand occupancy with LatencyModel::contended_fetch_ms, the
+// formula of clusterkv_step's transfer term: a lone session on a link
+// with headroom bills exactly that term, and contention stretches it.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "model/model_config.hpp"
 #include "sim/latency_model.hpp"
@@ -141,85 +142,28 @@ TEST(LatencyModel, ClusteringOverheadSmallShareOfPrefill) {
   }
 }
 
-TEST(LatencyModel, OverlappedFetchHidesUpToComputeTime) {
+TEST(LatencyModel, ContendedFetchMatchesClusterKVTransferTerm) {
+  // One wire, one formula: the serving scheduler bills ClusterKV fetch
+  // stalls as contended_fetch_ms over the transfer engine's queued demand
+  // bytes, while the paper-figure model (run_latency, bench_fig12/13)
+  // bills clusterkv_step's transfer term. A lone session's demand bytes on
+  // the default link must price exactly like that term.
   const auto model = llama_model();
-  // A fetch shorter than the compute window is fully hidden.
-  EXPECT_DOUBLE_EQ(model.overlapped_fetch_ms(1024.0, 100.0), 0.0);
-  // A fetch outlasting the window bills exactly the remainder.
-  const double bytes = 50.0 * 10.0 * 1e6;  // 50 ms at 10 GB/s gather
-  EXPECT_NEAR(model.overlapped_fetch_ms(bytes, 20.0), 30.0, 1e-9);
-  // No compute to hide under: the whole fetch is visible.
-  EXPECT_NEAR(model.overlapped_fetch_ms(bytes, 0.0), 50.0, 1e-9);
-}
-
-TEST(LatencyModel, PrefetchStepNeverSlowerThanSyncAtSameTraffic) {
-  const auto model = llama_model();
-  const double miss_rate = 0.4;
-  const auto sync = model.clusterkv_step(8192, 1024, miss_rate, 102);
-  // With no issued speculation and every miss on the demand path, the
-  // prefetch billing collapses to the sync step exactly.
-  const auto degenerate = model.clusterkv_prefetch_step(8192, 1024, miss_rate,
-                                                        /*issue_rate=*/0.0, 102);
-  EXPECT_DOUBLE_EQ(degenerate.total_ms(), sync.total_ms());
-  // Covering part of the misses in flight strictly reduces the step —
-  // even with generous waste, the issued bytes hide under compute.
-  const auto covered = model.clusterkv_prefetch_step(8192, 1024,
-                                                     /*demand=*/0.1,
-                                                     /*issue_rate=*/0.8, 102);
-  EXPECT_LT(covered.total_ms(), sync.total_ms());
-  EXPECT_GE(covered.transfer_ms, 0.0);
-  // A pathological issue volume eventually outlasts the compute window
-  // and bills a visible remainder, but never a negative one.
-  const auto flooded = model.clusterkv_prefetch_step(8192, 1024, 0.1, 500.0, 102);
-  EXPECT_GE(flooded.total_ms(), covered.total_ms());
-  EXPECT_THROW((void)model.clusterkv_prefetch_step(8192, 1024, 0.1, -0.1, 102),
-               std::invalid_argument);
-}
-
-TEST(LatencyModel, PrefetchOverlapWindowExcludesDemandWireTime) {
-  // Regression pin: clusterkv_prefetch_step used to hide speculative bytes
-  // under the *demand-miss-inflated* step (compute window = total - own
-  // transfer), letting prefetch and demand each overlap the other's wire
-  // occupancy. Demand and prefetch share one link serially: the demand
-  // gather's full wire time shrinks the window the prefetch can hide in.
-  const auto model = llama_model();
-  const Index context = 8192;
-  const Index budget = 1024;
-  const Index clusters = 102;
-  const double demand_rate = 0.4;
-
-  const auto sync = model.clusterkv_step(context, budget, demand_rate, clusters);
-  const double compute_ms = sync.total_ms() - sync.transfer_ms;
-  const double bytes_per_token =
-      static_cast<double>(model.fetch_bytes_per_token());
-  const double attended = static_cast<double>(std::min(budget, context));
-  const double wire_rate = model.link_gather_gbps() * 1e6;  // bytes/ms
-  const double demand_wire_ms = demand_rate * attended * bytes_per_token / wire_rate;
-
-  // Pick an issue volume whose wire time lands strictly between the
-  // demand-shrunk window and the full compute window: the corrected
-  // formula bills a visible remainder, the buggy one billed zero.
-  const double target_wire_ms = compute_ms - 0.5 * demand_wire_ms;
-  ASSERT_GT(target_wire_ms, compute_ms - demand_wire_ms);
-  ASSERT_LT(target_wire_ms, compute_ms);
-  const double issue_rate =
-      target_wire_ms * wire_rate / (attended * bytes_per_token);
-
-  const auto step = model.clusterkv_prefetch_step(context, budget, demand_rate,
-                                                  issue_rate, clusters);
-  const double expected_extra =
-      target_wire_ms - (compute_ms - demand_wire_ms);  // = 0.5 * demand_wire_ms
-  EXPECT_NEAR(step.transfer_ms, sync.transfer_ms + expected_extra, 1e-9);
-  // The buggy window (full compute) would have hidden everything.
-  EXPECT_GT(step.transfer_ms,
-            sync.transfer_ms +
-                model.overlapped_fetch_ms(issue_rate * attended * bytes_per_token,
-                                          compute_ms) +
-                1e-9);
-  // The degenerate contract survives the fix: no speculation, no change.
-  const auto degenerate =
-      model.clusterkv_prefetch_step(context, budget, demand_rate, 0.0, clusters);
-  EXPECT_DOUBLE_EQ(degenerate.total_ms(), sync.total_ms());
+  const double bytes_per_token = static_cast<double>(model.fetch_bytes_per_token());
+  for (const Index context : {64, 1000, 8192, 32768}) {
+    for (const Index budget : {16, 512, 1024, 4096}) {
+      for (const double miss : {0.0, 0.05, 0.37, 0.8, 1.0}) {
+        const Index clusters = std::max<Index>(1, context / 80);
+        const double attended = static_cast<double>(std::min(budget, context));
+        const double wire_ms =
+            model.contended_fetch_ms(miss * attended * bytes_per_token);
+        const double step_ms =
+            model.clusterkv_step(context, budget, miss, clusters).transfer_ms;
+        EXPECT_NEAR(wire_ms, step_ms, 1e-12 * std::abs(step_ms))
+            << "context " << context << ", budget " << budget << ", miss " << miss;
+      }
+    }
+  }
 }
 
 TEST(LatencyModel, QuestStepBillsPartialTrailingPageAsFull) {

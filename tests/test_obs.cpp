@@ -348,10 +348,14 @@ TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
 
 /// Virtual-clock trace fields must not depend on the worker count: the
 /// kernels are bit-deterministic across workers, and wall time never
-/// feeds the virtual clock. Worker occupancy spans (tracks >=
-/// kWorkerTrackBase) are the one deliberate exception — which pool slot
-/// advances which session is a wall-schedule fact — so they are compared
-/// as a track-agnostic multiset instead of positionally.
+/// feeds the virtual clock. Events compare per track, in emission order
+/// within the track (the order write_chrome_trace exports): inside a
+/// fanned-out wave, leaf events of different sessions (fetch-issue,
+/// demand-fetch, repair-pass, ...) interleave in the ring in wall-clock
+/// order, but each session's own track is written by one thread at a
+/// time. Worker occupancy spans (tracks >= kWorkerTrackBase) are the one
+/// deliberate exception — which pool slot advances which session is a
+/// wall-schedule fact — so they are compared as a track-agnostic multiset.
 TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
@@ -395,6 +399,10 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
     for (const auto& e : events) {
       (e.track >= obs::kWorkerTrackBase ? out.second : out.first).push_back(e);
     }
+    const auto by_track = [](const Snapshot& a, const Snapshot& b) {
+      return a.track < b.track;
+    };
+    std::stable_sort(out.first.begin(), out.first.end(), by_track);
     return out;
   };
   const auto [serial_sem, serial_worker] = split_worker_events(serial);

@@ -938,20 +938,19 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
     prefetch_cfg.prefetch_clusters = 3;
     variants.push_back({"prefetch", prefetch_ckv, prefetch_cfg});
 
-    // Transfer engine on a deliberately narrow link: the wire backlog,
-    // late-prefetch conversion and per-tick stall billing all engage, and
-    // every one of them must replay byte-identically from the serial
-    // commit phase at any worker count.
-    BatchSchedulerConfig engine_cfg = prefetch_cfg;
-    engine_cfg.use_transfer_engine = true;
-    engine_cfg.link_gbps = 0.5;
-    variants.push_back({"engine", prefetch_ckv, engine_cfg});
+    // Prefetch on a deliberately narrow link: the transfer engine's wire
+    // backlog, late-prefetch conversion and per-tick stall billing all
+    // engage, and every one of them must replay byte-identically from the
+    // serial commit phase at any worker count.
+    BatchSchedulerConfig narrow_cfg = prefetch_cfg;
+    narrow_cfg.link_gbps = 0.5;
+    variants.push_back({"narrow-link", prefetch_ckv, narrow_cfg});
 
-    // Engine config under the chaos fault plan: retry billing, wire
+    // Narrow-link config under the chaos fault plan: retry billing, wire
     // retries, brownouts, degraded steps, aborts and shedding must all
     // replay byte-identically — the fault schedule is part of the virtual
     // clock, not of the host's thread interleaving.
-    BatchSchedulerConfig faulted_cfg = engine_cfg;
+    BatchSchedulerConfig faulted_cfg = narrow_cfg;
     faulted_cfg.fault_plan = FaultPlan::chaos(7);
     variants.push_back({"faulted", prefetch_ckv, faulted_cfg});
   }
@@ -1076,7 +1075,6 @@ FleetSnapshot run_engine_fleet(const std::vector<ServeRequest>& trace,
   const ClusterKVConfig ckv = prefetch_engine_ckv();
   BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
   config.prefetch_clusters = 3;
-  config.use_transfer_engine = true;
   config.link_gbps = link_gbps;
   BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 7), session,
                            test_latency(), config);
@@ -1117,25 +1115,24 @@ TEST(TransferEngineServe, MeanStallGrowsWithConcurrentSessions) {
   EXPECT_GT(fleet.stall_total, solo.stall_total);
 }
 
-/// Guard rails on the config surface: the engine models the ClusterKV
-/// tiered slow->fast path and refuses to attach to anything else.
+/// Guard rails on the config surface: the engine models ClusterKV's
+/// slow->fast path, so a link rate means nothing for any other method.
 TEST(TransferEngineServe, ConfigValidation) {
   const auto session = small_session_config();
   const ClusterKVConfig ckv = prefetch_engine_ckv();
   const auto trace = fixed_trace(1, 64, 2, 0.0);
 
   BatchSchedulerConfig bad_link = tiered_scheduler_config(ckv, session);
-  bad_link.use_transfer_engine = true;
   bad_link.link_gbps = -1.0;
   EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
                               test_latency(), bad_link),
                std::invalid_argument);
 
-  BatchSchedulerConfig not_tiered = tiered_scheduler_config(ckv, session);
-  not_tiered.use_transfer_engine = true;
-  not_tiered.tiered_residency = false;
-  EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
-                              test_latency(), not_tiered),
+  BatchSchedulerConfig quest_link;
+  quest_link.method = LatencyModel::Method::kQuest;
+  quest_link.link_gbps = 5.0;
+  EXPECT_THROW(BatchScheduler(trace, make_quest_factory(), session, test_latency(),
+                              quest_link),
                std::invalid_argument);
 }
 
