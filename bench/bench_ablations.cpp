@@ -11,7 +11,6 @@
 #include "baselines/streaming_llm.hpp"
 #include "bench_common.hpp"
 #include "model/decode_engine.hpp"
-#include "sim/latency_model.hpp"
 #include "tensor/stats.hpp"
 #include "util/table.hpp"
 
@@ -173,20 +172,6 @@ int main() {
                "over clusterable data), justifying the paper's cheap choice; "
                "k-means++ costs an extra O(C L d) seeding pass.\n\n";
 
-  // ---- (6) quantized cache-miss transfers (cost model) ----
-  std::cout << "(6) int8-quantized PCIe fetches for cluster-cache misses "
-               "(KIVI-style per-channel quantization; cost model)\n";
-  const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
-  TextTable quant({"transfer width", "decode step (ms)", "transfer (ms)"});
-  for (const Index width : {2, 1}) {
-    const auto step = latency.clusterkv_step(32768, 1024, 0.37, 400, width);
-    quant.add_row({width == 2 ? "fp16 (2 B)" : "int8 (1 B)",
-                   format_double(step.total_ms(), 2),
-                   format_double(step.transfer_ms, 2)});
-  }
-  std::cout << quant.to_string();
-  std::cout << "quantizing fetches halves the miss penalty; "
-               "kvcache/quantization bounds the score error (see tests).\n";
   std::cout << "\n[ablations done in " << format_double(watch.seconds(), 1) << "s]\n";
   return 0;
 }

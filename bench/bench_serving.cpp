@@ -61,7 +61,6 @@
 #include "serve/trace.hpp"
 #include "sim/latency_model.hpp"
 #include "util/args.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -724,10 +723,6 @@ struct ServingRow {
   double demand_stall_ms = 0.0;
   double link_utilization = 0.0;
   std::int64_t late_pf_tokens = 0;
-  // Wall-time diagnostics (host clock — table-only, kept out of the JSON
-  // rows so the determinism byte-diff never sees them).
-  double cell_wall_s = 0.0;
-  double fanout_fraction = 0.0;
 };
 
 /// Quality/billing columns for one finished scheduler — everything here
@@ -766,78 +761,7 @@ ServingRow make_serving_row(const std::string& name, double load,
         m.makespan_ms() > 0.0 ? m.link_busy_ms_total() / m.makespan_ms() : 0.0;
     row.late_pf_tokens = m.late_prefetch_tokens_total();
   }
-  row.fanout_fraction = m.fanout_fraction();
   return row;
-}
-
-/// Wall-time speedup of the parallel tick, measured where it can show:
-/// the whole fleet decoding concurrently under an unlimited budget (the
-/// capped table cells spend much of their time in contended single-item
-/// waves, which is the point — byte-identity outranks speed there).
-struct FanoutScaling {
-  double serial_advance_wall_ms = 0.0;
-  double parallel_advance_wall_ms = 0.0;
-  double speedup = 0.0;
-  double fanout_fraction = 0.0;
-  int workers = 0;
-  unsigned hw_cores = 0;  ///< physical ceiling on any measured speedup
-};
-
-FanoutScaling run_fanout_scaling(const ServingSetup& setup,
-                                 const LatencyModel& latency) {
-  TraceConfig trace_config = setup.trace;
-  trace_config.offered_rps = 1000.0;  // the fleet arrives at once
-  trace_config.decode_len_min = 48;   // decode-heavy: many full-width ticks
-  trace_config.decode_len_max = 64;
-  const auto trace = make_poisson_trace(trace_config, setup.seed);
-
-  ClusterKVConfig ckv = setup.clusterkv;
-  ckv.prefetch_clusters = kPrefetchClusters;
-  ckv.prefetch_prior_weight = kPrefetchPriorWeight;
-  ckv.prefetch_prior_decay = kPrefetchPriorDecay;
-  BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.prefill_chunk_tokens = 256;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  config.prefetch_clusters = kPrefetchClusters;
-  config.fast_tier_budget_bytes = 0;  // unlimited: whole-batch waves
-
-  const auto run_once = [&](bool parallel_tick) {
-    BatchSchedulerConfig c = config;
-    c.parallel_tick = parallel_tick;
-    BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, setup.seed),
-                             setup.session, latency, c);
-    scheduler.run();
-    return std::make_tuple(scheduler.metrics().advance_wall_ms_total(),
-                           scheduler.metrics().fanout_fraction(),
-                           scheduler.metrics().throughput_tps(),
-                           scheduler.metrics().mean_recall());
-  };
-  const auto [serial_wall, serial_fanout, serial_tps, serial_recall] =
-      run_once(false);
-  const auto [parallel_wall, parallel_fanout, parallel_tps, parallel_recall] =
-      run_once(true);
-  if (serial_tps != parallel_tps || serial_recall != parallel_recall) {
-    std::cerr << "  [fanout] WARNING: quality drifted between serial and "
-                 "parallel ticks (tok/s "
-              << serial_tps << " vs " << parallel_tps << ", recall "
-              << serial_recall << " vs " << parallel_recall << ")\n";
-  }
-  FanoutScaling out;
-  out.serial_advance_wall_ms = serial_wall;
-  out.parallel_advance_wall_ms = parallel_wall;
-  out.speedup = parallel_wall > 0.0 ? serial_wall / parallel_wall : 0.0;
-  out.fanout_fraction = parallel_fanout;
-  out.workers = parallel_worker_count();
-  out.hw_cores = std::thread::hardware_concurrency();
-  (void)serial_fanout;
-  return out;
 }
 
 std::string json_number(double v) {
@@ -846,14 +770,11 @@ std::string json_number(double v) {
   return s.str();
 }
 
-/// The "rows" array carries only virtual-clock quality/billing columns —
-/// CI byte-diffs it across worker counts. Wall-clock facts (the fan-out
-/// scaling measurement) live in the separate "fanout" object so the
-/// determinism contract never sees a host timestamp.
+/// Every array carries only virtual-clock quality/billing columns — CI
+/// byte-diffs them across worker counts, so no host timestamp may enter.
 void write_json(const std::vector<ServingRow>& rows,
                 const std::vector<ServingRow>& sweep,
-                const std::vector<FaultRow>& fault_rows,
-                const FanoutScaling& scaling, const std::string& path) {
+                const std::vector<FaultRow>& fault_rows, const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -902,11 +823,11 @@ void write_json(const std::vector<ServingRow>& rows,
         << ", \"p95_itl_ms\": " << json_number(r.p95_itl_ms) << "}"
         << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
+  out << "  ]";
   // Only present under --faults, so the fault-free JSON stays byte-for-byte
   // what it was before fault injection existed.
   if (!fault_rows.empty()) {
-    out << "  \"fault_rows\": [\n";
+    out << ",\n  \"fault_rows\": [\n";
     for (std::size_t i = 0; i < fault_rows.size(); ++i) {
       const FaultRow& r = fault_rows[i];
       out << "    {\"load_rps\": " << json_number(r.load)
@@ -925,17 +846,9 @@ void write_json(const std::vector<ServingRow>& rows,
           << ", \"recall_at_b\": " << json_number(r.recall) << "}"
           << (i + 1 < fault_rows.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
+    out << "  ]";
   }
-  out << "  \"fanout\": {\"workers\": " << scaling.workers
-      << ", \"hw_cores\": " << scaling.hw_cores
-      << ", \"serial_advance_wall_ms\": "
-      << json_number(scaling.serial_advance_wall_ms)
-      << ", \"parallel_advance_wall_ms\": "
-      << json_number(scaling.parallel_advance_wall_ms)
-      << ", \"speedup\": " << json_number(scaling.speedup)
-      << ", \"fanout_fraction\": " << json_number(scaling.fanout_fraction)
-      << "}\n}\n";
+  out << "\n}\n";
 }
 
 }  // namespace
@@ -1017,7 +930,7 @@ int main(int argc, char** argv) {
                    "p95 ITL (ms)", "p99 step ITL (ms)", "queue wait (s)",
                    "max queue", "preempt", "repair (ms)", "hit rate", "pf hit",
                    "pf waste", "pf mis", "pf enf", "pf rel", "dm stall (s)",
-                   "link util", "late pf", "recall@B", "fanout", "wall (s)"});
+                   "link util", "late pf", "recall@B"});
 
   const std::string trace_path = args.get_string("trace");
   // Cells are independent simulations (own scheduler, own engines, own
@@ -1043,7 +956,6 @@ int main(int argc, char** argv) {
         if (traced) {
           obs::tracer().enable();
         }
-        bench::Stopwatch watch;
         BatchScheduler scheduler(trace, method.factory, setup.session, latency,
                                  method.scheduler);
         scheduler.run();
@@ -1054,7 +966,6 @@ int main(int argc, char** argv) {
           std::cerr << "  [trace] " << trace_path << "\n";
         }
         load_rows[mi] = make_serving_row(method.name, load, scheduler.metrics());
-        load_rows[mi].cell_wall_s = watch.seconds();
       } catch (...) {
         cell_errors[mi] = std::current_exception();
       }
@@ -1107,29 +1018,10 @@ int main(int argc, char** argv) {
                      row.has_engine ? format_double(row.link_utilization, 2)
                                     : "-",
                      row.has_engine ? std::to_string(row.late_pf_tokens) : "-",
-                     format_double(row.recall, 3),
-                     format_double(row.fanout_fraction, 2),
-                     format_double(row.cell_wall_s, 1)});
-      std::cerr << "  [" << row.method << " @ " << load << " req/s] "
-                << format_double(row.cell_wall_s, 1) << "s wall\n";
+                     format_double(row.recall, 3)});
     }
   }
   std::cout << table.to_string();
-
-  const FanoutScaling scaling = run_fanout_scaling(setup, latency);
-  std::cout << "\nFan-out scaling (" << setup.trace.num_requests
-            << " concurrent sessions, unlimited budget, " << scaling.workers
-            << " workers on " << scaling.hw_cores
-            << " hardware cores): advance phase "
-            << format_double(scaling.serial_advance_wall_ms, 0)
-            << " ms serial -> "
-            << format_double(scaling.parallel_advance_wall_ms, 0)
-            << " ms parallel, " << format_double(scaling.speedup, 2)
-            << "x wall speedup at "
-            << format_double(scaling.fanout_fraction, 2)
-            << " fan-out fraction (quality byte-identical by construction; "
-               "host clock, not part of the determinism contract — the "
-               "speedup ceiling is the hardware core count)\n";
 
   // Link-bandwidth sweep: the prefetch row at the top load across a range
   // of wire rates. The whole point of modeling the wire explicitly — the
@@ -1205,7 +1097,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.get_switch("json")) {
-    write_json(rows, sweep_rows, fault_rows, scaling, "BENCH_SERVING.json");
+    write_json(rows, sweep_rows, fault_rows, "BENCH_SERVING.json");
     std::cout << "wrote BENCH_SERVING.json\n";
   }
   return 0;

@@ -44,6 +44,17 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
           "invariant would not cover transfers on the wire)");
   expects(config.link_gbps >= 0.0,
           "BatchScheduler: link_gbps must be >= 0 (0 = hardware gather rate)");
+  // Engine mirrors: a negative one would shrink the admission floors and
+  // the growth bound that proves a fan-out wave order-free.
+  expects(config.sink_tokens >= 0, "BatchScheduler: sink_tokens must be >= 0");
+  expects(config.cache_depth >= 0, "BatchScheduler: cache_depth must be >= 0");
+  expects(config.repair_refine_iterations >= 0,
+          "BatchScheduler: repair_refine_iterations must be >= 0");
+  expects(config.repair_decode_interval >= 0,
+          "BatchScheduler: repair_decode_interval must be >= 0");
+  expects(config.prefetch_clusters >= 0, "BatchScheduler: prefetch_clusters must be >= 0");
+  expects(config.decode_interval > 0 && config.tokens_per_cluster > 0,
+          "BatchScheduler: decode_interval and tokens_per_cluster must be > 0");
   const bool clusterkv = config.method == LatencyModel::Method::kClusterKV;
   expects(clusterkv || !config.use_transfer_engine,
           "BatchScheduler: use_transfer_engine requires method kClusterKV "
@@ -102,8 +113,7 @@ std::int64_t BatchScheduler::projected_bytes(const ServeRequest& request) const 
                             config_.cache_depth * session_config_.engine.budget);
     tokens = std::min<Index>(context, floor_tokens);
   }
-  return static_cast<std::int64_t>(tokens) * session_token_bytes(session_config_) *
-         session_config_.shape.total_heads();
+  return session_context_bytes(session_config_, tokens);
 }
 
 std::int64_t BatchScheduler::residual_bytes(const ServeRequest& request) const {
@@ -118,8 +128,7 @@ std::int64_t BatchScheduler::residual_bytes(const ServeRequest& request) const {
         context, config_.sink_tokens + std::max<Index>(config_.decode_interval,
                                                        config_.tokens_per_cluster));
   }
-  return static_cast<std::int64_t>(tokens) * session_token_bytes(session_config_) *
-         session_config_.shape.total_heads();
+  return session_context_bytes(session_config_, tokens);
 }
 
 StepBreakdown BatchScheduler::step_cost(const Session& session) const {
@@ -130,9 +139,8 @@ StepBreakdown BatchScheduler::step_cost(const Session& session) const {
       return latency_.full_kv_step(context);
     case LatencyModel::Method::kClusterKV: {
       // Compute-only step: the fetch stall is billed from the transfer
-      // engine's contended queue in the tick pre-pass (one shared wire).
-      const Index clusters =
-          std::max<Index>(1, context / std::max<Index>(1, config_.tokens_per_cluster));
+      // engine's contended queue in the tick's bill pass (one shared wire).
+      const Index clusters = std::max<Index>(1, context / config_.tokens_per_cluster);
       return latency_.clusterkv_step(context, budget, 0.0, clusters);
     }
     case LatencyModel::Method::kQuest:
@@ -257,7 +265,7 @@ BatchScheduler::PrefillFlushPlan BatchScheduler::prefill_flush_plan(
     Index prompt_len) const {
   PrefillFlushPlan plan;
   const Index chunk = config_.prefill_chunk_tokens;
-  const Index tpc = std::max<Index>(1, config_.tokens_per_cluster);
+  const Index tpc = config_.tokens_per_cluster;
   if (chunk <= 0) {
     // Inline prefill: one whole-prompt flush (if anything clusters at all).
     plan.batches = prompt_len > config_.sink_tokens ? 1 : 0;
@@ -385,7 +393,6 @@ void BatchScheduler::retire_finished() {
     tr.set_virtual_now_ms(now_ms_);
     session.cancel_prefetches(obs::FetchCancelReason::kSessionRelease);
     cancel_session_spec(session);
-    transfer_links_.erase(session.request().id);
     SessionRecord record;
     record.id = session.request().id;
     record.prompt_len = session.request().prompt_len;
@@ -428,19 +435,10 @@ void BatchScheduler::retire_finished() {
     }
     // Teardown frees the session's fast-tier residency (ledger included).
     session.attach_fast_tier_ledger(nullptr);
-    preempt_seen_.erase(session.request().id);
     ++finished_count_;
     it = running_.erase(it);
   }
   tr.set_track(0);
-}
-
-void BatchScheduler::mark_resume_if_preempted(const Session& session) {
-  Index& seen = preempt_seen_[session.request().id];
-  if (session.preemptions() > seen) {
-    obs::tracer().instant("resume", {{"preemptions", session.preemptions()}});
-    seen = session.preemptions();
-  }
 }
 
 double BatchScheduler::model_bytes_per_step_token() const {
@@ -463,8 +461,8 @@ double BatchScheduler::projected_demand_bytes(const Session& session) const {
 void BatchScheduler::resolve_session_transfers(Session& session,
                                                const StepResult& step) {
   const double bytes_per_token = model_bytes_per_step_token();
-  TransferLink& link = transfer_links_[session.request().id];
-  if (link.spec_id != 0) {
+  const std::uint64_t spec_id = session.exchange_spec_transfer(0);
+  if (spec_id != 0) {
     // The selection just revealed the outstanding speculation's hit/waste
     // split. Hits the wire finished are free (the overlap worked); hits
     // still queued are *late* — the copy must complete on the demand
@@ -473,7 +471,7 @@ void BatchScheduler::resolve_session_transfers(Session& session,
     const double hit_bytes =
         static_cast<double>(step.tokens_prefetch_hit) * bytes_per_token;
     const TransferEngine::SpecResolution resolution =
-        transfer_engine_->resolve_spec(link.spec_id, hit_bytes);
+        transfer_engine_->resolve_spec(spec_id, hit_bytes);
     if (resolution.late_hit_bytes > 0.0) {
       transfer_engine_->enqueue(session.request().id,
                                 TransferEngine::Priority::kDemand,
@@ -484,7 +482,6 @@ void BatchScheduler::resolve_session_transfers(Session& session,
                             {{"bytes", static_cast<std::int64_t>(
                                   resolution.late_hit_bytes)}});
     }
-    link = TransferLink{};
   }
   const Index demand_tokens = step.tokens_fetched - step.tokens_prefetch_hit;
   if (demand_tokens > 0) {
@@ -493,31 +490,28 @@ void BatchScheduler::resolve_session_transfers(Session& session,
                               static_cast<double>(demand_tokens) * bytes_per_token);
   }
   if (step.tokens_prefetch_issued > 0) {
-    link.spec_id = transfer_engine_->enqueue(
+    session.exchange_spec_transfer(transfer_engine_->enqueue(
         session.request().id, TransferEngine::Priority::kSpeculative,
-        static_cast<double>(step.tokens_prefetch_issued) * bytes_per_token);
-    link.spec_tokens = step.tokens_prefetch_issued;
+        static_cast<double>(step.tokens_prefetch_issued) * bytes_per_token));
   }
 }
 
-void BatchScheduler::cancel_session_spec(const Session& session) {
+void BatchScheduler::cancel_session_spec(Session& session) {
+  const std::uint64_t spec_id = session.exchange_spec_transfer(0);
+  if (spec_id != 0) {
+    transfer_engine_->cancel(spec_id);
+  }
+}
+
+void BatchScheduler::sync_wire(double until_ms) {
   if (transfer_engine_ == nullptr) {
     return;
   }
-  const auto it = transfer_links_.find(session.request().id);
-  if (it == transfer_links_.end() || it->second.spec_id == 0) {
-    return;
-  }
-  transfer_engine_->cancel(it->second.spec_id);
-  it->second = TransferLink{};
-}
-
-void BatchScheduler::drain_transfer_engine(double completed_ms) {
   const double drained_before = transfer_engine_->drained_bytes_total();
   const double busy_before = transfer_engine_->busy_ms_total();
   const double window_begin_ms = transfer_engine_->clock_ms();
   const std::vector<TransferEngine::Completion> completions =
-      transfer_engine_->drain_until(completed_ms);
+      transfer_engine_->drain_until(until_ms);
   const double drained = transfer_engine_->drained_bytes_total() - drained_before;
   const double busy = transfer_engine_->busy_ms_total() - busy_before;
   metrics_.record_transfer_tick(drained, busy);
@@ -564,19 +558,16 @@ void BatchScheduler::drain_transfer_engine(double completed_ms) {
 
 std::int64_t BatchScheduler::advance_growth_bound_bytes(
     const AdvanceItem& item) const {
-  const std::int64_t per_token =
-      static_cast<std::int64_t>(session_token_bytes(session_config_)) *
-      session_config_.shape.total_heads();
   if (item.prefilling) {
     // A prefill chunk materializes at most its own tokens fast (pending
     // grows by the chunk; flushed clusters offload eagerly, repair moves
     // metadata only).
-    return static_cast<std::int64_t>(item.chunk) * per_token;
+    return session_context_bytes(session_config_, item.chunk);
   }
   if (!config_.tiered_residency) {
     // Untiered residency pins the whole context, which grows by exactly
     // the generated token.
-    return per_token;
+    return session_context_bytes(session_config_, 1);
   }
   // A tiered decode step can pin at most the selection budget in fresh
   // demand fetches, adds one pending token, and may reserve one
@@ -584,10 +575,9 @@ std::int64_t BatchScheduler::advance_growth_bound_bytes(
   // existing reservations; flushes and window evictions only release).
   const Index context =
       item.session->request().prompt_len + item.session->tokens_generated() + 1;
-  const Index tokens =
-      std::min<Index>(session_config_.engine.budget, context) + 1 +
-      config_.prefetch_clusters * std::max<Index>(1, config_.tokens_per_cluster);
-  return static_cast<std::int64_t>(tokens) * per_token;
+  const Index tokens = std::min<Index>(session_config_.engine.budget, context) +
+                       1 + config_.prefetch_clusters * config_.tokens_per_cluster;
+  return session_context_bytes(session_config_, tokens);
 }
 
 void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
@@ -615,25 +605,22 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
     if (session->state() != SessionState::kPrefilling) {
       tr.end("prefilling");
       tr.begin("decoding");
-    }
-    mark_resume_if_preempted(*session);
-    // Config/factory mismatch guard: with tiered_residency, every
-    // selector must feed the shared ledger — an untiered factory would
-    // leave it at zero and silently void budget enforcement. Checked
-    // when a session finishes prefill, when chunk-oblivious selectors
-    // have materialized their whole-prompt state.
-    if (session->state() != SessionState::kPrefilling &&
-        config_.tiered_residency) {
-      std::int64_t summed = 0;
-      for (const auto& running : running_) {
-        summed += running->fast_resident_bytes();
+      // Config/factory mismatch guard: with tiered_residency, every
+      // selector must feed the shared ledger — an untiered factory would
+      // leave it at zero and silently void budget enforcement. Checked
+      // when a session finishes prefill, when chunk-oblivious selectors
+      // have materialized their whole-prompt state.
+      if (config_.tiered_residency) {
+        std::int64_t summed = 0;
+        for (const auto& running : running_) {
+          summed += running->fast_resident_bytes();
+        }
+        ensures(ledger_.bytes() == summed,
+                "BatchScheduler: tiered_residency is set but the session's "
+                "selectors do not report through the fast-tier ledger "
+                "(untiered factory?)");
       }
-      ensures(ledger_.bytes() == summed,
-              "BatchScheduler: tiered_residency is set but the session's "
-              "selectors do not report through the fast-tier ledger "
-              "(untiered factory?)");
     }
-    enforce_budget(session);
   } else {
     // Inter-token gap: virtual time between this completion and the
     // session's previous progress, read from the pre-advance capture so
@@ -658,46 +645,41 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
     }
     tr.instant("decode-step", {{"token", session->tokens_generated()},
                                {"fetched", item.step.tokens_fetched}});
-    mark_resume_if_preempted(*session);
-    enforce_budget(session);
-    if (fault_injector_ != nullptr) {
-      // Degraded mode is a one-step affair: the pre-pass armed it for this
-      // step, the serial commit disarms it before the next.
-      session->set_degraded_step(false);
-      // Mid-decode abort: the client hangs up after this committed token.
-      // Only a still-decoding session with at least one token can abort —
-      // the session finishes at the tick's completion timestamp and its
-      // residency is reclaimed by the normal retirement path.
-      if (!session->finished() && session->tokens_generated() >= 1 &&
-          fault_injector_->abort_fires(session->request().id,
-                                       session->tokens_generated())) {
-        session->abort(completed_ms);
-        tr.instant("fault-abort", {{"token", session->tokens_generated()}});
-      }
+  }
+  if (session->take_resume()) {  // first progress since a preemption
+    tr.instant("resume", {{"preemptions", session->preemptions()}});
+  }
+  enforce_budget(session);
+  if (!item.prefilling && fault_injector_ != nullptr) {
+    // Degraded mode is a one-step affair: the bill armed it for this
+    // step, the serial commit disarms it before the next.
+    session->set_degraded_step(false);
+    // Mid-decode abort: the client hangs up after this committed token.
+    // Only a still-decoding session with at least one token can abort —
+    // the session finishes at the tick's completion timestamp and its
+    // residency is reclaimed by the normal retirement path.
+    if (!session->finished() && session->tokens_generated() >= 1 &&
+        fault_injector_->abort_fires(session->request().id,
+                                     session->tokens_generated())) {
+      session->abort(completed_ms);
+      tr.instant("fault-abort", {{"token", session->tokens_generated()}});
     }
   }
 }
 
-bool BatchScheduler::tick() {
-  // The tick body IS the serial phase; the only escape is the wave
-  // fan-out below, whose lambda runs advance_item (unannotated on
-  // purpose — see batch_scheduler.hpp) on pool workers.
-  const ExclusiveLock serial(serial_phase_);
-  if (running_.empty() && queue_.empty()) {
-    return false;
-  }
+void BatchScheduler::open_tick(TickState& t) {
   if (running_.empty() && !queue_.has_arrival(now_ms_)) {
     now_ms_ = queue_.next_arrival_ms();  // idle: jump to the next arrival
-    if (transfer_engine_ != nullptr) {
-      if (fault_injector_ != nullptr) {
-        // Brownouts stay on the virtual clock across the jump too.
-        transfer_engine_->set_rate_factor(
-            fault_injector_->rate_factor_at(now_ms_));
-      }
-      // The wire keeps draining (and its clock monotone) across the jump.
-      drain_transfer_engine(now_ms_);
-    }
   }
+  // Brownout sampling: one link-rate factor per tick, sampled at the tick's
+  // opening timestamp on the virtual clock.
+  if (fault_injector_ != nullptr) {  // faults imply kClusterKV, so a wire
+    t.link_rate_factor = fault_injector_->rate_factor_at(now_ms_);
+    transfer_engine_->set_rate_factor(t.link_rate_factor);
+  }
+  // The wire keeps draining (and its clock monotone) across an idle jump;
+  // otherwise the previous tick already drained it up to now_ms_.
+  sync_wire(now_ms_);
   auto& tr = obs::tracer();
   if (tr.enabled() && ticks_ == 0) {
     tr.set_track_name(0, "scheduler");
@@ -707,266 +689,247 @@ bool BatchScheduler::tick() {
   }
   tr.set_track(0);
   tr.set_virtual_now_ms(now_ms_);
-  admit_arrivals();
-  ++ticks_;
+}
 
-  // Brownout sampling: one link-rate factor per tick, sampled at the tick's
-  // opening timestamp on the virtual clock. The same factor scales the
-  // contended-stall billing below and the engine's drain rate for this
-  // tick's window, so billed time and modeled wire time degrade together.
-  const double link_rate_factor =
-      fault_injector_ != nullptr ? fault_injector_->rate_factor_at(now_ms_) : 1.0;
-  if (fault_injector_ != nullptr) {  // faults imply kClusterKV, so a wire
-    transfer_engine_->set_rate_factor(link_rate_factor);
-  }
-
-  // Partition the batch: prefilling sessions each consume one prompt
-  // chunk this tick, decoding sessions each run one step (round-robin so
-  // retirement churn cannot starve anyone).
-  std::vector<Session*> prefillers;
-  std::vector<Session*> decoders;
+void BatchScheduler::plan_batch(TickState& t) {
+  // Prefilling sessions each consume one prompt chunk this tick, decoding
+  // sessions each run one step — round-robin so retirement churn cannot
+  // starve anyone. Pre-step state is captured up front: commit-phase
+  // accounting must see what the serial scheduler's sequence point saw.
   const Index batch = static_cast<Index>(running_.size());
+  t.items.reserve(running_.size());
   for (Index i = 0; i < batch; ++i) {
-    Session* session = running_[(round_robin_offset_ + i) % batch].get();
-    if (session->state() == SessionState::kPrefilling) {
-      prefillers.push_back(session);
+    AdvanceItem item;
+    item.session = running_[(round_robin_offset_ + i) % batch].get();
+    item.prefilling = item.session->state() == SessionState::kPrefilling;
+    if (item.prefilling) {
+      item.chunk = next_chunk_tokens(*item.session);
     } else {
-      decoders.push_back(session);
+      item.pre_last_step_ms = item.session->last_step_ms();
+      item.pre_first_token_ms = item.session->first_token_ms();
+    }
+    t.items.push_back(item);
+  }
+  // Advancement order is fixed: prefillers, then decoders, both in
+  // round-robin order — identical to the serial scheduler.
+  const auto decoders = std::stable_partition(
+      t.items.begin(), t.items.end(),
+      [](const AdvanceItem& item) { return item.prefilling; });
+  t.prefill_count = static_cast<std::size_t>(decoders - t.items.begin());
+}
+
+void BatchScheduler::bill(TickState& t) {
+  // Mixed prefill+decode billing. Decoders share one weight pass and one
+  // framework overhead per tick — the continuous-batching economy — and
+  // each adds its private KV-read / selection cost. Prefill chunks are
+  // compute-bound GEMM + causal-prefix attention (their weight traffic
+  // rides the batch's shared pass), billed per chunk so a long prompt
+  // stalls the batch by at most one chunk per tick.
+  auto& tr = obs::tracer();
+  const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
+                             config_.repair_refine_iterations > 0;
+  // ClusterKV demand billing: the wire serves one contended queue, so
+  // a decoder's stall is the completion time of the backlog plus every
+  // demand request at or ahead of its position — later decoders wait
+  // longer, which is exactly how fleet contention becomes visible. The
+  // tick bills the queue's makespan (the last decoder's stall) once; the
+  // per-decoder stalls feed the metrics. All inputs are pre-advance
+  // state, keeping the bill a pure function of the schedule.
+  double demand_bytes_ahead =
+      transfer_engine_ != nullptr
+          ? transfer_engine_->queued_bytes(TransferEngine::Priority::kDemand)
+          : 0.0;
+  double demand_stall_tail_ms = 0.0;
+  for (std::size_t i = t.prefill_count; i < t.items.size(); ++i) {
+    Session& decoder = *t.items[i].session;
+    const StepBreakdown b = step_cost(decoder);
+    if (i == t.prefill_count) {
+      t.tick_ms += b.weights_ms + b.overhead_ms;
+    }
+    t.tick_ms += b.total_ms() - b.weights_ms - b.overhead_ms;
+    // Fault roll: this decoder's demand-fetch outcome for the step it is
+    // about to take. Retries bill their backoff into the tick; a dead
+    // fetch (retries exhausted or deadline blown) flips the session's
+    // selectors into resident-only degraded mode for exactly this step,
+    // and its demand traffic never reaches the wire.
+    FaultInjector::FetchOutcome fault;
+    if (fault_injector_ != nullptr) {
+      fault = fault_injector_->fetch_outcome(decoder.request().id,
+                                             decoder.tokens_generated());
+      if (fault.retries > 0 || fault.dead) {
+        t.tick_ms += fault.penalty_ms;
+        decoder.note_fault_retries(fault.retries, fault.penalty_ms);
+        metrics_.record_fault_fetch(fault.retries, fault.penalty_ms, fault.dead);
+        const std::int64_t track = session_track(decoder);
+        if (fault.retries > 0) {
+          tr.instant_at("fault-retry", track, now_ms_,
+                        {{"attempts", fault.retries},
+                         {"penalty_us", static_cast<Index>(fault.penalty_ms * 1000.0)}});
+        }
+        if (fault.dead) {
+          decoder.note_dead_fetch();
+          decoder.set_degraded_step(true);
+          tr.instant_at("fault-dead-fetch", track, now_ms_,
+                        {{"token", decoder.tokens_generated()}});
+        }
+      }
+    }
+    if (transfer_engine_ != nullptr) {
+      if (!fault.dead) {
+        demand_bytes_ahead += projected_demand_bytes(decoder);
+      }
+      const double stall_ms = latency_.contended_fetch_ms(
+          demand_bytes_ahead, transfer_link_gbps_ * t.link_rate_factor);
+      metrics_.record_demand_stall(stall_ms);
+      demand_stall_tail_ms = stall_ms;
+    }
+    const Index generated = decoder.tokens_generated() + 1;
+    if (repair_billed && config_.repair_decode_interval > 0 &&
+        generated % config_.repair_decode_interval == 0) {
+      // Periodic decode-side repair pass (mirrors the engine's trigger in
+      // observe_decode); overlappable compute like prefill clustering. A
+      // pass can only do work once a decode flush has registered a new
+      // clustering batch since the last pass (repair collapses batches
+      // to one), so billing is capped at one pass per decode-interval
+      // flush — a repair interval finer than the flush cadence must not
+      // charge phantom passes for the engine's immediate no-op returns.
+      const bool flushed_since_last_pass =
+          generated / config_.decode_interval >
+          (generated - config_.repair_decode_interval) / config_.decode_interval;
+      if (flushed_since_last_pass) {
+        t.repair_ms += latency_.repair_ms(decoder.request().prompt_len + generated,
+                                          config_.repair_refine_iterations,
+                                          config_.tokens_per_cluster);
+      }
     }
   }
-
-  if (batch > 0) {
-    // Mixed prefill+decode billing. Decoders share one weight pass and one
-    // framework overhead per tick — the continuous-batching economy — and
-    // each adds its private KV-read / selection cost. Prefill chunks are
-    // compute-bound GEMM + causal-prefix attention (their weight traffic
-    // rides the batch's shared pass), billed per chunk so a long prompt
-    // stalls the batch by at most one chunk per tick.
-    double tick_ms = 0.0;
-    double repair_ms = 0.0;
-    double decode_ms = 0.0;  // decode share of tick_ms (phase sub-span)
-    const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
-                               config_.repair_refine_iterations > 0;
-    // ClusterKV demand billing: the wire serves one contended queue, so
-    // a decoder's stall is the completion time of the backlog plus every
-    // demand request at or ahead of its position — later decoders wait
-    // longer, which is exactly how fleet contention becomes visible. The
-    // tick bills the queue's makespan (the last decoder's stall) once; the
-    // per-decoder stalls feed the metrics. All inputs are pre-advance
-    // state, keeping the pre-pass a pure function of the schedule.
-    double demand_bytes_ahead =
-        transfer_engine_ != nullptr
-            ? transfer_engine_->queued_bytes(TransferEngine::Priority::kDemand)
-            : 0.0;
-    double demand_stall_tail_ms = 0.0;
-    for (std::size_t i = 0; i < decoders.size(); ++i) {
-      const StepBreakdown b = step_cost(*decoders[i]);
-      if (i == 0) {
-        tick_ms += b.weights_ms + b.overhead_ms;
+  t.tick_ms += demand_stall_tail_ms;
+  t.decode_ms = t.tick_ms;
+  for (std::size_t i = 0; i < t.prefill_count; ++i) {
+    const Session& prefiller = *t.items[i].session;
+    const Index chunk = t.items[i].chunk;
+    t.tick_ms += prefill_chunk_cost_ms(prefiller, chunk);
+    const Index prompt_len = prefiller.request().prompt_len;
+    const bool final_chunk = prefiller.prefill_tokens_done() + chunk == prompt_len;
+    if (config_.method == LatencyModel::Method::kClusterKV && final_chunk) {
+      const PrefillFlushPlan plan = prefill_flush_plan(prompt_len);
+      if (plan.tail_folds) {
+        // End-of-prompt tail fold: the engine re-clusters the preceding
+        // batch together with the short tail; bill that window's k-means
+        // again (the per-chunk clustering bill above only covered the
+        // tail's own tokens).
+        t.tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
+            prompt_len,
+            std::max(config_.prefill_chunk_tokens, config_.tokens_per_cluster) + chunk));
       }
-      tick_ms += b.total_ms() - b.weights_ms - b.overhead_ms;
-      // Fault pre-pass: roll this decoder's demand-fetch outcome for the
-      // step it is about to take. Retries bill their backoff into the tick;
-      // a dead fetch (retries exhausted or deadline blown) flips the
-      // session's selectors into resident-only degraded mode for exactly
-      // this step, and its demand traffic never reaches the wire.
-      FaultInjector::FetchOutcome fault;
-      if (fault_injector_ != nullptr) {
-        fault = fault_injector_->fetch_outcome(decoders[i]->request().id,
-                                               decoders[i]->tokens_generated());
-        if (fault.retries > 0 || fault.dead) {
-          tick_ms += fault.penalty_ms;
-          decoders[i]->note_fault_retries(fault.retries, fault.penalty_ms);
-          metrics_.record_fault_fetch(fault.retries, fault.penalty_ms, fault.dead);
-          const std::int64_t track = session_track(*decoders[i]);
-          if (fault.retries > 0) {
-            tr.instant_at("fault-retry", track, now_ms_,
-                          {{"attempts", fault.retries},
-                           {"penalty_us",
-                            static_cast<Index>(fault.penalty_ms * 1000.0)}});
-          }
-          if (fault.dead) {
-            decoders[i]->note_dead_fetch();
-            decoders[i]->set_degraded_step(true);
-            tr.instant_at("fault-dead-fetch", track, now_ms_,
-                          {{"token", decoders[i]->tokens_generated()}});
-          }
-        }
-      }
-      if (transfer_engine_ != nullptr) {
-        if (!fault.dead) {
-          demand_bytes_ahead += projected_demand_bytes(*decoders[i]);
-        }
-        const double stall_ms = latency_.contended_fetch_ms(
-            demand_bytes_ahead, transfer_link_gbps_ * link_rate_factor);
-        metrics_.record_demand_stall(stall_ms);
-        demand_stall_tail_ms = stall_ms;
-      }
-      if (repair_billed && config_.repair_decode_interval > 0 &&
-          (decoders[i]->tokens_generated() + 1) % config_.repair_decode_interval == 0) {
-        // Periodic decode-side repair pass (mirrors the engine's trigger in
-        // observe_decode); overlappable compute like prefill clustering. A
-        // pass can only do work once a decode flush has registered a new
-        // clustering batch since the last pass (repair collapses batches
-        // to one), so billing is capped at one pass per decode-interval
-        // flush — a repair interval finer than the flush cadence must not
-        // charge phantom passes for the engine's immediate no-op returns.
-        const Index generated = decoders[i]->tokens_generated() + 1;
-        const Index flush_every = std::max<Index>(1, config_.decode_interval);
-        const bool flushed_since_last_pass =
-            generated / flush_every >
-            (generated - config_.repair_decode_interval) / flush_every;
-        if (flushed_since_last_pass) {
-          const Index context = decoders[i]->request().prompt_len + generated;
-          repair_ms += latency_.repair_ms(context, config_.repair_refine_iterations,
+      if (repair_billed && plan.batches >= 2) {
+        // The post-prefill repair pass only does work when prefill
+        // registered at least two clustering batches (a single batch —
+        // inline prefill, short prompts, or a folded tail — makes the
+        // engine's pass a no-op; bill nothing then).
+        t.repair_ms += latency_.repair_ms(prompt_len, config_.repair_refine_iterations,
                                           config_.tokens_per_cluster);
-        }
       }
     }
-    tick_ms += demand_stall_tail_ms;
-    decode_ms = tick_ms;
-    std::vector<Index> chunks(prefillers.size(), 0);
-    for (std::size_t i = 0; i < prefillers.size(); ++i) {
-      chunks[i] = next_chunk_tokens(*prefillers[i]);
-      tick_ms += prefill_chunk_cost_ms(*prefillers[i], chunks[i]);
-      const Index prompt_len = prefillers[i]->request().prompt_len;
-      const bool final_chunk =
-          prefillers[i]->prefill_tokens_done() + chunks[i] == prompt_len;
-      if (config_.method == LatencyModel::Method::kClusterKV && final_chunk) {
-        const PrefillFlushPlan plan = prefill_flush_plan(prompt_len);
-        if (plan.tail_folds) {
-          // End-of-prompt tail fold: the engine re-clusters the preceding
-          // batch together with the short tail; bill that window's k-means
-          // again (the per-chunk clustering bill above only covered the
-          // tail's own tokens).
-          tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
-              prompt_len,
-              std::max(config_.prefill_chunk_tokens, config_.tokens_per_cluster) +
-                  chunks[i]));
-        }
-        if (repair_billed && plan.batches >= 2) {
-          // The post-prefill repair pass only does work when prefill
-          // registered at least two clustering batches (a single batch —
-          // inline prefill, short prompts, or a folded tail — makes the
-          // engine's pass a no-op; bill nothing then).
-          repair_ms += latency_.repair_ms(prompt_len, config_.repair_refine_iterations,
-                                          config_.tokens_per_cluster);
-        }
-      }
-    }
-    const double prefill_ms = tick_ms - decode_ms;
-    tick_ms += repair_ms;
-    metrics_.record_repair(repair_ms);
+  }
+  t.prefill_ms = t.tick_ms - t.decode_ms;
+  t.tick_ms += t.repair_ms;
+  metrics_.record_repair(t.repair_ms);
+  t.completed_ms = now_ms_ + t.tick_ms;
+}
 
-    const double completed_ms = now_ms_ + tick_ms;
-    if (tr.enabled()) {
-      // The tick span and its phase sub-spans reproduce the paper's
-      // latency breakdown on the virtual clock: decode, then prefill
-      // chunks, then repair, laid out sequentially inside the tick.
-      tr.begin_at("tick", 0, now_ms_,
-                  {{"batch", batch}, {"queued", queue_.size()}});
-      // The last phase must end at exactly completed_ms (the tick E's
-      // timestamp): summing the phase durations incrementally drifts in
-      // the low bits relative to now_ms_ + tick_ms, and an end a few ulps
-      // past the tick E sorts after it, unbalancing the span stack.
-      double phase_t = now_ms_;
-      if (!decoders.empty()) {
-        const bool last = prefillers.empty() && repair_ms <= 0.0;
-        const double end = last ? completed_ms : phase_t + decode_ms;
-        tr.begin_at("decode-phase", 0, phase_t,
-                    {{"decoders", static_cast<Index>(decoders.size())}});
-        tr.end_at("decode-phase", 0, end);
-        phase_t = end;
-      }
-      if (!prefillers.empty()) {
-        const bool last = repair_ms <= 0.0;
-        const double end = last ? completed_ms : phase_t + prefill_ms;
-        tr.begin_at("prefill-phase", 0, phase_t,
-                    {{"prefillers", static_cast<Index>(prefillers.size())}});
-        tr.end_at("prefill-phase", 0, end);
-        phase_t = end;
-      }
-      if (repair_ms > 0.0) {
-        tr.begin_at("repair-phase", 0, phase_t);
-        tr.end_at("repair-phase", 0, completed_ms);
-      }
-    }
-    // Leaf instrumentation (tiered-store fetch events) records against the
-    // ambient context: the tick's completion time, the acting session's
-    // track. The context is thread-local, so pool workers scope their own
-    // events without racing the scheduler thread.
-    tr.set_virtual_now_ms(completed_ms);
+void BatchScheduler::trace_phases(const TickState& t) {
+  auto& tr = obs::tracer();
+  if (!tr.enabled()) {
+    return;
+  }
+  // The tick span and its phase sub-spans reproduce the paper's latency
+  // breakdown on the virtual clock: decode, then prefill chunks, then
+  // repair, laid out sequentially inside the tick.
+  tr.begin_at("tick", 0, now_ms_,
+              {{"batch", static_cast<Index>(t.items.size())}, {"queued", queue_.size()}});
+  // The last phase must end at exactly completed_ms (the tick E's
+  // timestamp): summing the phase durations incrementally drifts in the
+  // low bits relative to now_ms_ + tick_ms, and an end a few ulps past
+  // the tick E sorts after it, unbalancing the span stack.
+  const auto decoders = static_cast<Index>(t.items.size() - t.prefill_count);
+  const auto prefillers = static_cast<Index>(t.prefill_count);
+  double phase_t = now_ms_;
+  if (decoders > 0) {
+    const bool last = prefillers == 0 && t.repair_ms <= 0.0;
+    const double end = last ? t.completed_ms : phase_t + t.decode_ms;
+    tr.begin_at("decode-phase", 0, phase_t, {{"decoders", decoders}});
+    tr.end_at("decode-phase", 0, end);
+    phase_t = end;
+  }
+  if (prefillers > 0) {
+    const double end = t.repair_ms <= 0.0 ? t.completed_ms : phase_t + t.prefill_ms;
+    tr.begin_at("prefill-phase", 0, phase_t, {{"prefillers", prefillers}});
+    tr.end_at("prefill-phase", 0, end);
+    phase_t = end;
+  }
+  if (t.repair_ms > 0.0) {
+    tr.begin_at("repair-phase", 0, phase_t);
+    tr.end_at("repair-phase", 0, t.completed_ms);
+  }
+}
 
-    // Advancement order is fixed (prefillers, then decoders, both in
-    // round-robin order) — identical to the serial scheduler. Pre-step
-    // state is captured up front: commit-phase accounting must see what
-    // the serial scheduler's sequence point would have seen.
-    std::vector<AdvanceItem> items;
-    items.reserve(prefillers.size() + decoders.size());
-    for (std::size_t i = 0; i < prefillers.size(); ++i) {
-      AdvanceItem item;
-      item.session = prefillers[i];
-      item.prefilling = true;
-      item.chunk = chunks[i];
-      items.push_back(item);
+std::size_t BatchScheduler::wave_end(const std::vector<AdvanceItem>& items,
+                                     std::size_t begin) const {
+  if (!config_.parallel_tick) {
+    return begin + 1;
+  }
+  if (config_.fast_tier_budget_bytes == 0) {
+    return items.size();  // unlimited budget: one wave, no guard
+  }
+  std::int64_t headroom = config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
+  std::size_t end = begin;
+  while (end < items.size()) {
+    const std::int64_t bound = advance_growth_bound_bytes(items[end]);
+    if (bound > headroom) {
+      break;
     }
-    for (Session* session : decoders) {
-      AdvanceItem item;
-      item.session = session;
-      item.pre_last_step_ms = session->last_step_ms();
-      item.pre_first_token_ms = session->first_token_ms();
-      items.push_back(item);
-    }
+    headroom -= bound;
+    ++end;
+  }
+  return std::max(end, begin + 1);
+}
 
-    // Wave fan-out: repeatedly take the longest prefix of un-advanced
-    // items whose summed worst-case byte growth provably fits the budget
-    // headroom. Inside such a wave every per-session enforcement
-    // checkpoint is silent, so session order cannot matter — the wave
-    // runs concurrently on the worker pool, then its commit phase (trace
-    // edges, metrics, the enforcement checkpoints themselves) replays in
-    // the exact serial order. When the guard admits at most one item the
-    // scheduler degenerates to the literal serial step+commit
-    // interleaving, preserving byte-identity under contention too.
-    // Wall-clock here measures host speedup only; every billed duration
-    // stays on the virtual clock (docs/PERFORMANCE.md determinism
-    // contract), so this read cannot leak into any deterministic output.
-    // ckv-lint: allow(wall-clock) -- advance_wall_ms is a host-side metric
-    const auto wall_begin = std::chrono::steady_clock::now();
-    // The fan-out lambda must not touch serial-phase state (clang enforces
-    // it); the tick's start time crosses the boundary by value.
-    const double tick_begin_ms = now_ms_;
-    Index fanned_out = 0;
-    std::size_t next = 0;
-    while (next < items.size()) {
-      std::size_t wave_end = next;
-      if (config_.parallel_tick) {
-        if (config_.fast_tier_budget_bytes == 0) {
-          wave_end = items.size();  // unlimited budget: one wave, no guard
-        } else {
-          std::int64_t headroom =
-              config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
-          while (wave_end < items.size()) {
-            const std::int64_t bound = advance_growth_bound_bytes(items[wave_end]);
-            if (bound > headroom) {
-              break;
-            }
-            headroom -= bound;
-            ++wave_end;
-          }
-        }
-      }
-      if (wave_end <= next + 1) {
-        // Contended (or parallel_tick off): advance one item and commit it
-        // immediately — the pre-fan-out serial path, verbatim.
-        advance_item(items[next], completed_ms);
-        tr.set_virtual_now_ms(completed_ms);
-        commit_item(items[next], completed_ms);
-        ++next;
-        continue;
-      }
-      const std::size_t wave_begin_i = next;
+void BatchScheduler::advance_and_commit(TickState& t) {
+  // Wave fan-out: repeatedly take the longest run of un-advanced items
+  // whose summed worst-case byte growth provably fits the budget
+  // headroom. Inside such a wave every per-session enforcement checkpoint
+  // is silent, so session order cannot matter — the wave runs
+  // concurrently on the worker pool, then its commit phase (trace edges,
+  // metrics, the enforcement checkpoints themselves) replays in the exact
+  // serial order. A one-item wave (contention, or parallel_tick off)
+  // advances on the caller and commits at once: the literal serial
+  // step+commit interleaving, preserving byte-identity under contention.
+  //
+  // Leaf instrumentation (tiered-store fetch events) records against the
+  // ambient context: the tick's completion time, the acting session's
+  // track. The context is thread-local, so pool workers scope their own
+  // events without racing the scheduler thread.
+  auto& tr = obs::tracer();
+  tr.set_virtual_now_ms(t.completed_ms);
+  // Wall-clock here measures host speedup only; every billed duration
+  // stays on the virtual clock (docs/PERFORMANCE.md determinism
+  // contract), so this read cannot leak into any deterministic output.
+  // ckv-lint: allow(wall-clock) -- advance_wall_ms is a host-side metric
+  const auto wall_begin = std::chrono::steady_clock::now();
+  // The fan-out lambda must not touch serial-phase state (clang enforces
+  // it); the tick's window crosses the boundary by value.
+  const double tick_begin_ms = now_ms_;
+  const double completed_ms = t.completed_ms;
+  std::vector<AdvanceItem>& items = t.items;
+  Index fanned_out = 0;
+  for (std::size_t begin = 0; begin < items.size();) {
+    const std::size_t end = wave_end(items, begin);
+    if (end == begin + 1) {
+      advance_item(items[begin], completed_ms);
+    } else {
       parallel_for_range(
-          static_cast<Index>(wave_begin_i), static_cast<Index>(wave_end),
+          static_cast<Index>(begin), static_cast<Index>(end),
           /*grain=*/1, [&](Index chunk_begin, Index chunk_end) {
             // Workers trace their occupancy on dedicated tracks so a
             // Perfetto view shows the fan-out's shape; the advance span
@@ -978,8 +941,7 @@ bool BatchScheduler::tick() {
             const std::int64_t worker_track = obs::kWorkerTrackBase + slot;
             for (Index i = chunk_begin; i < chunk_end; ++i) {
               if (wtr.enabled()) {
-                wtr.set_track_name(worker_track,
-                                   "worker " + std::to_string(slot));
+                wtr.set_track_name(worker_track, "worker " + std::to_string(slot));
                 wtr.begin_at("advance", worker_track, tick_begin_ms,
                              {{"session", items[i].session->request().id}});
               }
@@ -989,36 +951,28 @@ bool BatchScheduler::tick() {
               }
             }
           });
-      fanned_out += static_cast<Index>(wave_end - wave_begin_i);
-      // The caller participated in the wave and its thread-local tracer
-      // context now points at the last session it stepped — restore it.
-      tr.set_virtual_now_ms(completed_ms);
-      for (std::size_t i = wave_begin_i; i < wave_end; ++i) {
-        commit_item(items[i], completed_ms);
-      }
-      next = wave_end;
+      fanned_out += static_cast<Index>(end - begin);
     }
-    // ckv-lint: allow(wall-clock) -- closes the host-side metric above
-    const double advance_wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_begin)
-            .count();
-    metrics_.record_advance_wall(advance_wall_ms, fanned_out,
-                                 static_cast<Index>(items.size()));
-    tr.set_track(0);
-    tr.end_at("tick", 0, completed_ms);
-    if (transfer_engine_ != nullptr) {
-      // Spend the tick's wire capacity on everything queued (including the
-      // demand and speculation the commit phase just enqueued — those
-      // copies overlapped the step compute the tick billed).
-      drain_transfer_engine(completed_ms);
+    // The caller advanced at least one item and its thread-local tracer
+    // context now points at the last session it stepped — restore it.
+    tr.set_virtual_now_ms(completed_ms);
+    for (std::size_t i = begin; i < end; ++i) {
+      commit_item(items[i], completed_ms);
     }
-    now_ms_ = completed_ms;
-    round_robin_offset_ = (round_robin_offset_ + 1) % batch;
-    metrics_.record_tick(tick_ms, batch, queue_.size());
+    begin = end;
   }
+  // ckv-lint: allow(wall-clock) -- closes the host-side metric above
+  const double advance_wall_ms = std::chrono::duration<double, std::milli>(
+                                     std::chrono::steady_clock::now() - wall_begin)
+                                     .count();
+  metrics_.record_advance_wall(advance_wall_ms, fanned_out,
+                               static_cast<Index>(items.size()));
+  tr.set_track(0);
+  tr.end_at("tick", 0, completed_ms);
+}
 
-  retire_finished();
+void BatchScheduler::sample_counters() {
+  auto& tr = obs::tracer();
   tr.set_virtual_now_ms(now_ms_);
   tr.counter("fast-tier-bytes", fast_tier_bytes_locked());
   if (config_.tiered_residency) {
@@ -1032,6 +986,36 @@ bool BatchScheduler::tick() {
                static_cast<std::int64_t>(transfer_engine_->drained_bytes_total()));
   }
   metrics_.record_occupancy(fast_tier_bytes_locked());
+}
+
+bool BatchScheduler::tick() {
+  // The tick body IS the serial phase; the only escape is the wave
+  // fan-out in advance_and_commit, whose lambda runs advance_item
+  // (unannotated on purpose — see batch_scheduler.hpp) on pool workers.
+  const ExclusiveLock serial(serial_phase_);
+  if (running_.empty() && queue_.empty()) {
+    return false;
+  }
+  TickState t;
+  open_tick(t);
+  admit_arrivals();
+  ++ticks_;
+  plan_batch(t);
+  if (!t.items.empty()) {
+    bill(t);
+    trace_phases(t);
+    advance_and_commit(t);
+    // Spend the tick's wire capacity on everything queued (including the
+    // demand and speculation the commit phase just enqueued — those
+    // copies overlapped the step compute the tick billed).
+    sync_wire(t.completed_ms);
+    now_ms_ = t.completed_ms;
+    const auto batch = static_cast<Index>(t.items.size());
+    round_robin_offset_ = (round_robin_offset_ + 1) % batch;
+    metrics_.record_tick(t.tick_ms, batch, queue_.size());
+  }
+  retire_finished();
+  sample_counters();
   return !(running_.empty() && queue_.empty());
 }
 

@@ -1,25 +1,24 @@
 // Continuous-batching scheduler over per-session ClusterKV engines, with
-// vLLM-style chunked prefill. Each tick:
-//   1. admits queued sessions in FIFO order while their projected fast-tier
-//      footprint fits the global HBM byte budget (admission only changes
-//      state — the prompt is consumed chunk by chunk in later ticks);
-//   2. advances every running session once: prefilling sessions consume one
-//      prompt chunk of prefill_chunk_tokens, decoding sessions run one
-//      decode step round-robin. The tick bills a mixed prefill+decode cost:
-//      decoders share one weight pass and one framework overhead, each adds
-//      its private KV-read / selection cost (ClusterKV fetch stalls are
-//      billed once per tick off the transfer engine's shared wire), and
-//      each prefill chunk adds its causal-prefix attention + GEMM compute
-//      (plus visible clustering overhead for ClusterKV; the final chunk of
-//      a multi-chunk prompt also bills one cross-chunk cluster-repair pass,
-//      as does every repair_decode_interval-th decode step when periodic
-//      repair is on);
-//   3. enforces the budget: while global residency exceeds it, the coldest
-//      session (least recent progress) offloads its non-sink, non-pending
-//      clusters to the slow tier (sinks are never offloaded). This holds
-//      mid-prefill too — already-clustered prompt chunks are reclaimable.
+// vLLM-style chunked prefill. tick() runs an ordered list of passes over one
+// TickState (reads -> writes):
+//   1. open_tick           queue, fault plan -> now_ms_ (idle jump), the
+//                          brownout factor, the wire drained up to now_ms_
+//   2. admit_arrivals      queue, budget, running projections -> running_
+//                          (sheds a hopelessly blocked head under faults)
+//   3. plan_batch          running_, round-robin offset -> AdvanceItems,
+//                          prefill items first, pre-step state captured
+//   4. bill                items, latency model, fault rolls, wire backlog ->
+//                          tick/decode/prefill/repair ms, stall metrics
+//   5. trace_phases        billed phases -> tick span and phase sub-spans
+//   6. advance_and_commit  items -> sessions stepped in guarded waves, then
+//                          committed serially (metrics, wire enqueues, the
+//                          per-item budget enforcement checkpoint)
+//   7. sync_wire           wire queue -> drained to the tick's completion
+//                          (the same pass open_tick runs for an idle jump)
+//   8. retire_finished     finished sessions -> SessionRecords, ledger detach
+//   9. sample_counters     residency, queue, wire -> trace counters, occupancy
 //
-// The full scheduling model (tick lifecycle, cost accounting, knobs) is
+// The full scheduling model (cost accounting, enforcement, knobs) is
 // documented in docs/ARCHITECTURE.md and docs/SCHEDULING.md.
 //
 // The virtual clock composes sim/latency_model step costs, so tick
@@ -29,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "kvcache/tiered_store.hpp"
@@ -126,10 +124,9 @@ class BatchScheduler {
                  SessionConfig session_config, LatencyModel latency,
                  BatchSchedulerConfig config);
 
-  /// Runs one tick (admit, advance every session one chunk or step,
-  /// enforce the budget). Returns true while sessions remain (queued or
-  /// running). The budget invariant holds at every return, including while
-  /// sessions are mid-prefill.
+  /// Runs one tick's passes (see the file comment). Returns true while
+  /// sessions remain (queued or running). The budget invariant holds at
+  /// every return, including while sessions are mid-prefill.
   bool tick();
 
   /// Ticks until every request has finished.
@@ -203,9 +200,9 @@ class BatchScheduler {
   [[nodiscard]] PrefillFlushPlan prefill_flush_plan(Index prompt_len) const;
 
  private:
-  /// One session's advancement this tick, carried from the serial pre-pass
-  /// through the (possibly parallel) advance phase into the serial commit
-  /// phase. Pre-step values are captured before anything advances because
+  /// One session's advancement this tick, carried from plan_batch through
+  /// the (possibly parallel) advance phase into the serial commit phase.
+  /// Pre-step values are captured before anything advances because
   /// commit-phase accounting (the inter-token gap) must see the state the
   /// serial scheduler would have seen at its sequence point.
   struct AdvanceItem {
@@ -217,9 +214,40 @@ class BatchScheduler {
     StepResult step;  ///< decode outcome (decoders only)
   };
 
+  /// The state one tick's passes share; every tick builds a fresh one.
+  struct TickState {
+    /// Brownout factor sampled at the tick's opening (1 when fault-free).
+    /// It scales both the stall billing and the wire's drain for this
+    /// tick's window, so billed time and modeled wire time degrade together.
+    double link_rate_factor = 1.0;
+    /// Advancement order: the prefill items, then the decode items, each in
+    /// round-robin order; items[0, prefill_count) are the prefillers.
+    std::vector<AdvanceItem> items;
+    std::size_t prefill_count = 0;
+    double tick_ms = 0.0;       ///< billed duration of every phase
+    double decode_ms = 0.0;     ///< decode share of tick_ms
+    double prefill_ms = 0.0;    ///< prefill share of tick_ms
+    double repair_ms = 0.0;     ///< repair share of tick_ms
+    double completed_ms = 0.0;  ///< now_ms_ + tick_ms
+  };
+
+  // ---- the tick's passes, in order (see the file comment) ----
+
+  void open_tick(TickState& t) CKV_REQUIRES(serial_phase_);
   void admit_arrivals() CKV_REQUIRES(serial_phase_);
-  void enforce_budget(Session* just_stepped) CKV_REQUIRES(serial_phase_);
+  void plan_batch(TickState& t) CKV_REQUIRES(serial_phase_);
+  void bill(TickState& t) CKV_REQUIRES(serial_phase_);
+  void trace_phases(const TickState& t) CKV_REQUIRES(serial_phase_);
+  void advance_and_commit(TickState& t) CKV_REQUIRES(serial_phase_);
+  /// Advances the engine's wire to `until_ms` (no-op without an engine),
+  /// records per-tick drain metrics and emits the transfer-track spans.
+  void sync_wire(double until_ms) CKV_REQUIRES(serial_phase_);
   void retire_finished() CKV_REQUIRES(serial_phase_);
+  void sample_counters() CKV_REQUIRES(serial_phase_);
+
+  // ---- pass helpers ----
+
+  void enforce_budget(Session* just_stepped) CKV_REQUIRES(serial_phase_);
   /// Runs one item's prefill chunk / decode step at `completed_ms`,
   /// setting the calling thread's tracer context to the session's track
   /// (safe from pool workers — the ambient context is per-thread).
@@ -246,6 +274,12 @@ class BatchScheduler {
   /// run concurrently without changing a single observable byte.
   [[nodiscard]] std::int64_t advance_growth_bound_bytes(
       const AdvanceItem& item) const;
+  /// One past the last item of the wave that starts at `begin`: the
+  /// longest run whose summed growth bounds fit the budget headroom, and
+  /// never fewer than one item.
+  [[nodiscard]] std::size_t wave_end(const std::vector<AdvanceItem>& items,
+                                     std::size_t begin) const
+      CKV_REQUIRES(serial_phase_);
   /// Sheds the blocked queue head when the fault plan's shed bound says
   /// its wait is hopeless; returns true when a request was dropped (the
   /// admission loop then re-examines the new head).
@@ -267,22 +301,8 @@ class BatchScheduler {
   /// Chunk size a prefilling session consumes this tick (remaining prompt
   /// capped by prefill_chunk_tokens; the whole remainder when 0).
   [[nodiscard]] Index next_chunk_tokens(const Session& session) const;
-  /// Emits the session's resume trace edge when it makes progress after a
-  /// preemption (first step whose preemption count moved past what the
-  /// scheduler last saw).
-  void mark_resume_if_preempted(const Session& session)
-      CKV_REQUIRES(serial_phase_);
 
   // ---- transfer engine (every kClusterKV run) ----
-
-  /// One session's outstanding speculative transfer on the engine's queue:
-  /// issued at the decode commit that billed the prefetch, resolved into
-  /// hits / late hits / refunded waste at the session's next decode
-  /// commit, or canceled by enforcement / retirement.
-  struct TransferLink {
-    std::uint64_t spec_id = 0;
-    Index spec_tokens = 0;
-  };
 
   /// Model-scale wire bytes of one head-summed step-token count unit
   /// (StepResult counts sum over layers x heads of the slice, so one full
@@ -290,7 +310,7 @@ class BatchScheduler {
   [[nodiscard]] double model_bytes_per_step_token() const;
   /// Demand bytes this decoder is projected to put on the wire this step
   /// (its measured demand rate x attended tokens, model scale) — the
-  /// stall-billing pre-pass input, a pure function of pre-tick state.
+  /// stall-billing input, a pure function of pre-tick state.
   [[nodiscard]] double projected_demand_bytes(const Session& session) const;
   /// Decode-commit engine bookkeeping: resolves the session's outstanding
   /// speculation against the step's observed hits (late hits re-enqueue as
@@ -300,10 +320,7 @@ class BatchScheduler {
       CKV_REQUIRES(serial_phase_);
   /// Drops the session's outstanding speculative request from the engine
   /// (mirrors Session::cancel_prefetches at the wire level).
-  void cancel_session_spec(const Session& session) CKV_REQUIRES(serial_phase_);
-  /// Advances the engine's wire to `completed_ms`, records per-tick drain
-  /// metrics and emits the transfer-track spans.
-  void drain_transfer_engine(double completed_ms) CKV_REQUIRES(serial_phase_);
+  void cancel_session_spec(Session& session) CKV_REQUIRES(serial_phase_);
 
   /// The tick's serial phase as a compile-time capability: everything a
   /// worker must not touch while the wave fan-out is in flight is
@@ -329,19 +346,12 @@ class BatchScheduler {
   Index ticks_ CKV_GUARDED_BY(serial_phase_) = 0;
   Index finished_count_ CKV_GUARDED_BY(serial_phase_) = 0;
   Index round_robin_offset_ CKV_GUARDED_BY(serial_phase_) = 0;
-  /// Preemption count last observed per running session id — the
-  /// scheduler's memory for preempt -> resume trace edges.
-  std::unordered_map<Index, Index> preempt_seen_ CKV_GUARDED_BY(serial_phase_);
   /// The contended slow->fast wire (null unless the method is kClusterKV).
   /// All engine state advances in the serial phase on the virtual clock.
   std::unique_ptr<TransferEngine> transfer_engine_ CKV_GUARDED_BY(serial_phase_);
   /// Effective engine link rate (GB/s) — config_.link_gbps or the
   /// hardware gather rate; cached so billing and the engine agree exactly.
   double transfer_link_gbps_ = 0.0;
-  /// Outstanding speculative transfer per running session id (keyed
-  /// access only — never iterated, so order cannot leak anywhere).
-  std::unordered_map<Index, TransferLink> transfer_links_
-      CKV_GUARDED_BY(serial_phase_);
   /// Pure-hash fault oracle (null unless config_.fault_plan.enabled) —
   /// every fault branch in the tick gates on this pointer, so the
   /// fault-free path is the pre-fault code verbatim.

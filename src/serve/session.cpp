@@ -147,11 +147,6 @@ std::int64_t Session::prefetch_canceled_tokens(obs::FetchCancelReason reason) co
   return canceled;
 }
 
-std::int64_t Session::context_bytes(Index tokens) const noexcept {
-  return static_cast<std::int64_t>(tokens) * session_token_bytes(config_) *
-         config_.shape.total_heads();
-}
-
 double Session::mean_recall() const { return engine_->mean_recall(); }
 
 Index Session::recall_steps() const { return engine_->recall_steps(); }

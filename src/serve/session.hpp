@@ -12,7 +12,9 @@
 // to the slow tier; the session keeps going and refetches on demand.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "model/decode_engine.hpp"
 #include "model/procedural.hpp"
@@ -40,6 +42,13 @@ struct SessionConfig {
 /// math (sessions, scheduler projections, bench budget sizing).
 [[nodiscard]] inline Index session_token_bytes(const SessionConfig& config) noexcept {
   return 2 * config.shape.head_dim * config.element_bytes;
+}
+
+/// Bytes of `tokens` context tokens held fast across every layer and head.
+[[nodiscard]] inline std::int64_t session_context_bytes(const SessionConfig& config,
+                                                        Index tokens) noexcept {
+  return static_cast<std::int64_t>(tokens) * session_token_bytes(config) *
+         config.shape.total_heads();
 }
 
 class Session {
@@ -157,7 +166,27 @@ class Session {
 
   /// Bytes of `tokens` context tokens held fast across all heads/layers —
   /// the admission projection for methods that pin the whole context.
-  [[nodiscard]] std::int64_t context_bytes(Index tokens) const noexcept;
+  [[nodiscard]] std::int64_t context_bytes(Index tokens) const noexcept {
+    return session_context_bytes(config_, tokens);
+  }
+
+  // ---- scheduler bookkeeping (held here so it retires with the session) ----
+
+  /// True on the first call after a preemption moved preemptions() past
+  /// the count last reported: the scheduler's preempt -> resume edge.
+  [[nodiscard]] bool take_resume() noexcept {
+    const bool resumed = preemptions_ > resumed_preemptions_;
+    resumed_preemptions_ = preemptions_;
+    return resumed;
+  }
+  /// Replaces the id of the session's outstanding speculative request on
+  /// the scheduler's transfer engine (0 = none) and returns the previous
+  /// one. A request is issued at a decode commit and resolved into hits,
+  /// late hits or refunded waste at the next, unless enforcement or
+  /// retirement cancels it first.
+  std::uint64_t exchange_spec_transfer(std::uint64_t id) noexcept {
+    return std::exchange(spec_transfer_id_, id);
+  }
 
   // ---- timing (scheduler-assigned virtual timestamps, ms) ----
 
@@ -219,6 +248,8 @@ class Session {
   double finish_ms_ = -1.0;
   double last_step_ms_ = -1.0;
   Index preemptions_ = 0;
+  Index resumed_preemptions_ = 0;
+  std::uint64_t spec_transfer_id_ = 0;
   bool aborted_ = false;
   Index degraded_steps_ = 0;
   Index fault_retries_ = 0;

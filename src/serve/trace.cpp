@@ -14,6 +14,8 @@ std::vector<ServeRequest> make_poisson_trace(const TraceConfig& config,
           "make_poisson_trace: bad prompt length range");
   expects(config.decode_len_min > 0 && config.decode_len_min <= config.decode_len_max,
           "make_poisson_trace: bad decode length range");
+  expects(config.offered_rps >= 0.0,
+          "make_poisson_trace: offered_rps must be >= 0 (0 = all at t=0)");
 
   Rng rng(derive_seed(seed, "serve/trace"));
   std::vector<ServeRequest> trace;

@@ -111,12 +111,9 @@ StepBreakdown LatencyModel::full_kv_step(Index context_len) const {
 }
 
 StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
-                                           double miss_rate, Index clusters,
-                                           Index transfer_element_bytes) const {
+                                           double miss_rate, Index clusters) const {
   expects(miss_rate >= 0.0 && miss_rate <= 1.0,
           "LatencyModel::clusterkv_step: miss_rate must be in [0, 1]");
-  expects(transfer_element_bytes >= 0,
-          "LatencyModel::clusterkv_step: bad transfer width");
   StepBreakdown b;
   b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
                         hw_.weight_bw_efficiency);
@@ -137,11 +134,9 @@ StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
                              static_cast<double>(model_.num_layers),
                          hw_.attention_bw_efficiency);
   // Cache misses cross PCIe as scattered per-cluster gathers, partially
-  // hidden under compute; optionally quantized (KIVI-style int8).
-  const Index wire_bytes =
-      transfer_element_bytes > 0 ? transfer_element_bytes : element_bytes_;
-  const double miss_bytes = miss_rate * attended *
-                            static_cast<double>(model_.kv_bytes_per_token(wire_bytes));
+  // hidden under compute.
+  const double miss_bytes =
+      miss_rate * attended * static_cast<double>(model_.kv_bytes_per_token(element_bytes_));
   b.transfer_ms =
       (1.0 - hw_.transfer_overlap) * miss_bytes / (hw_.pcie_gather_gbps * 1e6);
   b.overhead_ms = common_overhead_ms();

@@ -67,11 +67,9 @@ class LatencyModel {
     return hw_.pcie_gather_gbps;
   }
   /// Wire bytes of one fetched token's KV entry at model scale (the byte
-  /// unit every transfer term bills with); 0 = storage width.
-  [[nodiscard]] std::int64_t fetch_bytes_per_token(
-      Index transfer_element_bytes = 0) const noexcept {
-    return model_.kv_bytes_per_token(
-        transfer_element_bytes > 0 ? transfer_element_bytes : element_bytes_);
+  /// unit every transfer term bills with).
+  [[nodiscard]] std::int64_t fetch_bytes_per_token() const noexcept {
+    return model_.kv_bytes_per_token(element_bytes_);
   }
   /// Visible stall of `bytes` of demand traffic on a shared link running
   /// at `link_gbps` (0 = the hardware gather rate): clusterkv_step's
@@ -122,12 +120,9 @@ class LatencyModel {
   [[nodiscard]] StepBreakdown full_kv_step(Index context_len) const;
 
   /// budget = attended tokens; miss_rate = measured cluster-cache miss
-  /// rate; clusters = live centroid count (C0 + decode additions);
-  /// transfer_element_bytes lets cache-miss fetches cross PCIe quantized
-  /// (1 = int8 per-channel, see kvcache/quantization; 0 = storage width).
+  /// rate; clusters = live centroid count (C0 + decode additions).
   [[nodiscard]] StepBreakdown clusterkv_step(Index context_len, Index budget,
-                                             double miss_rate, Index clusters,
-                                             Index transfer_element_bytes = 0) const;
+                                             double miss_rate, Index clusters) const;
 
   [[nodiscard]] StepBreakdown quest_step(Index context_len, Index budget,
                                          Index page_size = 16) const;

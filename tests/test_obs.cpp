@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -436,6 +437,52 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   for (std::size_t i = 0; i < serial_sorted.size(); ++i) {
     EXPECT_EQ(worker_key(serial_sorted[i]), worker_key(parallel_sorted[i]))
         << "worker event " << i;
+  }
+}
+
+/// The preempt -> resume edge: on every session track the two instants
+/// alternate starting with a preempt (back-to-back preempts are allowed —
+/// a session can be preempted again before it next makes progress), and
+/// the traced fleet resumes at least once. Both edges are emitted in the
+/// serial commit phase, so the contract holds at any worker count.
+TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
+  WorkerGuard worker_guard;
+  TracerGuard tracer_guard;
+  const auto session = obs_session_config();
+  const auto ckv = obs_ckv_config();
+  const LatencyModel latency(HardwareModel::ada6000(),
+                             ModelConfig::llama31_8b());
+  // Tighter than the shared obs budget: room for a few residual floors but
+  // not for the admitted working sets, so enforcement must preempt.
+  BatchSchedulerConfig config = obs_scheduler_config(ckv, session);
+  config.fast_tier_budget_bytes =
+      session_context_bytes(session, 3 * ckv.sink_tokens + 3 * ckv.tokens_per_cluster);
+  config.admission_overcommit = 4.0;
+  for (const int workers : {1, 4}) {
+    set_parallel_workers(workers);
+    auto& tr = obs::tracer();
+    tr.enable();
+    BatchScheduler scheduler(obs_trace(4), make_clusterkv_factory(ckv, 11),
+                             session, latency, config);
+    run_obs_fleet(scheduler);
+    EXPECT_GT(scheduler.metrics().total_preemptions(), 0) << workers << " workers";
+    std::map<std::int64_t, std::string> last_edge;  // per session track
+    Index resumes = 0;
+    for (const auto& event : tr.events()) {
+      const std::string name(tr.name_of(event.name));
+      if (event.phase != obs::TraceEvent::Phase::kInstant ||
+          (name != "preempt" && name != "resume")) {
+        continue;
+      }
+      if (name == "resume") {
+        EXPECT_EQ(last_edge[event.track], "preempt")
+            << "track " << event.track << " at " << workers << " workers";
+        ++resumes;
+      }
+      last_edge[event.track] = name;
+    }
+    EXPECT_GT(resumes, 0) << workers << " workers";
+    tr.disable();
   }
 }
 

@@ -130,6 +130,8 @@ TEST(Trace, ZeroRateArrivesAtOnce) {
   for (const auto& request : trace) {
     EXPECT_DOUBLE_EQ(request.arrival_ms, 0.0);
   }
+  config.offered_rps = -1.0;  // 0 is the all-at-once boundary; below is invalid
+  EXPECT_THROW(make_poisson_trace(config, 3), std::invalid_argument);
 }
 
 TEST(Session, LifecycleAndTimestamps) {
@@ -346,6 +348,32 @@ TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
   EXPECT_THROW(BatchScheduler(fixed_trace(1, 100, 4, 0.0),
                               make_clusterkv_factory(small_ckv_config(), 8),
                               session_config, test_latency(), config),
+               std::invalid_argument);
+}
+
+// The engine mirrors feed the admission floors and the fan-out growth
+// bound, so each is range-checked at construction (negative counts, or a
+// zero flush cadence / cluster size, are typed errors).
+TEST(BatchScheduler, RejectsOutOfRangeEngineMirrors) {
+  const auto session_config = small_session_config();
+  const ClusterKVConfig ckv = small_ckv_config();
+  const auto build = [&](Index BatchSchedulerConfig::*field, Index value) {
+    BatchSchedulerConfig config = tiered_scheduler_config(ckv, session_config);
+    config.*field = value;
+    BatchScheduler(fixed_trace(1, 100, 4, 0.0), make_clusterkv_factory(ckv, 8),
+                   session_config, test_latency(), config);
+  };
+  EXPECT_NO_THROW(build(&BatchSchedulerConfig::sink_tokens, 0));
+  EXPECT_THROW(build(&BatchSchedulerConfig::sink_tokens, -1), std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::cache_depth, -1), std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::repair_refine_iterations, -1),
+               std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::repair_decode_interval, -3),
+               std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::prefetch_clusters, -1),
+               std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::decode_interval, 0), std::invalid_argument);
+  EXPECT_THROW(build(&BatchSchedulerConfig::tokens_per_cluster, 0),
                std::invalid_argument);
 }
 
