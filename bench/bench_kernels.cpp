@@ -9,7 +9,9 @@
 //   bench_kernels --json     also writes BENCH_KERNELS.json (machine-readable
 //                            perf trajectory across PRs)
 //   bench_kernels --check    CI smoke: every batched kernel must be at least
-//                            as fast as its scalar reference (exit 1 if not)
+//                            as fast as its scalar reference, and
+//                            centroid-update-P64 must cost at most 4x
+//                            centroid-update-P1 (exit 1 if not)
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -186,7 +188,8 @@ int main(int argc, char** argv) {
       "loops (assignment, selection, attention), plus clustering kernels.");
   args.add_switch("json", "also write BENCH_KERNELS.json to the working directory");
   args.add_switch("check",
-                  "CI smoke: exit 1 unless every batched kernel >= scalar throughput");
+                  "CI smoke: exit 1 unless every batched kernel >= scalar throughput "
+                  "and centroid-update-P64 <= 4x P1");
   args.add_option("min-time", "0",
                   "seconds of wall time per measurement (0 = auto: 0.2, or "
                   "0.05 under --check)");
@@ -462,10 +465,32 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    std::cout << (ok ? "CHECK PASS: batched >= scalar throughput on every "
-                       "scalar-vs-batched row\n"
-                     : "");
-    return ok ? 0 : 1;
+    // P sets the stride of the centroid-update walk, not the number of
+    // walks over the keys; a cost that grows with P means the keys are
+    // walked once per partition.
+    const auto ns_of = [&rows](const std::string& kernel) {
+      for (const Row& row : rows) {
+        if (row.kernel == kernel) {
+          return row.batched_ns;
+        }
+      }
+      return 0.0;
+    };
+    constexpr double kMaxPartitionRatio = 4.0;
+    const double partition_ratio =
+        ns_of("centroid-update-P64") / ns_of("centroid-update-P1");
+    const bool partitions_ok = partition_ratio <= kMaxPartitionRatio;
+    if (!partitions_ok) {
+      std::cout << "CHECK FAIL: centroid-update-P64 costs "
+                << format_double(partition_ratio, 2) << "x centroid-update-P1 (max "
+                << format_double(kMaxPartitionRatio, 0) << "x)\n";
+    }
+    if (ok && partitions_ok) {
+      std::cout << "CHECK PASS: batched >= scalar throughput on every "
+                   "scalar-vs-batched row; centroid-update-P64 = "
+                << format_double(partition_ratio, 2) << "x P1\n";
+    }
+    return ok && partitions_ok ? 0 : 1;
   }
   return 0;
 }

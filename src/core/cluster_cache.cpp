@@ -8,37 +8,55 @@ ClusterCache::ClusterCache(Index depth) : depth_(depth) {
   expects(depth >= 0, "ClusterCache: depth must be non-negative");
 }
 
-std::unordered_set<Index> ClusterCache::resident_tokens() const {
-  std::unordered_set<Index> resident;
-  for (const auto& step_entry : window_) {
-    for (const auto& [cluster, tokens] : step_entry) {
-      resident.insert(tokens.begin(), tokens.end());
+void ClusterCache::cover(Index end) {
+  if (end > static_cast<Index>(window_count_.size())) {
+    window_count_.resize(static_cast<std::size_t>(end), 0);
+    in_flight_flag_.resize(static_cast<std::size_t>(end), 0);
+  }
+}
+
+void ClusterCache::count_entry(const Selection& entry, std::int32_t delta) noexcept {
+  for (const auto& [cluster, tokens] : entry) {
+    for (const Index token : tokens) {
+      window_count_[static_cast<std::size_t>(token)] += delta;
+    }
+  }
+}
+
+std::vector<Index> ClusterCache::resident_tokens() const {
+  std::vector<Index> resident;
+  for (Index p = 0; p < static_cast<Index>(window_count_.size()); ++p) {
+    if (window_count_[static_cast<std::size_t>(p)] > 0) {
+      resident.push_back(p);
     }
   }
   return resident;
 }
 
-ClusterCache::StepResult ClusterCache::step(
-    const std::vector<std::pair<Index, std::vector<Index>>>& selected) {
-  StepResult result;
-  const auto resident_before = resident_tokens();
-  std::unordered_set<Index> in_flight_tokens;
-  for (const auto& [cluster, tokens] : in_flight_) {
-    in_flight_tokens.insert(tokens.begin(), tokens.end());
-  }
-
+ClusterCache::StepResult ClusterCache::step(const Selection& selected) {
+  Index end = 0;
   for (const auto& [cluster, tokens] : selected) {
     for (const Index token : tokens) {
-      if (resident_before.contains(token)) {
+      expects(token >= 0, "ClusterCache::step: negative token position");
+      end = std::max(end, token + 1);
+    }
+  }
+  cover(end);
+
+  StepResult result;
+  for (const auto& [cluster, tokens] : selected) {
+    for (const Index token : tokens) {
+      const auto p = static_cast<std::size_t>(token);
+      if (window_count_[p] > 0) {
         ++result.hits;
-      } else if (in_flight_tokens.contains(token)) {
+      } else if (in_flight_flag_[p] != 0) {
         // Covered by a speculative fetch issued after the previous step:
         // the bytes cross PCIe either way (it is a miss), but the copy
         // overlapped the intervening compute instead of stalling now.
         ++result.misses;
         ++result.prefetch_hits;
         result.prefetched_tokens.push_back(token);
-        in_flight_tokens.erase(token);
+        in_flight_flag_[p] = 0;
       } else {
         ++result.misses;
         result.missing_tokens.push_back(token);
@@ -47,20 +65,34 @@ ClusterCache::StepResult ClusterCache::step(
   }
   // In-flight entries live exactly one step: whatever this selection did
   // not claim was a prediction miss.
-  // ckv-lint: allow(unordered-iter) -- sorted immediately below
-  result.wasted_tokens.assign(in_flight_tokens.begin(), in_flight_tokens.end());
+  for (const auto& [cluster, tokens] : in_flight_) {
+    for (const Index token : tokens) {
+      auto& flag = in_flight_flag_[static_cast<std::size_t>(token)];
+      if (flag != 0) {
+        result.wasted_tokens.push_back(token);
+        flag = 0;
+      }
+    }
+  }
   std::sort(result.wasted_tokens.begin(), result.wasted_tokens.end());
   in_flight_.clear();
 
-  window_.push_front(selected);
-  while (static_cast<Index>(window_.size()) > std::max<Index>(depth_, 0)) {
-    window_.pop_back();
-  }
-
-  const auto resident_after = resident_tokens();
-  for (const Index token : resident_before) {
-    if (!resident_after.contains(token)) {
-      result.evicted_tokens.push_back(token);
+  // Depth 0 caches nothing: the entry would leave the window in the step
+  // that pushed it, so it is never counted and nothing is evicted.
+  if (depth_ > 0) {
+    window_.push_front(selected);
+    count_entry(window_.front(), 1);
+    while (static_cast<Index>(window_.size()) > depth_) {
+      // Only the leaving entry can evict: a position whose last reference
+      // it held drops out of the window.
+      for (const auto& [cluster, tokens] : window_.back()) {
+        for (const Index token : tokens) {
+          if (--window_count_[static_cast<std::size_t>(token)] == 0) {
+            result.evicted_tokens.push_back(token);
+          }
+        }
+      }
+      window_.pop_back();
     }
   }
   std::sort(result.evicted_tokens.begin(), result.evicted_tokens.end());
@@ -68,10 +100,8 @@ ClusterCache::StepResult ClusterCache::step(
   result.missing_tokens.erase(
       std::unique(result.missing_tokens.begin(), result.missing_tokens.end()),
       result.missing_tokens.end());
+  // A claim clears the flag, so each prefetched token is listed once.
   std::sort(result.prefetched_tokens.begin(), result.prefetched_tokens.end());
-  result.prefetched_tokens.erase(
-      std::unique(result.prefetched_tokens.begin(), result.prefetched_tokens.end()),
-      result.prefetched_tokens.end());
 
   total_hits_ += result.hits;
   total_misses_ += result.misses;
@@ -83,21 +113,23 @@ ClusterCache::StepResult ClusterCache::step(
 
 std::vector<Index> ClusterCache::issue_fetches(
     std::span<const std::pair<Index, std::span<const Index>>> candidates) {
-  // One reconstruction of the filter sets for the whole batch: the engine
-  // issues up to prefetch_clusters candidates per step per head.
-  auto seen = resident_tokens();
-  for (const auto& [c, in_flight_tokens] : in_flight_) {
-    // `in_flight_tokens` here binds the ordered map's vector value;
-    // inserting into a set is order-free anyway.
-    // ckv-lint: allow(unordered-iter) -- order-free set insert
-    seen.insert(in_flight_tokens.begin(), in_flight_tokens.end());
-  }
-  std::vector<Index> all_issued;
+  Index end = 0;
   for (const auto& [cluster, tokens] : candidates) {
     expects(cluster >= 0, "ClusterCache::issue_fetches: negative cluster id");
+    for (const Index token : tokens) {
+      expects(token >= 0, "ClusterCache::issue_fetches: negative token position");
+      end = std::max(end, token + 1);
+    }
+  }
+  cover(end);
+
+  std::vector<Index> all_issued;
+  for (const auto& [cluster, tokens] : candidates) {
     std::vector<Index> issued;
     for (const Index token : tokens) {
-      if (seen.insert(token).second) {
+      const auto p = static_cast<std::size_t>(token);
+      if (window_count_[p] == 0 && in_flight_flag_[p] == 0) {
+        in_flight_flag_[p] = 1;
         issued.push_back(token);
       }
     }
@@ -107,7 +139,6 @@ std::vector<Index> ClusterCache::issue_fetches(
     auto& entry = in_flight_[cluster];
     entry.insert(entry.end(), issued.begin(), issued.end());
     std::sort(entry.begin(), entry.end());
-    entry.erase(std::unique(entry.begin(), entry.end()), entry.end());
     total_prefetch_issued_ += static_cast<std::int64_t>(issued.size());
     all_issued.insert(all_issued.end(), issued.begin(), issued.end());
   }
@@ -124,6 +155,9 @@ std::vector<Index> ClusterCache::issue_fetch(Index cluster,
 std::vector<Index> ClusterCache::cancel_fetches() {
   std::vector<Index> canceled;
   for (const auto& [cluster, tokens] : in_flight_) {
+    for (const Index token : tokens) {
+      in_flight_flag_[static_cast<std::size_t>(token)] = 0;
+    }
     canceled.insert(canceled.end(), tokens.begin(), tokens.end());
   }
   in_flight_.clear();
@@ -140,10 +174,19 @@ Index ClusterCache::in_flight_tokens() const noexcept {
   return count;
 }
 
+void ClusterCache::clear_window() noexcept {
+  for (const Selection& entry : window_) {
+    for (const auto& [cluster, tokens] : entry) {
+      for (const Index token : tokens) {
+        window_count_[static_cast<std::size_t>(token)] = 0;
+      }
+    }
+  }
+  window_.clear();
+}
+
 void ClusterCache::remap_window(std::span<const Index> token_to_cluster) {
-  const auto relabel = [&token_to_cluster](
-                           const std::vector<std::pair<Index, std::vector<Index>>>&
-                               groups) {
+  const auto relabel = [&token_to_cluster](const Selection& groups) {
     std::map<Index, std::vector<Index>> regrouped;
     for (const auto& [cluster, tokens] : groups) {
       for (const Index token : tokens) {
@@ -160,22 +203,29 @@ void ClusterCache::remap_window(std::span<const Index> token_to_cluster) {
     return regrouped;
   };
 
-  for (auto& step_entry : window_) {
-    auto regrouped = relabel(step_entry);
-    step_entry.clear();
-    for (auto& [cluster, tokens] : regrouped) {
-      step_entry.emplace_back(cluster, std::move(tokens));
-    }
+  // Relabel everything before touching any state, so a token without a
+  // cluster leaves the cache unchanged.
+  std::deque<Selection> window;
+  for (const Selection& entry : window_) {
+    const auto regrouped = relabel(entry);
+    window.emplace_back(regrouped.begin(), regrouped.end());
   }
   // In-flight prefetches survive a repair rebuild under their new labels:
   // the issued copies are position-addressed, so only the grouping key
   // changes. Leaving them under the old ids would strand their store-side
   // reservations and turn covered tokens into demand misses.
-  if (!in_flight_.empty()) {
-    std::vector<std::pair<Index, std::vector<Index>>> flat(in_flight_.begin(),
-                                                           in_flight_.end());
-    in_flight_ = relabel(flat);
+  auto in_flight = relabel(Selection(in_flight_.begin(), in_flight_.end()));
+
+  // Regrouping drops repeats within an entry, so the reference counts are
+  // rebuilt; the set of resident positions is unchanged.
+  for (const Selection& entry : window_) {
+    count_entry(entry, -1);
   }
+  window_ = std::move(window);
+  for (const Selection& entry : window_) {
+    count_entry(entry, 1);
+  }
+  in_flight_ = std::move(in_flight);
 }
 
 double ClusterCache::hit_rate() const noexcept {

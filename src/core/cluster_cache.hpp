@@ -6,12 +6,20 @@
 // speculatively after the previous step (core/cluster_prefetch) and
 // resolves at the next step — selected in-flight tokens land as prefetch
 // hits, the rest are wasted and canceled.
+//
+// Residency is indexed by token position: beside the window's step entries
+// the cache keeps, per position, a count of the window entries' references
+// to it (resident iff nonzero) and an in-flight flag — five bytes per token
+// per head, grown on demand up to the largest position seen. A step
+// classifies each selected token with two array reads, and evictions come
+// straight from the entry leaving the window (a position is evicted when
+// its count drops to zero), so no per-step set of the window is built.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,6 +29,10 @@ namespace ckv {
 
 class ClusterCache {
  public:
+  /// One step's selection: each chosen cluster with the token positions
+  /// taken from it.
+  using Selection = std::vector<std::pair<Index, std::vector<Index>>>;
+
   /// depth = R (0 disables caching: every selected token misses).
   explicit ClusterCache(Index depth);
 
@@ -46,16 +58,20 @@ class ClusterCache {
   /// Processes one decoding step's selection: `selected` lists each chosen
   /// cluster with the token positions taken from it (trimmed last cluster
   /// included as its partial list). Returns hit/miss breakdown (resolving
-  /// every in-flight prefetch as hit or waste) and updates the window.
-  StepResult step(const std::vector<std::pair<Index, std::vector<Index>>>& selected);
+  /// every in-flight prefetch as hit or waste) and updates the window. A
+  /// token repeated within the selection counts once per occurrence; only
+  /// its first occurrence can claim an in-flight prefetch. Throws
+  /// std::invalid_argument (leaving the cache unchanged) for a negative
+  /// token position.
+  StepResult step(const Selection& selected);
 
   /// Records one step's issued prefetches: each candidate lists a cluster
   /// and the tokens to fetch from it; tokens already window-resident or
-  /// in flight are skipped (the resident/in-flight sets are built once
-  /// for the whole batch — this sits on the per-step hot path). Returns
-  /// the flat token list actually recorded, ascending (the exact set to
-  /// hand TieredKVStore::begin_fetch, so cache- and store-side in-flight
-  /// state never diverge).
+  /// in flight (including earlier in this batch) are skipped. Returns the
+  /// flat token list actually recorded, ascending (the exact set to hand
+  /// TieredKVStore::begin_fetch, so cache- and store-side in-flight state
+  /// never diverge). Throws std::invalid_argument (leaving the cache
+  /// unchanged) for a negative cluster id or token position.
   std::vector<Index> issue_fetches(
       std::span<const std::pair<Index, std::span<const Index>>> candidates);
 
@@ -93,8 +109,9 @@ class ClusterCache {
   }
   [[nodiscard]] Index steps() const noexcept { return steps_; }
 
-  /// Tokens currently resident by virtue of the window (testing hook).
-  [[nodiscard]] std::unordered_set<Index> resident_tokens() const;
+  /// Tokens currently resident by virtue of the window, ascending (testing
+  /// hook).
+  [[nodiscard]] std::vector<Index> resident_tokens() const;
 
   void reset_counters() noexcept;
 
@@ -103,7 +120,7 @@ class ClusterCache {
   /// (preemption): the next step then misses and refetches honestly.
   /// In-flight prefetches are *not* dropped here — callers that also tear
   /// down store-side fetches drain cancel_fetches() explicitly.
-  void clear_window() noexcept { window_.clear(); }
+  void clear_window() noexcept;
 
   /// Relabels the window after a cluster-repair rebuild: every cached
   /// token keeps its residency (the resident token set is unchanged, so
@@ -114,13 +131,24 @@ class ClusterCache {
   /// (their store-side reservation would leak and the next step would
   /// treat covered tokens as demand misses). Every window or in-flight
   /// token must map to a valid cluster — repair rebuilds all clustered
-  /// tokens and sinks/pending never enter the window. Counters untouched.
+  /// tokens and sinks/pending never enter the window; otherwise throws
+  /// std::invalid_argument with the cache unchanged. Counters untouched.
   void remap_window(std::span<const Index> token_to_cluster);
 
  private:
+  /// Grows the per-position arrays to cover [0, end).
+  void cover(Index end);
+  /// Adds `delta` to window_count_ for every token reference in `entry`.
+  void count_entry(const Selection& entry, std::int32_t delta) noexcept;
+
   Index depth_;
-  std::deque<std::vector<std::pair<Index, std::vector<Index>>>> window_;
+  std::deque<Selection> window_;  ///< newest step first, at most depth_ long
   std::map<Index, std::vector<Index>> in_flight_;  ///< cluster -> tokens
+  /// Per position: references to it across window_ entries (resident iff
+  /// nonzero); a token repeated within an entry counts once per repeat.
+  std::vector<std::int32_t> window_count_;
+  /// Per position: 1 iff the token is listed in in_flight_.
+  std::vector<std::uint8_t> in_flight_flag_;
   std::int64_t total_hits_ = 0;
   std::int64_t total_misses_ = 0;
   std::int64_t total_prefetch_hits_ = 0;

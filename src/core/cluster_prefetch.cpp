@@ -1,8 +1,7 @@
 #include "core/cluster_prefetch.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_set>
+#include <cstdint>
 
 #include "tensor/vec_ops.hpp"
 
@@ -45,11 +44,19 @@ std::vector<Index> ClusterPrefetcher::predict(
   min_max(centroid_scores, lo, hi);
   const double range = static_cast<double>(hi) - static_cast<double>(lo);
 
-  const std::unordered_set<Index> excluded(exclude.begin(), exclude.end());
+  // Ids outside [0, clusters) can never be predicted, so excluding them is
+  // a no-op.
+  const Index clusters = static_cast<Index>(centroid_scores.size());
+  std::vector<std::uint8_t> excluded(centroid_scores.size(), 0);
+  for (const Index c : exclude) {
+    if (c >= 0 && c < clusters) {
+      excluded[static_cast<std::size_t>(c)] = 1;
+    }
+  }
   std::vector<std::pair<double, Index>> ranked;
   ranked.reserve(centroid_scores.size());
-  for (Index c = 0; c < static_cast<Index>(centroid_scores.size()); ++c) {
-    if (excluded.contains(c)) {
+  for (Index c = 0; c < clusters; ++c) {
+    if (excluded[static_cast<std::size_t>(c)] != 0) {
       continue;
     }
     const double similarity =

@@ -215,32 +215,38 @@ void centroid_update(const Matrix& keys, std::span<const Index> labels,
   }
 
   // Mirrors the CUDA kernel's shape: the channel dimension is split into
-  // `channel_partitions` chunks; within a chunk, tokens are visited with a
-  // stride equal to the number of concurrent "lanes" so that adjacent
-  // lanes touch distant (likely differently-labeled) tokens. Partitions
-  // accumulate into disjoint channel ranges, so they are the parallel
-  // dimension here too — and because the token walk within a channel is
-  // fixed, the accumulated sums are bit-identical for every worker count.
+  // `channel_partitions` chunks, and tokens are visited with a stride equal
+  // to the number of concurrent "lanes" (one per chunk) so that adjacent
+  // lanes touch distant (likely differently-labeled) tokens. One strided
+  // walk accumulates every channel of the range it is given, so each
+  // channel sums its tokens in the same order whatever the range split or
+  // worker count, and the means are bit-identical. Every extra range costs
+  // a full re-walk of the keys, so updates below the kernels' MAC grain run
+  // as one serial walk over all channels, and larger ones split the
+  // partitions into at most one contiguous range per worker.
   const Index chunk = (dim + channel_partitions - 1) / channel_partitions;
-  const Index lanes = channel_partitions;  // one lane per channel chunk
-  parallel_for_range(0, channel_partitions, /*grain=*/1, [&](Index part_begin,
-                                                             Index part_end) {
-    for (Index part = part_begin; part < part_end; ++part) {
-      const Index c_begin = part * chunk;
-      const Index c_end = std::min(dim, c_begin + chunk);
-      if (c_begin >= c_end) {
-        continue;
-      }
-      for (Index start = 0; start < lanes; ++start) {
-        for (Index t = start; t < keys.rows(); t += lanes) {
-          const Index label = labels[static_cast<std::size_t>(t)];
-          const auto key = keys.row(t);
-          auto acc = centroids_out.row(label);
-          for (Index c = c_begin; c < c_end; ++c) {
-            acc[static_cast<std::size_t>(c)] += key[static_cast<std::size_t>(c)];
-          }
+  const Index lanes = channel_partitions;
+  const Index rows = keys.rows();
+  const auto walk = [&](Index c_begin, Index c_end) {
+    for (Index start = 0; start < lanes; ++start) {
+      for (Index t = start; t < rows; t += lanes) {
+        const auto key = keys.row(t);
+        auto acc = centroids_out.row(labels[static_cast<std::size_t>(t)]);
+        for (Index c = c_begin; c < c_end; ++c) {
+          acc[static_cast<std::size_t>(c)] += key[static_cast<std::size_t>(c)];
         }
       }
+    }
+  };
+  const Index workers = parallel_worker_count();
+  const Index grain = std::max(score_grain(rows * chunk),
+                               (channel_partitions + workers - 1) / workers);
+  parallel_for_range(0, channel_partitions, grain, [&](Index part_begin,
+                                                       Index part_end) {
+    const Index c_begin = std::min(dim, part_begin * chunk);
+    const Index c_end = std::min(dim, part_end * chunk);
+    if (c_begin < c_end) {
+      walk(c_begin, c_end);
     }
   });
 

@@ -70,9 +70,11 @@ std::vector<Index> assign_labels(const Matrix& keys, const Matrix& centroids,
 /// stride pattern and splitting channels into `channel_partitions` chunks.
 /// centroids_out rows are the *means* of assigned keys on return; clusters
 /// with no members keep their previous row (copied from `previous`).
-/// Channel partitions are independent accumulation slots, so they run on
-/// the worker pool; the token-order walk within each channel is fixed,
-/// keeping the means bit-identical for every P-compatible thread count.
+/// P fixes the stride of the token walk (and so each channel's summation
+/// order), not the number of walks: one walk covers all channels below the
+/// 64Ki-MAC grain, and above it at most one contiguous channel range per
+/// worker is walked on the pool. Means are bit-identical for every worker
+/// count.
 void centroid_update(const Matrix& keys, std::span<const Index> labels,
                      const Matrix& previous, Index channel_partitions,
                      Matrix& centroids_out, std::vector<Index>& counts_out);

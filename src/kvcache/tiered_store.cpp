@@ -1,7 +1,5 @@
 #include "kvcache/tiered_store.hpp"
 
-#include <algorithm>
-
 #include "tensor/matrix.hpp"
 
 namespace ckv {
@@ -43,13 +41,22 @@ TieredKVStore::TieredKVStore(Index head_dim, Index element_bytes)
   expects(element_bytes > 0, "TieredKVStore: element_bytes must be positive");
 }
 
+TieredKVStore::Placement TieredKVStore::placement_of(Index position) const {
+  return position >= 0 && position < static_cast<Index>(placement_.size())
+             ? placement_[static_cast<std::size_t>(position)]
+             : Placement::kSlow;
+}
+
 bool TieredKVStore::mark_fast(Index position) {
-  expects(!in_flight_.contains(position),
+  Placement& place = placement_[static_cast<std::size_t>(position)];
+  expects(place != Placement::kInFlight,
           "TieredKVStore: position is in flight; complete or cancel the "
           "fetch before marking it resident");
-  if (!fast_resident_.insert(position).second) {
+  if (place == Placement::kFast) {
     return false;
   }
+  place = Placement::kFast;
+  ++fast_count_;
   if (ledger_ != nullptr) {
     ledger_->add(token_bytes());
   }
@@ -57,9 +64,11 @@ bool TieredKVStore::mark_fast(Index position) {
 }
 
 bool TieredKVStore::unmark_fast(Index position) {
-  if (fast_resident_.erase(position) == 0) {
+  if (placement_of(position) != Placement::kFast) {
     return false;
   }
+  placement_[static_cast<std::size_t>(position)] = Placement::kSlow;
+  --fast_count_;
   if (ledger_ != nullptr) {
     ledger_->add(-token_bytes());
   }
@@ -69,6 +78,7 @@ bool TieredKVStore::unmark_fast(Index position) {
 void TieredKVStore::append(std::span<const float> key, std::span<const float> value) {
   const ExclusiveLock own(owner_);
   store_.append(key, value);
+  placement_.push_back(Placement::kSlow);
   mark_fast(store_.size() - 1);
 }
 
@@ -76,6 +86,7 @@ void TieredKVStore::append_block(const Matrix& keys, const Matrix& values) {
   const ExclusiveLock own(owner_);
   const Index begin = store_.size();
   store_.append_block(keys, values);
+  placement_.resize(static_cast<std::size_t>(store_.size()), Placement::kSlow);
   for (Index p = begin; p < store_.size(); ++p) {
     mark_fast(p);
   }
@@ -114,7 +125,7 @@ Index TieredKVStore::ensure_resident(std::span<const Index> positions) {
   for (const Index p : positions) {
     expects(p >= 0 && p < store_.size(),
             "TieredKVStore::ensure_resident: position out of range");
-    if (in_flight_.contains(p)) {
+    if (placement_of(p) == Placement::kInFlight) {
       // The demand path caught up with an issued copy: land it. Its PCIe
       // bytes were counted at issue (no re-count), but the copy is now on
       // the demand critical path — it counts as a demand fetch so callers
@@ -148,9 +159,12 @@ Index TieredKVStore::begin_fetch(std::span<const Index> positions) {
   for (const Index p : positions) {
     expects(p >= 0 && p < store_.size(),
             "TieredKVStore::begin_fetch: position out of range");
-    if (fast_resident_.contains(p) || !in_flight_.insert(p).second) {
+    Placement& place = placement_[static_cast<std::size_t>(p)];
+    if (place != Placement::kSlow) {
       continue;
     }
+    place = Placement::kInFlight;
+    ++in_flight_count_;
     if (ledger_ != nullptr) {
       ledger_->add_reserved(token_bytes());
     }
@@ -165,12 +179,21 @@ Index TieredKVStore::begin_fetch(std::span<const Index> positions) {
   return issued;
 }
 
-bool TieredKVStore::land_fetch(Index position) {
-  if (in_flight_.erase(position) == 0) {
+bool TieredKVStore::unmark_in_flight(Index position) {
+  if (placement_of(position) != Placement::kInFlight) {
     return false;
   }
+  placement_[static_cast<std::size_t>(position)] = Placement::kSlow;
+  --in_flight_count_;
   if (ledger_ != nullptr) {
     ledger_->add_reserved(-token_bytes());
+  }
+  return true;
+}
+
+bool TieredKVStore::land_fetch(Index position) {
+  if (!unmark_in_flight(position)) {
+    return false;
   }
   mark_fast(position);
   return true;
@@ -196,11 +219,8 @@ Index TieredKVStore::cancel_fetch_impl(std::span<const Index> positions,
                                        obs::FetchCancelReason reason) {
   Index canceled = 0;
   for (const Index p : positions) {
-    if (in_flight_.erase(p) == 0) {
+    if (!unmark_in_flight(p)) {
       continue;
-    }
-    if (ledger_ != nullptr) {
-      ledger_->add_reserved(-token_bytes());
     }
     ++stats_.tokens_prefetch_canceled;
     ++stats_.tokens_prefetch_canceled_by[static_cast<int>(reason)];
@@ -222,26 +242,29 @@ Index TieredKVStore::cancel_fetch(std::span<const Index> positions,
 
 Index TieredKVStore::cancel_all_fetches(obs::FetchCancelReason reason) {
   const ExclusiveLock own(owner_);
-  // Snapshot order does not matter: cancel_fetch_impl erases each position
-  // independently and the counters are order-free sums.
-  // ckv-lint: allow(unordered-iter) -- order-free snapshot of a set
-  std::vector<Index> positions(in_flight_.begin(), in_flight_.end());
+  std::vector<Index> positions;
+  positions.reserve(static_cast<std::size_t>(in_flight_count_));
+  for (Index p = 0; p < static_cast<Index>(placement_.size()); ++p) {
+    if (placement_[static_cast<std::size_t>(p)] == Placement::kInFlight) {
+      positions.push_back(p);
+    }
+  }
   return cancel_fetch_impl(positions, reason);
 }
 
 bool TieredKVStore::is_in_flight(Index position) const {
   const ExclusiveLock own(owner_);
-  return in_flight_.contains(position);
+  return placement_of(position) == Placement::kInFlight;
 }
 
 Index TieredKVStore::in_flight_count() const noexcept {
   const ExclusiveLock own(owner_);
-  return static_cast<Index>(in_flight_.size());
+  return in_flight_count_;
 }
 
 std::int64_t TieredKVStore::in_flight_bytes() const noexcept {
   const ExclusiveLock own(owner_);
-  return static_cast<std::int64_t>(in_flight_.size()) * token_bytes();
+  return static_cast<std::int64_t>(in_flight_count_) * token_bytes();
 }
 
 void TieredKVStore::drop_from_fast(std::span<const Index> positions) {
@@ -253,19 +276,23 @@ void TieredKVStore::drop_from_fast(std::span<const Index> positions) {
 
 bool TieredKVStore::is_fast_resident(Index position) const {
   const ExclusiveLock own(owner_);
-  return fast_resident_.contains(position);
+  return placement_of(position) == Placement::kFast;
 }
 
 Index TieredKVStore::fast_resident_count() const noexcept {
   const ExclusiveLock own(owner_);
-  return static_cast<Index>(fast_resident_.size());
+  return fast_count_;
 }
 
 std::vector<Index> TieredKVStore::fast_positions() const {
   const ExclusiveLock own(owner_);
-  // ckv-lint: allow(unordered-iter) -- sorted immediately below
-  std::vector<Index> positions(fast_resident_.begin(), fast_resident_.end());
-  std::sort(positions.begin(), positions.end());
+  std::vector<Index> positions;
+  positions.reserve(static_cast<std::size_t>(fast_count_));
+  for (Index p = 0; p < static_cast<Index>(placement_.size()); ++p) {
+    if (placement_[static_cast<std::size_t>(p)] == Placement::kFast) {
+      positions.push_back(p);
+    }
+  }
   return positions;
 }
 
@@ -275,15 +302,14 @@ Index TieredKVStore::token_bytes() const noexcept {
 
 std::int64_t TieredKVStore::fast_resident_bytes() const noexcept {
   const ExclusiveLock own(owner_);
-  return static_cast<std::int64_t>(fast_resident_.size()) * token_bytes();
+  return static_cast<std::int64_t>(fast_count_) * token_bytes();
 }
 
 void TieredKVStore::attach_ledger(FastTierLedger* ledger) noexcept {
   const ExclusiveLock own(owner_);
-  const std::int64_t resident =
-      static_cast<std::int64_t>(fast_resident_.size()) * token_bytes();
+  const std::int64_t resident = static_cast<std::int64_t>(fast_count_) * token_bytes();
   const std::int64_t reserved =
-      static_cast<std::int64_t>(in_flight_.size()) * token_bytes();
+      static_cast<std::int64_t>(in_flight_count_) * token_bytes();
   if (ledger_ != nullptr) {
     ledger_->add(-resident);
     ledger_->add_reserved(-reserved);

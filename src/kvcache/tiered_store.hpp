@@ -3,11 +3,17 @@
 // simulation keeps all data in RAM; this class tracks *placement* and
 // accounts the bytes that would cross the interconnect (Fig. 5 offload /
 // fetch arrows), which feeds the latency model.
+//
+// Placement is indexed by token position: one byte per token per head
+// (slow, fast or in flight) plus two counters (fast-resident and in-flight
+// tokens), so every placement query and transition is O(1) with no
+// hashing, and the ordered scans (fast_positions, cancel_all_fetches) walk
+// positions ascending without a sort.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "kvcache/kv_store.hpp"
@@ -100,11 +106,12 @@ class FastTierLedger {
 /// session's selector; the scheduler's parallel fan-out steps sessions
 /// concurrently but never shares a store between them — the only
 /// cross-session state is the attached FastTierLedger, whose counters are
-/// commutative atomics. The placement sets and transfer stats are
-/// CKV_GUARDED_BY an ExclusiveContext (compile-time capability, no
-/// runtime lock): every mutation path must claim exclusive ownership, so
-/// a future refactor that shares a store across workers fails the clang
-/// -Wthread-safety CI leg instead of corrupting reservation accounting.
+/// commutative atomics. The placement array, its counters and the
+/// transfer stats are CKV_GUARDED_BY an ExclusiveContext (compile-time
+/// capability, no runtime lock): every mutation path must claim exclusive
+/// ownership, so a future refactor that shares a store across workers
+/// fails the clang -Wthread-safety CI leg instead of corrupting
+/// reservation accounting.
 class TieredKVStore {
  public:
   /// element_bytes = 2 models fp16 storage as in the paper.
@@ -140,7 +147,8 @@ class TieredKVStore {
   // it. PCIe traffic is accounted at issue time.
 
   /// Issues an async fetch for each position that is neither fast-resident
-  /// nor already in flight. Returns the number of fetches issued.
+  /// nor already in flight. Returns the number of fetches issued. Throws
+  /// std::invalid_argument for a position outside [0, size()).
   Index begin_fetch(std::span<const Index> positions);
 
   /// Lands in-flight fetches: the positions become fast-resident (bytes
@@ -167,13 +175,20 @@ class TieredKVStore {
 
   /// Drops the given tokens from the fast tier (no byte traffic: the slow
   /// tier always holds the authoritative copy in this model).
+  ///
+  /// drop_from_fast, complete_fetch, cancel_fetch, is_fast_resident and
+  /// is_in_flight treat a position outside [0, size()) as absent (nothing
+  /// to drop, land or cancel; not resident, not in flight) rather than
+  /// throwing; the entry points that move bytes (offload_*,
+  /// ensure_resident, begin_fetch) reject it.
   void drop_from_fast(std::span<const Index> positions);
 
   [[nodiscard]] bool is_fast_resident(Index position) const;
   [[nodiscard]] Index fast_resident_count() const noexcept;
   [[nodiscard]] Index size() const noexcept { return store_.size(); }
 
-  /// Fast-resident token positions, ascending (preemption victim scan).
+  /// Fast-resident token positions, ascending (preemption victim scan): an
+  /// ordered walk of the placement array.
   [[nodiscard]] std::vector<Index> fast_positions() const;
 
   /// Bytes of one token's KV entry (key + value) at the configured width.
@@ -189,8 +204,9 @@ class TieredKVStore {
   /// fetches — session release — implicitly cancels their reservation).
   void attach_ledger(FastTierLedger* ledger) noexcept;
 
+  /// Read-only: tokens enter only through append/append_block, which keep
+  /// the per-position placement array the same length as the store.
   [[nodiscard]] const KVStore& store() const noexcept { return store_; }
-  [[nodiscard]] KVStore& store() noexcept { return store_; }
   [[nodiscard]] const TransferStats& stats() const noexcept {
     const ExclusiveLock own(owner_);
     return stats_;
@@ -201,10 +217,21 @@ class TieredKVStore {
   }
 
  private:
-  /// All residency mutations funnel through these two so the ledger can
-  /// never drift from the set.
+  /// Where one token's KV currently lives. kInFlight: a slow->fast copy was
+  /// issued and its destination bytes are reserved; neither kSlow nor
+  /// kFast until it lands or is canceled.
+  enum class Placement : std::uint8_t { kSlow, kFast, kInFlight };
+
+  /// Placement of `position`; kSlow (absent) outside [0, size()).
+  Placement placement_of(Index position) const CKV_REQUIRES(owner_);
+
+  /// All residency mutations funnel through these three (and begin_fetch)
+  /// so the ledger and counters can never drift from the placement array.
   bool mark_fast(Index position) CKV_REQUIRES(owner_);
   bool unmark_fast(Index position) CKV_REQUIRES(owner_);
+  /// Clears an in-flight fetch and frees its reservation; false if
+  /// `position` has none.
+  bool unmark_in_flight(Index position) CKV_REQUIRES(owner_);
   /// Lands one in-flight fetch (reserved -> resident on the ledger);
   /// shared by complete_fetch and the demand path in ensure_resident.
   bool land_fetch(Index position) CKV_REQUIRES(owner_);
@@ -216,9 +243,10 @@ class TieredKVStore {
   Index element_bytes_;
   /// Static stand-in for the owning session (see the class comment).
   mutable ExclusiveContext owner_;
-  std::unordered_set<Index> fast_resident_ CKV_GUARDED_BY(owner_);
-  /// Issued, not yet landed/canceled.
-  std::unordered_set<Index> in_flight_ CKV_GUARDED_BY(owner_);
+  /// One entry per stored token (always store_.size() long).
+  std::vector<Placement> placement_ CKV_GUARDED_BY(owner_);
+  Index fast_count_ CKV_GUARDED_BY(owner_) = 0;       ///< kFast entries
+  Index in_flight_count_ CKV_GUARDED_BY(owner_) = 0;  ///< kInFlight entries
   TransferStats stats_ CKV_GUARDED_BY(owner_);
   FastTierLedger* ledger_ CKV_GUARDED_BY(owner_) = nullptr;
 };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
-#include <unordered_set>
 
 #include "tensor/softmax.hpp"
 #include "tensor/topk.hpp"
@@ -130,9 +130,10 @@ StepResult DecodeEngine::decode_step(Index step) {
         const auto& query = group_queries[static_cast<std::size_t>(sub)];
         const auto full_scores = stream.attention_scores(query);
 
-        // Exact attention output.
+        // Exact attention output; its softmax also weighs coverage below.
         std::vector<float> full_out(static_cast<std::size_t>(model_.shape().head_dim));
-        attention_output_full(full_scores, stream.values(), full_out);
+        const auto full_probs =
+            attention_output_full(full_scores, stream.values(), full_out);
 
         // Approximate attention output over the shared selected subset.
         std::vector<float> sel_scores(selected.size());
@@ -157,18 +158,19 @@ StepResult DecodeEngine::decode_step(Index step) {
           // Recall of important tokens (Fig. 11): both sets sized by budget.
           const Index b = std::min<Index>(config_.budget, n);
           const auto truth = top_k_indices(full_scores, b);
-          std::unordered_set<Index> selected_set(selected.begin(), selected.end());
+          // Set semantics: a position the selector returns twice (or out of
+          // order) overlaps the truth at most once.
+          std::vector<std::uint8_t> chosen(static_cast<std::size_t>(n), 0);
+          for (const Index t : selected) {
+            chosen[static_cast<std::size_t>(t)] = 1;
+          }
           Index overlap = 0;
           for (const Index t : truth) {
-            if (selected_set.contains(t)) {
-              ++overlap;
-            }
+            overlap += chosen[static_cast<std::size_t>(t)];
           }
           step_recall.add(static_cast<double>(overlap) / static_cast<double>(b));
 
           // Attention-mass coverage of the selected set.
-          std::vector<float> full_probs = full_scores;
-          softmax_in_place(full_probs);
           double mass = 0.0;
           for (const Index t : selected) {
             mass += static_cast<double>(full_probs[static_cast<std::size_t>(t)]);

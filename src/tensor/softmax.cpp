@@ -61,8 +61,8 @@ void attention_output(std::span<const float> scores, std::span<const Index> rows
   }
 }
 
-void attention_output_full(std::span<const float> scores, const Matrix& values,
-                           std::span<float> out) {
+std::vector<float> attention_output_full(std::span<const float> scores,
+                                         const Matrix& values, std::span<float> out) {
   expects(static_cast<Index>(scores.size()) == values.rows(),
           "attention_output_full: scores length must equal value rows");
   expects(static_cast<Index>(out.size()) == values.cols(),
@@ -73,6 +73,7 @@ void attention_output_full(std::span<const float> scores, const Matrix& values,
   for (Index r = 0; r < values.rows(); ++r) {
     axpy(probs[static_cast<std::size_t>(r)], values.row(r), out);
   }
+  return probs;
 }
 
 }  // namespace ckv

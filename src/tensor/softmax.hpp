@@ -26,7 +26,9 @@ void attention_output(std::span<const float> scores, std::span<const Index> rows
                       const Matrix& values, std::span<float> out);
 
 /// Full-cache attention output over all rows of values (rows implied 0..N).
-void attention_output_full(std::span<const float> scores, const Matrix& values,
-                           std::span<float> out);
+/// Returns softmax(scores), the weights it applied, so a caller that also
+/// needs the attention distribution does not compute it twice.
+std::vector<float> attention_output_full(std::span<const float> scores,
+                                         const Matrix& values, std::span<float> out);
 
 }  // namespace ckv

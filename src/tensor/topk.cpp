@@ -27,9 +27,14 @@ std::vector<Index> top_k_indices(std::span<const float> scores, Index k) {
     }
     return a < b;
   };
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                    idx.end(), greater);
+  // (score desc, index asc) is a strict total order over non-NaN scores,
+  // so the top-k set and its order are unique: selecting the k-th element
+  // and sorting the prefix returns exactly what partial_sort would, in
+  // O(n + k log k).
+  const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(idx.begin(), kth, idx.end(), greater);
   idx.resize(static_cast<std::size_t>(k));
+  std::sort(idx.begin(), idx.end(), greater);
   return idx;
 }
 

@@ -3,10 +3,20 @@
 // release, prefetch equivalence (selection identical to sync fetch, only
 // latency accounting differs), and the repair-remap regression — a repair
 // rebuild landing between fetch issue and completion must relabel
-// in-flight entries instead of stranding them.
+// in-flight entries instead of stranding them. A differential test drives
+// the position-indexed residency state of ClusterCache and TieredKVStore
+// against a std::set model of the same operations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
+#include <map>
+#include <numeric>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster_cache.hpp"
@@ -251,6 +261,511 @@ TEST(TieredKVStore, CancelAllAndDetachClearReservation) {
   store.attach_ledger(nullptr);
   EXPECT_EQ(ledger.bytes(), 0);
   EXPECT_EQ(ledger.reserved_bytes(), 0);
+}
+
+// ------------------------------------------- differential residency model
+
+void sort_unique(std::vector<Index>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+using Candidates = std::vector<std::pair<Index, std::vector<Index>>>;
+
+// ClusterCache's residency bookkeeping restated over std::set: the window's
+// resident set is rebuilt from its entries on every query, as an oracle
+// for the per-position counts and flags the real cache keeps.
+class SetCacheModel {
+ public:
+  explicit SetCacheModel(Index depth) : depth_(depth) {}
+
+  [[nodiscard]] std::set<Index> resident() const {
+    std::set<Index> out;
+    for (const Selected& entry : window_) {
+      for (const auto& [cluster, tokens] : entry) {
+        out.insert(tokens.begin(), tokens.end());
+      }
+    }
+    return out;
+  }
+
+  ClusterCache::StepResult step(const Selected& selected) {
+    ClusterCache::StepResult r;
+    const std::set<Index> before = resident();
+    std::set<Index> flying;
+    for (const auto& [cluster, tokens] : in_flight_) {
+      flying.insert(tokens.begin(), tokens.end());
+    }
+    for (const auto& [cluster, tokens] : selected) {
+      for (const Index t : tokens) {
+        if (before.contains(t)) {
+          ++r.hits;
+        } else if (flying.erase(t) == 1) {
+          ++r.misses;
+          ++r.prefetch_hits;
+          r.prefetched_tokens.push_back(t);
+        } else {
+          ++r.misses;
+          r.missing_tokens.push_back(t);
+        }
+      }
+    }
+    r.wasted_tokens.assign(flying.begin(), flying.end());
+    in_flight_.clear();
+    window_.push_front(selected);
+    while (static_cast<Index>(window_.size()) > depth_) {
+      window_.pop_back();
+    }
+    const std::set<Index> after = resident();
+    std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                        std::back_inserter(r.evicted_tokens));
+    sort_unique(r.missing_tokens);
+    sort_unique(r.prefetched_tokens);
+    hits += r.hits;
+    misses += r.misses;
+    prefetch_hits += r.prefetch_hits;
+    wasted += static_cast<std::int64_t>(r.wasted_tokens.size());
+    ++steps;
+    return r;
+  }
+
+  std::vector<Index> issue(const Candidates& candidates) {
+    std::set<Index> seen = resident();
+    for (const auto& [cluster, tokens] : in_flight_) {
+      seen.insert(tokens.begin(), tokens.end());
+    }
+    std::vector<Index> all;
+    for (const auto& [cluster, tokens] : candidates) {
+      std::vector<Index> issued_now;
+      for (const Index t : tokens) {
+        if (seen.insert(t).second) {
+          issued_now.push_back(t);
+        }
+      }
+      if (issued_now.empty()) {
+        continue;
+      }
+      auto& entry = in_flight_[cluster];
+      entry.insert(entry.end(), issued_now.begin(), issued_now.end());
+      sort_unique(entry);
+      issued += static_cast<std::int64_t>(issued_now.size());
+      all.insert(all.end(), issued_now.begin(), issued_now.end());
+    }
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+
+  std::vector<Index> cancel() {
+    std::vector<Index> out;
+    for (const auto& [cluster, tokens] : in_flight_) {
+      out.insert(out.end(), tokens.begin(), tokens.end());
+    }
+    in_flight_.clear();
+    std::sort(out.begin(), out.end());
+    wasted += static_cast<std::int64_t>(out.size());
+    return out;
+  }
+
+  void clear_window() { window_.clear(); }
+
+  void remap(const std::vector<Index>& token_to_cluster) {
+    const auto relabel = [&token_to_cluster](const Selected& groups) {
+      std::map<Index, std::vector<Index>> regrouped;
+      for (const auto& [cluster, tokens] : groups) {
+        for (const Index t : tokens) {
+          regrouped[token_to_cluster[static_cast<std::size_t>(t)]].push_back(t);
+        }
+      }
+      for (auto& [cluster, tokens] : regrouped) {
+        sort_unique(tokens);
+      }
+      return regrouped;
+    };
+    for (Selected& entry : window_) {
+      const auto regrouped = relabel(entry);
+      entry.assign(regrouped.begin(), regrouped.end());
+    }
+    in_flight_ = relabel(Selected(in_flight_.begin(), in_flight_.end()));
+  }
+
+  [[nodiscard]] const std::map<Index, std::vector<Index>>& in_flight() const {
+    return in_flight_;
+  }
+
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+  std::int64_t prefetch_hits = 0;
+  std::int64_t issued = 0;
+  std::int64_t wasted = 0;
+  Index steps = 0;
+
+ private:
+  Index depth_;
+  std::deque<Selected> window_;
+  std::map<Index, std::vector<Index>> in_flight_;
+};
+
+// TieredKVStore's placement bookkeeping restated over two std::sets.
+struct SetStoreModel {
+  explicit SetStoreModel(Index token_bytes) : tb(token_bytes) {}
+
+  void append(Index count) {
+    for (Index i = 0; i < count; ++i) {
+      fast.insert(size++);
+    }
+  }
+  Index offload(std::span<const Index> positions) {
+    Index moved = 0;
+    for (const Index p : positions) {
+      if (fast.erase(p) == 1) {
+        stats.bytes_to_slow += tb;
+        ++stats.tokens_offloaded;
+        ++moved;
+      }
+    }
+    return moved;
+  }
+  Index ensure_resident(std::span<const Index> positions) {
+    Index moved = 0;
+    for (const Index p : positions) {
+      if (in_flight.erase(p) == 1) {
+        fast.insert(p);
+        ++stats.tokens_fetched;
+        ++stats.demand_landed;
+        ++moved;
+      } else if (fast.insert(p).second) {
+        stats.bytes_to_fast += tb;
+        ++stats.tokens_fetched;
+        ++moved;
+      }
+    }
+    if (moved > 0) {
+      ++stats.fetch_events;
+    }
+    return moved;
+  }
+  Index begin_fetch(std::span<const Index> positions) {
+    Index count = 0;
+    for (const Index p : positions) {
+      if (fast.contains(p) || !in_flight.insert(p).second) {
+        continue;
+      }
+      stats.bytes_to_fast += tb;
+      ++stats.tokens_prefetch_issued;
+      ++count;
+    }
+    return count;
+  }
+  Index complete_fetch(std::span<const Index> positions) {
+    Index landed = 0;
+    for (const Index p : positions) {
+      if (in_flight.erase(p) == 1) {
+        fast.insert(p);
+        ++landed;
+      }
+    }
+    return landed;
+  }
+  Index cancel_fetch(std::span<const Index> positions, obs::FetchCancelReason reason) {
+    Index canceled = 0;
+    for (const Index p : positions) {
+      if (in_flight.erase(p) == 1) {
+        ++stats.tokens_prefetch_canceled;
+        ++stats.tokens_prefetch_canceled_by[static_cast<int>(reason)];
+        ++canceled;
+      }
+    }
+    return canceled;
+  }
+  void drop_from_fast(std::span<const Index> positions) {
+    for (const Index p : positions) {
+      fast.erase(p);
+    }
+  }
+
+  Index tb;
+  Index size = 0;
+  std::set<Index> fast;
+  std::set<Index> in_flight;
+  TransferStats stats;
+};
+
+void expect_same_stats(const TransferStats& real, const TransferStats& model) {
+  EXPECT_EQ(real.bytes_to_fast, model.bytes_to_fast);
+  EXPECT_EQ(real.bytes_to_slow, model.bytes_to_slow);
+  EXPECT_EQ(real.fetch_events, model.fetch_events);
+  EXPECT_EQ(real.tokens_fetched, model.tokens_fetched);
+  EXPECT_EQ(real.demand_landed, model.demand_landed);
+  EXPECT_EQ(real.tokens_offloaded, model.tokens_offloaded);
+  EXPECT_EQ(real.tokens_prefetch_issued, model.tokens_prefetch_issued);
+  EXPECT_EQ(real.tokens_prefetch_canceled, model.tokens_prefetch_canceled);
+  for (int r = 0; r < obs::kFetchCancelReasonCount; ++r) {
+    EXPECT_EQ(real.tokens_prefetch_canceled_by[r], model.tokens_prefetch_canceled_by[r]);
+  }
+}
+
+void expect_same_step(const ClusterCache::StepResult& real,
+                      const ClusterCache::StepResult& model) {
+  EXPECT_EQ(real.missing_tokens, model.missing_tokens);
+  EXPECT_EQ(real.prefetched_tokens, model.prefetched_tokens);
+  EXPECT_EQ(real.wasted_tokens, model.wasted_tokens);
+  EXPECT_EQ(real.evicted_tokens, model.evicted_tokens);
+  EXPECT_EQ(real.hits, model.hits);
+  EXPECT_EQ(real.misses, model.misses);
+  EXPECT_EQ(real.prefetch_hits, model.prefetch_hits);
+}
+
+// One seeded operation sequence over a cache + store pair wired the way
+// ClusterKVEngine wires them, with the model mirroring every call.
+class ResidencyHarness {
+ public:
+  ResidencyHarness(std::uint64_t seed, Index depth)
+      : rng_(seed), depth_(depth), cache_(depth), model_cache_(depth),
+        store_(kDim), model_store_(store_.token_bytes()) {
+    const Index n = rng_.uniform_int(40, 100);
+    clusters_ = rng_.uniform_int(3, 9);
+    store_.append_block(Matrix(n, kDim), Matrix(n, kDim));
+    model_store_.append(n);
+    store_.attach_ledger(&ledger_);
+    store_.offload_to_slow(kSinks, n);
+    std::vector<Index> clustered(static_cast<std::size_t>(n - kSinks));
+    std::iota(clustered.begin(), clustered.end(), kSinks);
+    model_store_.offload(clustered);
+    relabel_all();
+  }
+
+  void run(int operations) {
+    for (int op = 0; op < operations && !::testing::Test::HasFailure(); ++op) {
+      SCOPED_TRACE("operation " + std::to_string(op));
+      const Index kind = rng_.uniform_int(0, 99);
+      if (kind < 40) {
+        select_step();
+      } else if (kind < 62) {
+        issue();
+      } else if (kind < 68) {
+        cache_.clear_window();
+        model_cache_.clear_window();
+      } else if (kind < 75) {
+        relabel_all();
+        cache_.remap_window(labels_);
+        model_cache_.remap(labels_);
+      } else if (kind < 80) {
+        const auto canceled = cache_.cancel_fetches();
+        EXPECT_EQ(canceled, model_cache_.cancel());
+        EXPECT_EQ(store_.cancel_fetch(canceled, obs::FetchCancelReason::kEnforcement),
+                  model_store_.cancel_fetch(canceled,
+                                            obs::FetchCancelReason::kEnforcement));
+      } else if (kind < 84) {
+        release();
+      } else if (kind < 88) {
+        // Store-side cancel alone: the cache's in-flight view goes stale and
+        // its next step lands nothing for those tokens.
+        const std::vector<Index> snapshot(model_store_.in_flight.begin(),
+                                          model_store_.in_flight.end());
+        EXPECT_EQ(store_.cancel_all_fetches(),
+                  model_store_.cancel_fetch(snapshot,
+                                            obs::FetchCancelReason::kSessionRelease));
+      } else if (kind < 94) {
+        decode_token();
+      } else {
+        absent_positions();
+      }
+      expect_same();
+    }
+  }
+
+ private:
+  static constexpr Index kDim = 4;
+  static constexpr Index kSinks = 4;
+
+  /// Fresh random cluster labels for every clustered (non-sink) position.
+  void relabel_all() {
+    labels_.assign(static_cast<std::size_t>(store_.size()), -1);
+    for (Index p = kSinks; p < store_.size(); ++p) {
+      labels_[static_cast<std::size_t>(p)] = rng_.uniform_int(0, clusters_ - 1);
+    }
+  }
+
+  [[nodiscard]] std::vector<Index> tokens_of(Index cluster) const {
+    std::vector<Index> tokens;
+    for (Index p = 0; p < static_cast<Index>(labels_.size()); ++p) {
+      if (labels_[static_cast<std::size_t>(p)] == cluster) {
+        tokens.push_back(p);
+      }
+    }
+    return tokens;
+  }
+
+  void select_step() {
+    Selected selected;
+    const Index picks = rng_.uniform_int(1, 3);
+    for (Index i = 0; i < picks; ++i) {
+      auto tokens = tokens_of(rng_.uniform_int(0, clusters_ - 1));
+      if (tokens.empty()) {
+        continue;
+      }
+      if (i == picks - 1) {  // trimmed last cluster
+        tokens.resize(static_cast<std::size_t>(
+            rng_.uniform_int(1, static_cast<Index>(tokens.size()))));
+      }
+      if (rng_.bernoulli(0.2)) {  // a repeated token
+        tokens.push_back(tokens[static_cast<std::size_t>(
+            rng_.uniform_int(0, static_cast<Index>(tokens.size()) - 1))]);
+      }
+      if (rng_.bernoulli(0.2)) {  // unsorted
+        std::reverse(tokens.begin(), tokens.end());
+      }
+      selected.emplace_back(labels_[static_cast<std::size_t>(tokens.front())],
+                            std::move(tokens));
+    }
+    const auto real = cache_.step(selected);
+    const auto model = model_cache_.step(selected);
+    expect_same_step(real, model);
+    if (depth_ == 0) {
+      EXPECT_TRUE(real.evicted_tokens.empty());
+    }
+    // Resolve the step against the store exactly as select() does.
+    const auto mispredict = obs::FetchCancelReason::kMisprediction;
+    EXPECT_EQ(store_.complete_fetch(real.prefetched_tokens),
+              model_store_.complete_fetch(model.prefetched_tokens));
+    EXPECT_EQ(store_.cancel_fetch(real.wasted_tokens, mispredict),
+              model_store_.cancel_fetch(model.wasted_tokens, mispredict));
+    EXPECT_EQ(store_.ensure_resident(real.missing_tokens),
+              model_store_.ensure_resident(model.missing_tokens));
+    store_.drop_from_fast(real.evicted_tokens);
+    model_store_.drop_from_fast(model.evicted_tokens);
+  }
+
+  void issue() {
+    Candidates candidates;
+    const bool filter_resident = rng_.bernoulli(0.7);  // as select() does
+    const Index picks = rng_.uniform_int(1, 3);
+    for (Index i = 0; i < picks; ++i) {
+      const Index cluster = rng_.uniform_int(0, clusters_ - 1);
+      std::vector<Index> tokens;
+      for (const Index t : tokens_of(cluster)) {
+        if (!filter_resident || !store_.is_fast_resident(t)) {
+          tokens.push_back(t);
+        }
+      }
+      if (!tokens.empty()) {
+        candidates.emplace_back(cluster, std::move(tokens));
+      }
+    }
+    std::vector<std::pair<Index, std::span<const Index>>> spans;
+    for (const auto& [cluster, tokens] : candidates) {
+      spans.emplace_back(cluster, tokens);
+    }
+    const auto issued = cache_.issue_fetches(spans);
+    EXPECT_EQ(issued, model_cache_.issue(candidates));
+    EXPECT_EQ(store_.begin_fetch(issued), model_store_.begin_fetch(issued));
+  }
+
+  void release() {
+    const auto canceled = cache_.cancel_fetches();
+    EXPECT_EQ(canceled, model_cache_.cancel());
+    const auto enforce = obs::FetchCancelReason::kEnforcement;
+    EXPECT_EQ(store_.cancel_fetch(canceled, enforce),
+              model_store_.cancel_fetch(canceled, enforce));
+    std::vector<Index> victims;
+    for (const Index p : store_.fast_positions()) {
+      if (p >= kSinks) {
+        victims.push_back(p);
+      }
+    }
+    EXPECT_EQ(store_.offload_positions(victims), model_store_.offload(victims));
+    cache_.clear_window();
+    model_cache_.clear_window();
+  }
+
+  void decode_token() {
+    const std::vector<float> row(static_cast<std::size_t>(kDim), 0.0f);
+    store_.append(row, row);
+    model_store_.append(1);
+    labels_.push_back(rng_.uniform_int(0, clusters_ - 1));
+    if (rng_.bernoulli(0.5)) {
+      const Index p = store_.size() - 1;
+      store_.offload_to_slow(p, p + 1);
+      const std::vector<Index> one{p};
+      model_store_.offload(one);
+    }
+  }
+
+  /// Positions outside [0, size()) are absent to the lookups and to the
+  /// drop/land/cancel paths; detaching and re-attaching the ledger moves
+  /// its bytes out and back.
+  void absent_positions() {
+    const std::vector<Index> absent{-7, -1, store_.size(), store_.size() + 3};
+    store_.drop_from_fast(absent);
+    EXPECT_EQ(store_.complete_fetch(absent), 0);
+    EXPECT_EQ(store_.cancel_fetch(absent), 0);
+    for (const Index p : absent) {
+      EXPECT_FALSE(store_.is_fast_resident(p));
+      EXPECT_FALSE(store_.is_in_flight(p));
+    }
+    store_.attach_ledger(nullptr);
+    EXPECT_EQ(ledger_.total_bytes(), 0);
+    store_.attach_ledger(&ledger_);
+  }
+
+  void expect_same() {
+    const std::set<Index> resident = model_cache_.resident();
+    EXPECT_EQ(cache_.resident_tokens(),
+              std::vector<Index>(resident.begin(), resident.end()));
+    EXPECT_EQ(cache_.in_flight(), model_cache_.in_flight());
+    Index flying = 0;
+    for (const auto& [cluster, tokens] : model_cache_.in_flight()) {
+      flying += static_cast<Index>(tokens.size());
+    }
+    EXPECT_EQ(cache_.in_flight_tokens(), flying);
+    EXPECT_EQ(cache_.total_hits(), model_cache_.hits);
+    EXPECT_EQ(cache_.total_misses(), model_cache_.misses);
+    EXPECT_EQ(cache_.total_prefetch_hits(), model_cache_.prefetch_hits);
+    EXPECT_EQ(cache_.total_prefetch_issued(), model_cache_.issued);
+    EXPECT_EQ(cache_.total_prefetch_wasted(), model_cache_.wasted);
+    EXPECT_EQ(cache_.steps(), model_cache_.steps);
+
+    const Index tb = store_.token_bytes();
+    const Index fast = static_cast<Index>(model_store_.fast.size());
+    const Index in_flight = static_cast<Index>(model_store_.in_flight.size());
+    EXPECT_EQ(store_.size(), model_store_.size);
+    EXPECT_EQ(store_.fast_positions(),
+              std::vector<Index>(model_store_.fast.begin(), model_store_.fast.end()));
+    EXPECT_EQ(store_.fast_resident_count(), fast);
+    EXPECT_EQ(store_.fast_resident_bytes(), fast * tb);
+    EXPECT_EQ(store_.in_flight_count(), in_flight);
+    EXPECT_EQ(store_.in_flight_bytes(), in_flight * tb);
+    for (Index p = 0; p < store_.size(); ++p) {
+      EXPECT_EQ(store_.is_fast_resident(p), model_store_.fast.contains(p)) << p;
+      EXPECT_EQ(store_.is_in_flight(p), model_store_.in_flight.contains(p)) << p;
+    }
+    EXPECT_EQ(ledger_.bytes(), fast * tb);
+    EXPECT_EQ(ledger_.reserved_bytes(), in_flight * tb);
+    expect_same_stats(store_.stats(), model_store_.stats);
+  }
+
+  Rng rng_;
+  Index depth_;
+  Index clusters_ = 0;
+  std::vector<Index> labels_;  ///< position -> cluster, -1 for sinks
+  ClusterCache cache_;
+  SetCacheModel model_cache_;
+  FastTierLedger ledger_;
+  TieredKVStore store_;
+  SetStoreModel model_store_;
+};
+
+TEST(ResidencyState, MatchesSetModelUnderRandomOperations) {
+  for (const Index depth : {0, 1, 2, 3}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + " seed " + std::to_string(seed));
+      ResidencyHarness harness(seed * 1000 + static_cast<std::uint64_t>(depth), depth);
+      harness.run(200);
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ engine integration

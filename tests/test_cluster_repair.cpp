@@ -184,7 +184,7 @@ TEST(ClusterRepair, RemapsCacheWindowWithoutChangingResidentTokens) {
   for (Index c = 0; c < store.cluster_count(); ++c) {
     std::vector<Index> cached;
     for (const Index t : store.tokens_of(c)) {
-      if (resident_before.contains(t)) {
+      if (std::binary_search(resident_before.begin(), resident_before.end(), t)) {
         cached.push_back(t);
       }
     }

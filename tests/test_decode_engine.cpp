@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "baselines/full_kv.hpp"
 #include "baselines/quest.hpp"
 #include "baselines/streaming_llm.hpp"
@@ -45,6 +49,59 @@ TEST(DecodeEngine, FullKVIsPerfect) {
     EXPECT_DOUBLE_EQ(step.mean_recall, 1.0);
     EXPECT_NEAR(step.mean_coverage, 1.0, 1e-6);
     EXPECT_NEAR(step.mean_output_error, 0.0, 1e-6);
+  }
+}
+
+// Lists every position of the wrapped selector's choice twice, the first
+// copy in descending order.
+class RepeatingSelector : public KVSelector {
+ public:
+  explicit RepeatingSelector(std::unique_ptr<KVSelector> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void observe_prefill(const Matrix& keys, const Matrix& values) override {
+    inner_->observe_prefill(keys, values);
+  }
+  void observe_decode(std::span<const float> key,
+                      std::span<const float> value) override {
+    inner_->observe_decode(key, value);
+  }
+  SelectionResult select(std::span<const float> query, Index budget) override {
+    SelectionResult result = inner_->select(query, budget);
+    std::vector<Index> repeated(result.indices.rbegin(), result.indices.rend());
+    repeated.insert(repeated.end(), result.indices.begin(), result.indices.end());
+    result.indices = std::move(repeated);
+    return result;
+  }
+  [[nodiscard]] Index context_size() const override { return inner_->context_size(); }
+
+ private:
+  std::unique_ptr<KVSelector> inner_;
+};
+
+// Recall@B has set semantics: a selector returning positions repeatedly
+// and out of order recalls exactly what its sorted, repeat-free selection
+// recalls.
+TEST(DecodeEngine, RecallCountsRepeatedUnsortedSelectionsOnce) {
+  ProceduralContextModel plain_model(small_shape(), small_params(), 5, 400);
+  ProceduralContextModel repeated_model(small_shape(), small_params(), 5, 400);
+  DecodeEngineConfig config;
+  config.budget = 64;
+  const auto inner = make_clusterkv_factory(small_ckv(), 9);
+  DecodeEngine plain(plain_model, inner, config);
+  DecodeEngine repeated(
+      repeated_model,
+      [&inner](Index layer, Index head, Index head_dim) -> std::unique_ptr<KVSelector> {
+        return std::make_unique<RepeatingSelector>(inner(layer, head, head_dim));
+      },
+      config);
+  plain.run_prefill();
+  repeated.run_prefill();
+  for (Index s = 0; s < 6; ++s) {
+    const auto a = plain.decode_step(s);
+    const auto b = repeated.decode_step(s);
+    EXPECT_LT(a.mean_recall, 1.0);
+    EXPECT_EQ(a.mean_recall, b.mean_recall) << "step " << s;
   }
 }
 

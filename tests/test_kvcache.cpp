@@ -288,6 +288,39 @@ TEST(TieredStore, RangeValidation) {
   EXPECT_THROW(store.offload_to_slow(0, 1), std::invalid_argument);
   const std::vector<Index> bad{0};
   EXPECT_THROW(store.ensure_resident(bad), std::invalid_argument);
+
+  store.append_block(Matrix(3, 4), Matrix(3, 4));
+  store.offload_to_slow(0, 3);
+  FastTierLedger ledger;
+  store.attach_ledger(&ledger);
+  const std::vector<Index> one{1};
+  store.begin_fetch(one);
+  // The byte-moving entry points reject positions outside [0, size()).
+  for (const Index p : {Index{-1}, Index{3}, Index{100}}) {
+    const std::vector<Index> out{p};
+    EXPECT_THROW(store.ensure_resident(out), std::invalid_argument) << p;
+    EXPECT_THROW(store.begin_fetch(out), std::invalid_argument) << p;
+    EXPECT_THROW(store.offload_positions(out), std::invalid_argument) << p;
+  }
+  EXPECT_THROW(store.offload_to_slow(-1, 2), std::invalid_argument);
+  EXPECT_THROW(store.offload_to_slow(2, 1), std::invalid_argument);
+  EXPECT_THROW(store.offload_to_slow(0, 4), std::invalid_argument);
+  // Lookups and the drop/land/cancel paths treat them as absent.
+  const std::vector<Index> absent{-5, -1, 3, 1000};
+  for (const Index p : absent) {
+    EXPECT_FALSE(store.is_fast_resident(p)) << p;
+    EXPECT_FALSE(store.is_in_flight(p)) << p;
+  }
+  store.drop_from_fast(absent);
+  EXPECT_EQ(store.complete_fetch(absent), 0);
+  EXPECT_EQ(store.cancel_fetch(absent), 0);
+  // Nothing moved: the one in-flight fetch and the ledger are intact.
+  EXPECT_EQ(store.in_flight_count(), 1);
+  EXPECT_TRUE(store.is_in_flight(1));
+  EXPECT_EQ(store.fast_resident_count(), 0);
+  EXPECT_EQ(ledger.bytes(), 0);
+  EXPECT_EQ(ledger.reserved_bytes(), store.token_bytes());
+  EXPECT_EQ(store.stats().tokens_prefetch_canceled, 0);
 }
 
 }  // namespace

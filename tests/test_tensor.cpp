@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "tensor/matrix.hpp"
 #include "tensor/rmsnorm.hpp"
@@ -202,6 +204,47 @@ TEST(TopK, OrderAndTies) {
   EXPECT_EQ(top[0], 1);  // tie broken by lower index
   EXPECT_EQ(top[1], 2);
   EXPECT_EQ(top[2], 3);
+}
+
+TEST(TopK, TieSweepMatchesPartialSort) {
+  // Scores quantised to a few levels so most values tie; every result must
+  // equal std::partial_sort under the same (score desc, index asc) order.
+  std::vector<Index> sizes(65);
+  std::iota(sizes.begin(), sizes.end(), Index{0});
+  for (Index n = 97; n < 2047; n += 97) {
+    sizes.push_back(n);
+  }
+  sizes.insert(sizes.end(), {2047, 2048});
+  Rng rng(2024);
+  for (const Index n : sizes) {
+    std::vector<float> s(static_cast<std::size_t>(n));
+    const Index levels = rng.uniform_int(1, 8);
+    for (auto& v : s) {
+      v = static_cast<float>(rng.uniform_int(0, levels - 1)) * 0.5f;
+    }
+    const auto greater = [&s](Index a, Index b) {
+      const float sa = s[static_cast<std::size_t>(a)];
+      const float sb = s[static_cast<std::size_t>(b)];
+      return sa != sb ? sa > sb : a < b;
+    };
+    for (const Index k : {Index{0}, Index{1}, n / 2, n - 1, n, n + 5}) {
+      if (k < 0) {
+        continue;
+      }
+      const Index kept = std::min(k, n);
+      std::vector<Index> expected(static_cast<std::size_t>(n));
+      std::iota(expected.begin(), expected.end(), Index{0});
+      std::partial_sort(expected.begin(),
+                        expected.begin() + static_cast<std::ptrdiff_t>(kept),
+                        expected.end(), greater);
+      expected.resize(static_cast<std::size_t>(kept));
+      const auto got = top_k_indices(s, k);
+      ASSERT_EQ(got.size(), expected.size()) << "n=" << n << " k=" << k;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expected[i]) << "n=" << n << " k=" << k << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(TopK, ClampsK) {
