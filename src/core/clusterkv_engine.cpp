@@ -1,6 +1,7 @@
 #include "core/clusterkv_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/kernels.hpp"
@@ -22,6 +23,10 @@ ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
   expects(config.sink_tokens >= 0, "ClusterKVEngine: sink_tokens must be >= 0");
   expects(config.decode_interval > 0, "ClusterKVEngine: decode_interval must be > 0");
   expects(config.decode_clusters > 0, "ClusterKVEngine: decode_clusters must be > 0");
+  // A NaN threshold fails every similarity comparison: repair would
+  // silently never merge.
+  expects(std::isfinite(config.repair_merge_threshold),
+          "ClusterKVEngine: repair_merge_threshold must be finite");
 }
 
 void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count) {
@@ -72,8 +77,8 @@ RepairOutcome ClusterKVEngine::repair_now() {
        {"clusters", centroids_.cluster_count()}});
   if (outcome.changed) {
     ++repair_passes_;
-    // In-flight prefetches survive the rebuild (remap_window relabels
-    // them), but the prediction prior is keyed by the dead cluster ids.
+    // In-flight prefetches survive the rebuild (they are addressed by
+    // position), but the prediction prior is keyed by the dead cluster ids.
     prefetcher_.on_rebuild(centroids_.cluster_count());
     // The repaired clusters form one joint batch: a later pass (periodic
     // decode repair) merges new decode batches against it, never re-pairs
@@ -180,11 +185,6 @@ void ClusterKVEngine::flush_pending_clusters(Index cluster_count) {
   pending_positions_.clear();
 }
 
-Index ClusterKVEngine::cancel_prefetches(obs::FetchCancelReason reason) {
-  const auto in_flight = cache_.cancel_fetches();
-  return tiered_.cancel_fetch(in_flight, reason);
-}
-
 Index ClusterKVEngine::release_fast_tier() {
   // Pending decode tokens are the contiguous tail past the last flush;
   // everything clustered and non-sink is reclaimable. In-flight prefetches
@@ -261,14 +261,15 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
     }
     const auto indexed = gather_selected_tokens(centroids_, selection, cluster_budget);
 
-    // Resolve the prefetches issued after the previous step: selected
-    // in-flight tokens land (their copy overlapped the intervening
-    // compute), unselected ones were mispredictions and cancel. Only the
-    // remaining demand misses stall this step.
+    // Resolve the prefetches issued after the previous step against the
+    // store: window misses already in flight land (their copy overlapped
+    // the intervening compute), every other in-flight fetch was a
+    // misprediction and cancels. Only the remaining demand misses stall
+    // this step. Window tokens are always fast-resident, so no in-flight
+    // token can be a window hit.
     const auto cache_step = cache_.step(indexed.per_cluster);
-    tiered_.complete_fetch(cache_step.prefetched_tokens);
-    tiered_.cancel_fetch(cache_step.wasted_tokens,
-                         obs::FetchCancelReason::kMisprediction);
+    const Index landed = tiered_.complete_fetch(cache_step.missing_tokens);
+    tiered_.cancel_all_fetches(obs::FetchCancelReason::kMisprediction);
     tiered_.ensure_resident(cache_step.missing_tokens);
     tiered_.drop_from_fast(cache_step.evicted_tokens);
 
@@ -286,7 +287,7 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
     } else {
       result.tokens_fetched = cache_step.misses;
       result.tokens_cache_hit = cache_step.hits;
-      result.tokens_prefetch_hit = cache_step.prefetch_hits;
+      result.tokens_prefetch_hit = landed;
     }
 
     if (prefetcher_.enabled() && !degraded_step_) {
@@ -297,8 +298,8 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
       // Only clusters whose every token is already window-resident are
       // excluded as candidates — the *trimmed* last cluster stays in,
       // because the next step's shifted trim boundary over the same
-      // cluster is one of the likeliest miss sources (issue_fetch drops
-      // the resident prefix, so only its tail is actually fetched).
+      // cluster is one of the likeliest miss sources (begin_fetch skips
+      // the fast-resident prefix, so only its tail is actually fetched).
       prefetcher_.observe_selection(selection.clusters, centroids_.cluster_count());
       std::vector<Index> fully_resident;
       for (const auto& [cluster, taken] : indexed.per_cluster) {
@@ -306,32 +307,12 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
           fully_resident.push_back(cluster);
         }
       }
-      const auto predicted = prefetcher_.predict(scores, fully_resident);
-      // Candidate tokens are pre-filtered by *store* residency: the window
-      // usually equals fast residency for clustered tokens, but a cleared
-      // window (tail fold, preemption) can leave tokens fast-resident yet
-      // window-absent — recording those cache-side while begin_fetch skips
-      // them store-side would let the two in-flight views diverge.
-      std::vector<std::vector<Index>> candidate_tokens;
-      std::vector<std::pair<Index, std::span<const Index>>> candidates;
-      // The reserve is load-bearing: candidates holds spans into
-      // candidate_tokens, which therefore must never reallocate.
-      candidate_tokens.reserve(predicted.size());
-      candidates.reserve(predicted.size());
-      for (const Index cluster : predicted) {
-        std::vector<Index> tokens;
-        for (const Index token : centroids_.tokens_of(cluster)) {
-          if (!tiered_.is_fast_resident(token)) {
-            tokens.push_back(token);
-          }
-        }
-        if (!tokens.empty()) {
-          candidate_tokens.push_back(std::move(tokens));
-          candidates.emplace_back(cluster, candidate_tokens.back());
-        }
+      std::vector<Index> speculative;
+      for (const Index cluster : prefetcher_.predict(scores, fully_resident)) {
+        const auto tokens = centroids_.tokens_of(cluster);
+        speculative.insert(speculative.end(), tokens.begin(), tokens.end());
       }
-      const auto issued = cache_.issue_fetches(candidates);
-      result.tokens_prefetch_issued += tiered_.begin_fetch(issued);
+      result.tokens_prefetch_issued += tiered_.begin_fetch(speculative);
     }
   }
 

@@ -129,21 +129,18 @@ class ClusterKVEngine : public KVSelector {
   /// clears it in the same serial commit.
   void set_degraded_step(bool degraded) override { degraded_step_ = degraded; }
 
-  /// True when the config enables async cluster prefetch.
-  [[nodiscard]] bool prefetch_enabled() const noexcept {
-    return prefetcher_.enabled();
-  }
-
-  /// Drops every in-flight prefetch (cache- and store-side) and frees its
-  /// reserved bytes; the issued traffic counts as wasted, attributed to
-  /// `reason`. Called by budget enforcement before any real preemption
-  /// (kEnforcement), by release_fast_tier itself, by retirement
-  /// (kSessionRelease), and on metadata rebuilds that discard cluster ids
-  /// outright — the end-of-prompt tail fold, which passes kMisprediction
-  /// since the speculation is simply obsolete — while a *repair* rebuild
-  /// instead relabels in-flight entries in place. Returns fetches dropped.
+  /// Drops every in-flight prefetch and frees its reserved bytes; the
+  /// issued traffic counts as wasted, attributed to `reason`. Called by
+  /// budget enforcement before any real preemption (kEnforcement), by
+  /// release_fast_tier itself, by retirement (kSessionRelease), and by the
+  /// end-of-prompt tail fold, which passes kMisprediction since the
+  /// speculation is simply obsolete. A repair rebuild leaves fetches in
+  /// flight: they are addressed by position, so new cluster ids do not
+  /// touch them. Returns fetches dropped.
   Index cancel_prefetches(obs::FetchCancelReason reason =
-                              obs::FetchCancelReason::kEnforcement) override;
+                              obs::FetchCancelReason::kEnforcement) override {
+    return tiered_.cancel_all_fetches(reason);
+  }
 
   /// Per-reason canceled-speculation totals from the tiered store.
   [[nodiscard]] std::int64_t prefetch_canceled_tokens(
@@ -158,8 +155,9 @@ class ClusterKVEngine : public KVSelector {
   [[nodiscard]] const CentroidStore& centroid_store() const noexcept {
     return centroids_;
   }
+  /// Read-only: select() steps the window and the store together, which
+  /// keeps every window token fast-resident.
   [[nodiscard]] const ClusterCache& cache() const noexcept { return cache_; }
-  [[nodiscard]] ClusterCache& cache() noexcept { return cache_; }
   [[nodiscard]] const TieredKVStore& tiered_store() const noexcept { return tiered_; }
   [[nodiscard]] const ClusterKVConfig& config() const noexcept { return config_; }
   [[nodiscard]] Index sink_count() const noexcept { return sink_count_; }

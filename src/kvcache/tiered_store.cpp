@@ -242,11 +242,18 @@ Index TieredKVStore::cancel_fetch(std::span<const Index> positions,
 
 Index TieredKVStore::cancel_all_fetches(obs::FetchCancelReason reason) {
   const ExclusiveLock own(owner_);
+  // Runs on every ClusterKV decode step and enforcement pass, often with
+  // nothing in flight: skip the scan then, and stop it at the last
+  // in-flight position otherwise.
+  if (in_flight_count_ == 0) {
+    return 0;
+  }
+  const auto in_flight = static_cast<std::size_t>(in_flight_count_);
   std::vector<Index> positions;
-  positions.reserve(static_cast<std::size_t>(in_flight_count_));
-  for (Index p = 0; p < static_cast<Index>(placement_.size()); ++p) {
-    if (placement_[static_cast<std::size_t>(p)] == Placement::kInFlight) {
-      positions.push_back(p);
+  positions.reserve(in_flight);
+  for (std::size_t p = 0; p < placement_.size() && positions.size() < in_flight; ++p) {
+    if (placement_[p] == Placement::kInFlight) {
+      positions.push_back(static_cast<Index>(p));
     }
   }
   return cancel_fetch_impl(positions, reason);

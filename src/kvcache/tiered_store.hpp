@@ -144,7 +144,9 @@ class TieredKVStore {
   // An in-flight position is neither slow-only nor fast-resident: its copy
   // was issued and its destination bytes are reserved (ledger
   // reserved_bytes) until complete_fetch lands it or cancel_fetch drops
-  // it. PCIe traffic is accounted at issue time.
+  // it. PCIe traffic is accounted at issue time. The placement array is
+  // the only record of a fetch in flight: callers address fetches by
+  // position and keep no copy of their own.
 
   /// Issues an async fetch for each position that is neither fast-resident
   /// nor already in flight. Returns the number of fetches issued. Throws
@@ -164,7 +166,10 @@ class TieredKVStore {
                      obs::FetchCancelReason reason =
                          obs::FetchCancelReason::kMisprediction);
 
-  /// Cancels every in-flight fetch (preemption / teardown path).
+  /// Cancels every in-flight fetch, in ascending position order: the
+  /// preemption / teardown path, and ClusterKVEngine's per-step resolve of
+  /// the speculation its selection did not land. O(1) with nothing in
+  /// flight.
   Index cancel_all_fetches(obs::FetchCancelReason reason =
                                obs::FetchCancelReason::kSessionRelease);
 

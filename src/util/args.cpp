@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -75,10 +76,11 @@ double ArgParser::get_double(const std::string& name) const {
   try {
     std::size_t used = 0;
     const double v = std::stod(text, &used);
-    expects(used == text.size(), "trailing characters");
+    // stod also reads "nan" and "inf", which no flag means.
+    expects(used == text.size() && std::isfinite(v), "not a finite number");
     return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+    throw std::invalid_argument("flag --" + name + " expects a finite number, got '" +
                                 text + "'");
   }
 }

@@ -30,6 +30,8 @@ class ArgParser {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] Index get_index(const std::string& name) const;
+  /// Throws std::invalid_argument naming the flag for a value that is not
+  /// a finite number (including "nan" and "inf").
   [[nodiscard]] double get_double(const std::string& name) const;
   /// get_double with range validation: throws std::invalid_argument naming
   /// the flag when the value falls outside [lo, hi]. For knobs with hard

@@ -60,6 +60,18 @@ TEST(ArgParser, TypeErrorsRejected) {
   args.parse(5, argv);
   EXPECT_THROW((void)args.get_index("budget"), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("rate"), std::invalid_argument);
+
+  // stod reads these, but no flag means them; a range check alone would
+  // let NaN through, since every comparison with it is false.
+  for (const char* text : {"nan", "inf", "-inf"}) {
+    auto non_finite = make_parser();
+    const char* argv_nf[] = {"tool", "--rate", text};
+    non_finite.parse(3, argv_nf);
+    EXPECT_THROW((void)non_finite.get_double("rate"), std::invalid_argument) << text;
+    EXPECT_THROW((void)non_finite.get_double_in("rate", -1.0, 1.0),
+                 std::invalid_argument)
+        << text;
+  }
 }
 
 TEST(ArgParser, DuplicateRegistrationRejected) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,21 +117,16 @@ TEST(ClusterCache, NegativeDepthRejected) {
 TEST(ClusterCache, NegativeTokenRejectedWithCacheUnchanged) {
   ClusterCache cache(2);
   cache.step(Selected{{0, {1, 2}}});
-  cache.issue_fetch(1, std::vector<Index>{5});
   // The bad token sits after valid ones: nothing before it may be applied.
   EXPECT_THROW(cache.step(Selected{{0, {1}}, {1, {5, -1}}}), std::invalid_argument);
-  EXPECT_THROW(cache.issue_fetch(2, std::vector<Index>{7, -3}), std::invalid_argument);
-  const std::pair<Index, std::span<const Index>> negative_cluster{-1, {}};
-  EXPECT_THROW(cache.issue_fetches(std::span{&negative_cluster, 1}),
-               std::invalid_argument);
   EXPECT_EQ(cache.steps(), 1);
+  EXPECT_EQ(cache.total_hits(), 0);
+  EXPECT_EQ(cache.total_misses(), 2);
   EXPECT_EQ(cache.resident_tokens(), (std::vector<Index>{1, 2}));
-  EXPECT_EQ(cache.in_flight_tokens(), 1);
-  EXPECT_EQ(cache.total_prefetch_issued(), 1);
-  // Token 5's prefetch still resolves as a hit.
-  const auto r = cache.step(Selected{{1, {5}}});
-  EXPECT_EQ(r.prefetched_tokens, (std::vector<Index>{5}));
-  EXPECT_TRUE(r.wasted_tokens.empty());
+  // The window still works: token 1 hits, token 5 misses.
+  const auto r = cache.step(Selected{{0, {1}}, {1, {5}}});
+  EXPECT_EQ(r.hits, 1);
+  EXPECT_EQ(r.missing_tokens, (std::vector<Index>{5}));
 }
 
 TEST(ClusterCache, RemapWindowPreservesResidencyUnderNewLabels) {

@@ -1,11 +1,12 @@
 // Async cluster prefetch: deterministic prediction, the in-flight byte
 // budget invariant (preemption mid-fetch included), cancel-on-session-
 // release, prefetch equivalence (selection identical to sync fetch, only
-// latency accounting differs), and the repair-remap regression — a repair
-// rebuild landing between fetch issue and completion must relabel
-// in-flight entries instead of stranding them. A differential test drives
-// the position-indexed residency state of ClusterCache and TieredKVStore
-// against a std::set model of the same operations.
+// latency accounting differs), and the per-step resolve — the store is the
+// only record of a speculative fetch, so select() lands the in-flight
+// tokens it selects and cancels the rest, across a repair rebuild too. A
+// differential test drives the position-indexed residency state of
+// ClusterCache and TieredKVStore against a std::set model of the same
+// operations and checks that every window token stays fast-resident.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,75 +91,6 @@ TEST(ClusterPrefetcher, RespectsDepthExclusionAndRebuild) {
   ClusterPrefetchConfig bad;
   bad.prior_decay = 1.0;
   EXPECT_THROW(ClusterPrefetcher{bad}, std::invalid_argument);
-}
-
-// ------------------------------------------------- cache in-flight states
-
-using Selected = std::vector<std::pair<Index, std::vector<Index>>>;
-
-TEST(ClusterCache, InFlightResolvesToPrefetchHitsAndWaste) {
-  ClusterCache cache(1);
-  cache.step(Selected{{0, {1, 2}}});
-  // Issue cluster 1's tokens; token 1 is resident and must be filtered.
-  const auto issued = cache.issue_fetch(1, std::vector<Index>{1, 5, 6});
-  EXPECT_EQ(issued, (std::vector<Index>{5, 6}));
-  EXPECT_EQ(cache.in_flight_tokens(), 2);
-  // Double-issue is a no-op.
-  EXPECT_TRUE(cache.issue_fetch(1, std::vector<Index>{5}).empty());
-
-  // Next step selects token 5 (prefetch hit) but not 6 (waste).
-  const auto r = cache.step(Selected{{0, {1, 2}}, {1, {5}}});
-  EXPECT_EQ(r.hits, 2);
-  EXPECT_EQ(r.misses, 1);  // token 5: fetched either way
-  EXPECT_EQ(r.prefetch_hits, 1);
-  EXPECT_EQ(r.prefetched_tokens, (std::vector<Index>{5}));
-  EXPECT_TRUE(r.missing_tokens.empty());
-  EXPECT_EQ(r.wasted_tokens, (std::vector<Index>{6}));
-  EXPECT_EQ(cache.in_flight_tokens(), 0);  // one-step lifetime
-  EXPECT_EQ(cache.total_prefetch_hits(), 1);
-  EXPECT_EQ(cache.total_prefetch_issued(), 2);
-  EXPECT_EQ(cache.total_prefetch_wasted(), 1);
-}
-
-TEST(ClusterCache, CancelFetchesDrainsInFlight) {
-  ClusterCache cache(1);
-  cache.issue_fetch(0, std::vector<Index>{3, 4});
-  cache.issue_fetch(2, std::vector<Index>{9});
-  const auto canceled = cache.cancel_fetches();
-  EXPECT_EQ(canceled, (std::vector<Index>{3, 4, 9}));
-  EXPECT_EQ(cache.in_flight_tokens(), 0);
-  EXPECT_EQ(cache.total_prefetch_wasted(), 3);
-  // Canceled fetches never count as hits later.
-  const auto r = cache.step(Selected{{0, {3}}});
-  EXPECT_EQ(r.prefetch_hits, 0);
-  EXPECT_EQ(r.missing_tokens, (std::vector<Index>{3}));
-}
-
-// The regression the repair fix pins down: a rebuild relabeling the window
-// must relabel in-flight entries too, so a prefetch issued before the
-// repair still resolves as a hit after it (under the new cluster ids).
-TEST(ClusterCache, RemapWindowRelabelsInFlightEntries) {
-  ClusterCache cache(1);
-  cache.step(Selected{{0, {1}}});
-  cache.issue_fetch(1, std::vector<Index>{5, 6});
-
-  // Repair: token 1 moves to cluster 7; tokens 5,6 move to cluster 3.
-  const std::vector<Index> token_to_cluster{-1, 7, -1, -1, -1, 3, 3};
-  cache.remap_window(token_to_cluster);
-  ASSERT_EQ(cache.in_flight().size(), 1u);
-  EXPECT_TRUE(cache.in_flight().contains(3));
-  EXPECT_EQ(cache.in_flight().at(3), (std::vector<Index>{5, 6}));
-
-  // Selecting under the new labels: the in-flight tokens hit as prefetch.
-  const auto r = cache.step(Selected{{7, {1}}, {3, {5, 6}}});
-  EXPECT_EQ(r.hits, 1);
-  EXPECT_EQ(r.prefetch_hits, 2);
-  EXPECT_TRUE(r.missing_tokens.empty());
-  EXPECT_TRUE(r.wasted_tokens.empty());
-
-  // An in-flight token with no cluster after the rebuild is a bug.
-  cache.issue_fetch(3, std::vector<Index>{9});
-  EXPECT_THROW(cache.remap_window(token_to_cluster), std::invalid_argument);
 }
 
 // --------------------------------------------- tiered-store reservations
@@ -253,6 +185,10 @@ TEST(TieredKVStore, CancelAllAndDetachClearReservation) {
   EXPECT_GT(ledger.reserved_bytes(), 0);
   EXPECT_EQ(store.cancel_all_fetches(), 4);
   EXPECT_EQ(ledger.reserved_bytes(), 0);
+  // Nothing left in flight: a second sweep cancels nothing and counts
+  // nothing.
+  EXPECT_EQ(store.cancel_all_fetches(), 0);
+  EXPECT_EQ(store.stats().tokens_prefetch_canceled, 4);
 
   // Detach with live fetches: the reservation leaves the ledger with the
   // store (session-release path).
@@ -265,16 +201,16 @@ TEST(TieredKVStore, CancelAllAndDetachClearReservation) {
 
 // ------------------------------------------- differential residency model
 
+using Selected = std::vector<std::pair<Index, std::vector<Index>>>;
+
 void sort_unique(std::vector<Index>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-using Candidates = std::vector<std::pair<Index, std::vector<Index>>>;
-
-// ClusterCache's residency bookkeeping restated over std::set: the window's
-// resident set is rebuilt from its entries on every query, as an oracle
-// for the per-position counts and flags the real cache keeps.
+// ClusterCache's window restated over std::set: the resident set is
+// rebuilt from the window's entries on every query, as an oracle for the
+// per-position reference counts the real cache keeps.
 class SetCacheModel {
  public:
   explicit SetCacheModel(Index depth) : depth_(depth) {}
@@ -292,26 +228,16 @@ class SetCacheModel {
   ClusterCache::StepResult step(const Selected& selected) {
     ClusterCache::StepResult r;
     const std::set<Index> before = resident();
-    std::set<Index> flying;
-    for (const auto& [cluster, tokens] : in_flight_) {
-      flying.insert(tokens.begin(), tokens.end());
-    }
     for (const auto& [cluster, tokens] : selected) {
       for (const Index t : tokens) {
         if (before.contains(t)) {
           ++r.hits;
-        } else if (flying.erase(t) == 1) {
-          ++r.misses;
-          ++r.prefetch_hits;
-          r.prefetched_tokens.push_back(t);
         } else {
           ++r.misses;
           r.missing_tokens.push_back(t);
         }
       }
     }
-    r.wasted_tokens.assign(flying.begin(), flying.end());
-    in_flight_.clear();
     window_.push_front(selected);
     while (static_cast<Index>(window_.size()) > depth_) {
       window_.pop_back();
@@ -320,58 +246,18 @@ class SetCacheModel {
     std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
                         std::back_inserter(r.evicted_tokens));
     sort_unique(r.missing_tokens);
-    sort_unique(r.prefetched_tokens);
     hits += r.hits;
     misses += r.misses;
-    prefetch_hits += r.prefetch_hits;
-    wasted += static_cast<std::int64_t>(r.wasted_tokens.size());
     ++steps;
     return r;
-  }
-
-  std::vector<Index> issue(const Candidates& candidates) {
-    std::set<Index> seen = resident();
-    for (const auto& [cluster, tokens] : in_flight_) {
-      seen.insert(tokens.begin(), tokens.end());
-    }
-    std::vector<Index> all;
-    for (const auto& [cluster, tokens] : candidates) {
-      std::vector<Index> issued_now;
-      for (const Index t : tokens) {
-        if (seen.insert(t).second) {
-          issued_now.push_back(t);
-        }
-      }
-      if (issued_now.empty()) {
-        continue;
-      }
-      auto& entry = in_flight_[cluster];
-      entry.insert(entry.end(), issued_now.begin(), issued_now.end());
-      sort_unique(entry);
-      issued += static_cast<std::int64_t>(issued_now.size());
-      all.insert(all.end(), issued_now.begin(), issued_now.end());
-    }
-    std::sort(all.begin(), all.end());
-    return all;
-  }
-
-  std::vector<Index> cancel() {
-    std::vector<Index> out;
-    for (const auto& [cluster, tokens] : in_flight_) {
-      out.insert(out.end(), tokens.begin(), tokens.end());
-    }
-    in_flight_.clear();
-    std::sort(out.begin(), out.end());
-    wasted += static_cast<std::int64_t>(out.size());
-    return out;
   }
 
   void clear_window() { window_.clear(); }
 
   void remap(const std::vector<Index>& token_to_cluster) {
-    const auto relabel = [&token_to_cluster](const Selected& groups) {
+    for (Selected& entry : window_) {
       std::map<Index, std::vector<Index>> regrouped;
-      for (const auto& [cluster, tokens] : groups) {
+      for (const auto& [cluster, tokens] : entry) {
         for (const Index t : tokens) {
           regrouped[token_to_cluster[static_cast<std::size_t>(t)]].push_back(t);
         }
@@ -379,30 +265,17 @@ class SetCacheModel {
       for (auto& [cluster, tokens] : regrouped) {
         sort_unique(tokens);
       }
-      return regrouped;
-    };
-    for (Selected& entry : window_) {
-      const auto regrouped = relabel(entry);
       entry.assign(regrouped.begin(), regrouped.end());
     }
-    in_flight_ = relabel(Selected(in_flight_.begin(), in_flight_.end()));
-  }
-
-  [[nodiscard]] const std::map<Index, std::vector<Index>>& in_flight() const {
-    return in_flight_;
   }
 
   std::int64_t hits = 0;
   std::int64_t misses = 0;
-  std::int64_t prefetch_hits = 0;
-  std::int64_t issued = 0;
-  std::int64_t wasted = 0;
   Index steps = 0;
 
  private:
   Index depth_;
   std::deque<Selected> window_;
-  std::map<Index, std::vector<Index>> in_flight_;
 };
 
 // TieredKVStore's placement bookkeeping restated over two std::sets.
@@ -477,6 +350,10 @@ struct SetStoreModel {
     }
     return canceled;
   }
+  Index cancel_all(obs::FetchCancelReason reason) {
+    const std::vector<Index> all(in_flight.begin(), in_flight.end());
+    return cancel_fetch(all, reason);
+  }
   void drop_from_fast(std::span<const Index> positions) {
     for (const Index p : positions) {
       fast.erase(p);
@@ -507,12 +384,18 @@ void expect_same_stats(const TransferStats& real, const TransferStats& model) {
 void expect_same_step(const ClusterCache::StepResult& real,
                       const ClusterCache::StepResult& model) {
   EXPECT_EQ(real.missing_tokens, model.missing_tokens);
-  EXPECT_EQ(real.prefetched_tokens, model.prefetched_tokens);
-  EXPECT_EQ(real.wasted_tokens, model.wasted_tokens);
   EXPECT_EQ(real.evicted_tokens, model.evicted_tokens);
   EXPECT_EQ(real.hits, model.hits);
   EXPECT_EQ(real.misses, model.misses);
-  EXPECT_EQ(real.prefetch_hits, model.prefetch_hits);
+}
+
+// The invariant the engine's prefetch resolve rests on: the window never
+// holds a token the store does not have fast-resident, so an in-flight
+// token is always a window miss.
+void expect_window_fast_resident(const ClusterCache& cache, const TieredKVStore& store) {
+  for (const Index p : cache.resident_tokens()) {
+    EXPECT_TRUE(store.is_fast_resident(p)) << "window token " << p << " not fast";
+  }
 }
 
 // One seeded operation sequence over a cache + store pair wired the way
@@ -549,22 +432,12 @@ class ResidencyHarness {
         relabel_all();
         cache_.remap_window(labels_);
         model_cache_.remap(labels_);
-      } else if (kind < 80) {
-        const auto canceled = cache_.cancel_fetches();
-        EXPECT_EQ(canceled, model_cache_.cancel());
-        EXPECT_EQ(store_.cancel_fetch(canceled, obs::FetchCancelReason::kEnforcement),
-                  model_store_.cancel_fetch(canceled,
-                                            obs::FetchCancelReason::kEnforcement));
       } else if (kind < 84) {
-        release();
+        const Index cause = rng_.uniform_int(0, obs::kFetchCancelReasonCount - 1);
+        const auto reason = static_cast<obs::FetchCancelReason>(cause);
+        EXPECT_EQ(store_.cancel_all_fetches(reason), model_store_.cancel_all(reason));
       } else if (kind < 88) {
-        // Store-side cancel alone: the cache's in-flight view goes stale and
-        // its next step lands nothing for those tokens.
-        const std::vector<Index> snapshot(model_store_.in_flight.begin(),
-                                          model_store_.in_flight.end());
-        EXPECT_EQ(store_.cancel_all_fetches(),
-                  model_store_.cancel_fetch(snapshot,
-                                            obs::FetchCancelReason::kSessionRelease));
+        release();
       } else if (kind < 94) {
         decode_token();
       } else {
@@ -626,47 +499,31 @@ class ResidencyHarness {
     }
     // Resolve the step against the store exactly as select() does.
     const auto mispredict = obs::FetchCancelReason::kMisprediction;
-    EXPECT_EQ(store_.complete_fetch(real.prefetched_tokens),
-              model_store_.complete_fetch(model.prefetched_tokens));
-    EXPECT_EQ(store_.cancel_fetch(real.wasted_tokens, mispredict),
-              model_store_.cancel_fetch(model.wasted_tokens, mispredict));
+    EXPECT_EQ(store_.complete_fetch(real.missing_tokens),
+              model_store_.complete_fetch(model.missing_tokens));
+    EXPECT_EQ(store_.cancel_all_fetches(mispredict), model_store_.cancel_all(mispredict));
     EXPECT_EQ(store_.ensure_resident(real.missing_tokens),
               model_store_.ensure_resident(model.missing_tokens));
     store_.drop_from_fast(real.evicted_tokens);
     model_store_.drop_from_fast(model.evicted_tokens);
   }
 
+  /// One speculative round as select() issues it: every token of a few
+  /// predicted clusters (a cluster may repeat), resident or not — the store
+  /// skips fast and in-flight positions itself.
   void issue() {
-    Candidates candidates;
-    const bool filter_resident = rng_.bernoulli(0.7);  // as select() does
+    std::vector<Index> speculative;
     const Index picks = rng_.uniform_int(1, 3);
     for (Index i = 0; i < picks; ++i) {
-      const Index cluster = rng_.uniform_int(0, clusters_ - 1);
-      std::vector<Index> tokens;
-      for (const Index t : tokens_of(cluster)) {
-        if (!filter_resident || !store_.is_fast_resident(t)) {
-          tokens.push_back(t);
-        }
-      }
-      if (!tokens.empty()) {
-        candidates.emplace_back(cluster, std::move(tokens));
-      }
+      const auto tokens = tokens_of(rng_.uniform_int(0, clusters_ - 1));
+      speculative.insert(speculative.end(), tokens.begin(), tokens.end());
     }
-    std::vector<std::pair<Index, std::span<const Index>>> spans;
-    for (const auto& [cluster, tokens] : candidates) {
-      spans.emplace_back(cluster, tokens);
-    }
-    const auto issued = cache_.issue_fetches(spans);
-    EXPECT_EQ(issued, model_cache_.issue(candidates));
-    EXPECT_EQ(store_.begin_fetch(issued), model_store_.begin_fetch(issued));
+    EXPECT_EQ(store_.begin_fetch(speculative), model_store_.begin_fetch(speculative));
   }
 
   void release() {
-    const auto canceled = cache_.cancel_fetches();
-    EXPECT_EQ(canceled, model_cache_.cancel());
     const auto enforce = obs::FetchCancelReason::kEnforcement;
-    EXPECT_EQ(store_.cancel_fetch(canceled, enforce),
-              model_store_.cancel_fetch(canceled, enforce));
+    EXPECT_EQ(store_.cancel_all_fetches(enforce), model_store_.cancel_all(enforce));
     std::vector<Index> victims;
     for (const Index p : store_.fast_positions()) {
       if (p >= kSinks) {
@@ -712,18 +569,10 @@ class ResidencyHarness {
     const std::set<Index> resident = model_cache_.resident();
     EXPECT_EQ(cache_.resident_tokens(),
               std::vector<Index>(resident.begin(), resident.end()));
-    EXPECT_EQ(cache_.in_flight(), model_cache_.in_flight());
-    Index flying = 0;
-    for (const auto& [cluster, tokens] : model_cache_.in_flight()) {
-      flying += static_cast<Index>(tokens.size());
-    }
-    EXPECT_EQ(cache_.in_flight_tokens(), flying);
     EXPECT_EQ(cache_.total_hits(), model_cache_.hits);
     EXPECT_EQ(cache_.total_misses(), model_cache_.misses);
-    EXPECT_EQ(cache_.total_prefetch_hits(), model_cache_.prefetch_hits);
-    EXPECT_EQ(cache_.total_prefetch_issued(), model_cache_.issued);
-    EXPECT_EQ(cache_.total_prefetch_wasted(), model_cache_.wasted);
     EXPECT_EQ(cache_.steps(), model_cache_.steps);
+    expect_window_fast_resident(cache_, store_);
 
     const Index tb = store_.token_bytes();
     const Index fast = static_cast<Index>(model_store_.fast.size());
@@ -863,9 +712,71 @@ TEST(ClusterKVEngine, InFlightBytesCountAndPreemptionCancels) {
   EXPECT_GT(after.tokens_prefetch_issued, 0);
 }
 
-// A repair rebuild between issue and completion relabels in-flight state
-// consistently across cache and store: nothing leaks, nothing strands,
-// and the reservation drains through the normal resolve path.
+Index in_flight_selected(const TieredKVStore& store, const std::vector<Index>& flying,
+                         const std::vector<Index>& selected) {
+  Index count = 0;
+  for (const Index p : flying) {
+    if (std::binary_search(selected.begin(), selected.end(), p)) {
+      EXPECT_TRUE(store.is_fast_resident(p)) << "selected in-flight token " << p;
+      ++count;
+    }
+  }
+  return count;
+}
+
+std::vector<Index> in_flight_positions(const TieredKVStore& store) {
+  std::vector<Index> flying;
+  for (Index p = 0; p < store.size(); ++p) {
+    if (store.is_in_flight(p)) {
+      flying.push_back(p);
+    }
+  }
+  return flying;
+}
+
+std::int64_t mispredicted(const TieredKVStore& store) {
+  const auto reason = static_cast<int>(obs::FetchCancelReason::kMisprediction);
+  return store.stats().tokens_prefetch_canceled_by[reason];
+}
+
+// The store is the only record of a speculative fetch, so each select()
+// resolves the previous step's speculation against it: in-flight tokens
+// the selection takes land as prefetch hits, every other in-flight fetch
+// cancels as a misprediction, and every window token stays fast-resident.
+TEST(ClusterKVEngine, SelectLandsSelectedInFlightTokensAndCancelsTheRest) {
+  const Index dim = 16;
+  ClusterKVEngine engine(dim, prefetch_engine_config(), Rng(7));
+  const auto& store = engine.tiered_store();
+  Rng data(123);
+  engine.observe_prefill(random_block(data, 96, dim), random_block(data, 96, dim));
+
+  std::int64_t hits = 0;
+  std::int64_t canceled = 0;
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto flying = in_flight_positions(store);
+    const std::int64_t canceled_before = mispredicted(store);
+    const auto sel = engine.select(random_query(data, dim), 24);
+    const Index landed = in_flight_selected(store, flying, sel.indices);
+    EXPECT_EQ(sel.tokens_prefetch_hit, landed);
+    EXPECT_EQ(mispredicted(store) - canceled_before,
+              static_cast<std::int64_t>(flying.size()) - landed);
+    expect_window_fast_resident(engine.cache(), store);
+    hits += landed;
+    canceled += static_cast<std::int64_t>(flying.size()) - landed;
+
+    const auto kv = random_query(data, dim);
+    engine.observe_decode(kv, kv);
+  }
+  // Both outcomes occurred, or the test is vacuous.
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(canceled, 0);
+}
+
+// A repair rebuild between issue and completion gives the clusters new
+// ids but leaves the position-addressed fetches alone: nothing leaks,
+// nothing strands, and the next select still lands the in-flight tokens
+// it takes as hits.
 TEST(ClusterKVEngine, RepairBetweenIssueAndCompletionKeepsInFlightConsistent) {
   const Index dim = 16;
   auto config = prefetch_engine_config();
@@ -888,47 +799,45 @@ TEST(ClusterKVEngine, RepairBetweenIssueAndCompletionKeepsInFlightConsistent) {
   const auto query = random_query(data, dim);
   engine.select(query, 24);
   const auto& store = engine.tiered_store();
-  const Index in_flight_before = store.in_flight_count();
-  ASSERT_GT(in_flight_before, 0);
+  const auto flying = in_flight_positions(store);
+  ASSERT_FALSE(flying.empty());
   const auto reserved_before = ledger.reserved_bytes();
 
   const auto outcome = engine.repair_now();
   ASSERT_TRUE(outcome.changed);
   // The rebuild moved no KV and dropped no fetches: the same tokens are in
-  // flight (relabeled), the reservation is untouched.
-  EXPECT_EQ(store.in_flight_count(), in_flight_before);
+  // flight, the reservation is untouched.
+  EXPECT_EQ(in_flight_positions(store), flying);
   EXPECT_EQ(ledger.reserved_bytes(), reserved_before);
-  EXPECT_EQ(engine.cache().in_flight_tokens(), in_flight_before);
+  expect_window_fast_resident(engine.cache(), store);
 
-  // The next select resolves every relabeled entry (hit or waste; a
-  // wasted token may be legitimately re-issued in the fresh round) and
-  // leaves cache-, store- and ledger-side in-flight state in exact
-  // agreement — a stale entry would break one of these equalities.
-  engine.select(query, 24);
-  std::vector<Index> cache_in_flight;
-  for (const auto& [cluster, tokens] : engine.cache().in_flight()) {
-    EXPECT_LT(cluster, engine.centroid_store().cluster_count())
-        << "in-flight entry under a dead cluster id";
-    cache_in_flight.insert(cache_in_flight.end(), tokens.begin(), tokens.end());
-  }
-  EXPECT_EQ(static_cast<Index>(cache_in_flight.size()), store.in_flight_count());
-  for (const Index token : cache_in_flight) {
-    EXPECT_TRUE(store.is_in_flight(token));
-  }
+  // A wider budget over the same query takes the next-ranked clusters,
+  // which are the ones the prefetcher predicted: some in-flight tokens
+  // land, the rest cancel, and cache, store and ledger stay in agreement.
+  const std::int64_t canceled_before = mispredicted(store);
+  const auto sel = engine.select(query, 48);
+  const Index landed = in_flight_selected(store, flying, sel.indices);
+  EXPECT_GT(landed, 0);
+  EXPECT_EQ(sel.tokens_prefetch_hit, landed);
+  EXPECT_EQ(mispredicted(store) - canceled_before,
+            static_cast<std::int64_t>(flying.size()) - landed);
+  expect_window_fast_resident(engine.cache(), store);
   EXPECT_EQ(ledger.reserved_bytes(), store.in_flight_bytes());
   EXPECT_EQ(ledger.bytes(), store.fast_resident_bytes());
 }
 
 // Inter-chunk selections can leave tokens fast-resident but outside the
-// cleared window after the end-of-prompt tail fold; a later prefetch must
-// not let cache- and store-side in-flight views diverge (the store is the
-// residency authority at issue time), and the fold resets the prediction
-// prior because it reassigned cluster ids.
-TEST(ClusterKVEngine, TailFoldKeepsInFlightViewsAlignedAndResetsPrior) {
+// cleared window after the end-of-prompt tail fold; later decode steps
+// must keep the window fast-resident and the ledger equal to the store,
+// and the fold resets the prediction prior because it reassigned cluster
+// ids.
+TEST(ClusterKVEngine, TailFoldKeepsWindowFastResidentAndResetsPrior) {
   const Index dim = 16;
   auto config = prefetch_engine_config();
   config.repair_refine_iterations = 0;  // isolate the fold from repair
   ClusterKVEngine engine(dim, config, Rng(31));
+  FastTierLedger ledger;
+  engine.attach_fast_tier_ledger(&ledger);
   Rng data(41);
 
   // First chunk clusters one batch; a selection *between chunks* pulls
@@ -944,17 +853,21 @@ TEST(ClusterKVEngine, TailFoldKeepsInFlightViewsAlignedAndResetsPrior) {
     EXPECT_DOUBLE_EQ(p, 0.0) << "stale prior survived the tail fold";
   }
 
-  // Decode selections issue prefetches; the in-flight views must agree
-  // even though some clustered tokens are fast-resident outside the
-  // window (residency left behind by the inter-chunk selection).
+  // Decode selections issue prefetches while some clustered tokens are
+  // fast-resident outside the window (left behind by the inter-chunk
+  // selection).
+  const auto& store = engine.tiered_store();
+  Index issued = 0;
   for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     const auto kv = random_query(data, dim);
     engine.observe_decode(kv, kv);
-    engine.select(random_query(data, dim), 12);
-    EXPECT_EQ(engine.cache().in_flight_tokens(),
-              engine.tiered_store().in_flight_count())
-        << "step " << step;
+    issued += engine.select(random_query(data, dim), 12).tokens_prefetch_issued;
+    expect_window_fast_resident(engine.cache(), store);
+    EXPECT_EQ(ledger.reserved_bytes(), store.in_flight_bytes());
+    EXPECT_EQ(ledger.bytes(), store.fast_resident_bytes());
   }
+  EXPECT_GT(issued, 0);
 }
 
 // ------------------------------------------------------- session release

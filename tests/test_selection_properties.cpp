@@ -242,7 +242,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GatherTrimFuzz, ::testing::Values(41, 42, 43, 44
 // mid-prefill and mid-fetch) — must keep the scheduler's contract at
 // every tick boundary: global footprint (resident + in-flight) within the
 // budget, the O(1) ledger in exact agreement with a re-sum over sessions
-// and stores, and attention sinks never offloaded. test_serve.cpp
+// and stores, attention sinks never offloaded, and every cluster-cache
+// window token fast-resident in its head's store. test_serve.cpp
 // spot-checks these on hand-picked schedules; this sweep searches for
 // counterexamples.
 //
@@ -381,9 +382,12 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
               EXPECT_TRUE(engine->tiered_store().is_fast_resident(s))
                   << "sink " << s << " offloaded (seed " << GetParam() << ")";
             }
-            // Cache- and store-side in-flight token counts agree.
-            EXPECT_EQ(engine->cache().in_flight_tokens(),
-                      engine->tiered_store().in_flight_count());
+            // (4) Every window token is fast-resident, so the store alone
+            // can resolve in-flight prefetches: none is ever a window hit.
+            for (const Index p : engine->cache().resident_tokens()) {
+              EXPECT_TRUE(engine->tiered_store().is_fast_resident(p))
+                  << "window token " << p << " not fast (seed " << GetParam() << ")";
+            }
           }
         }
       }

@@ -25,8 +25,18 @@ obs::kTransferTrack, below the worker range). --expect-transfer-track
 asserts that track exists with at least one event, so CI can prove an
 engine-enabled run actually modeled wire traffic.
 
+--expect-fetch-conservation checks that every speculative fetch the
+tiered stores issued was resolved exactly once: the sum of `tokens` over
+`fetch-issue` instants must equal the sum over `fetch-complete` plus all
+`fetch-cancel-*` instants (a prefetch lands or is canceled, and a run
+retires every session). It fails when the trace has no `fetch-issue`
+event (a run without prefetch proves nothing) and is skipped, with a
+note, when otherData.dropped_events > 0, since a wrapped ring has lost
+some of either side.
+
 Usage: check_trace.py <trace.json> [--min-events N]
                       [--expect-worker-tracks N] [--expect-transfer-track]
+                      [--expect-fetch-conservation]
 """
 import argparse
 import json
@@ -63,6 +73,13 @@ def main():
         help="require the transfer-engine track (tid == (1<<20)-1) to exist "
         "with at least one event",
     )
+    parser.add_argument(
+        "--expect-fetch-conservation",
+        action="store_true",
+        help="require tokens issued by fetch-issue instants to equal tokens "
+        "resolved by fetch-complete and fetch-cancel-* instants (skipped "
+        "when events were dropped)",
+    )
     args = parser.parse_args()
 
     try:
@@ -79,6 +96,9 @@ def main():
     last_ts = {}
     open_spans = {}
     checked = 0
+    fetch_issue_events = 0
+    issued_tokens = 0
+    resolved_tokens = 0
     for i, event in enumerate(events):
         phase = event.get("ph")
         if phase == "M":
@@ -96,6 +116,15 @@ def main():
             )
         last_ts[track] = ts
         checked += 1
+
+        if phase == "i":
+            name = event.get("name", "")
+            tokens = event.get("args", {}).get("tokens", 0)
+            if name == "fetch-issue":
+                fetch_issue_events += 1
+                issued_tokens += tokens
+            elif name == "fetch-complete" or name.startswith("fetch-cancel"):
+                resolved_tokens += tokens
 
         if phase == "B":
             open_spans.setdefault(track, []).append(event.get("name"))
@@ -140,10 +169,33 @@ def main():
             "did the run enable the transfer engine and carry any traffic?"
         )
 
+    conservation = ""
+    if args.expect_fetch_conservation:
+        if fetch_issue_events == 0:
+            fail(
+                "no fetch-issue events — did the run enable prefetch "
+                "(--prefetch-clusters > 0)?"
+            )
+        if dropped:
+            conservation = (
+                f"; fetch conservation skipped: {dropped} events dropped"
+            )
+        elif issued_tokens != resolved_tokens:
+            fail(
+                f"fetch conservation: {issued_tokens} tokens issued but "
+                f"{resolved_tokens} landed or canceled"
+            )
+        else:
+            conservation = (
+                f"; fetch conservation: {issued_tokens} tokens issued = "
+                "landed + canceled"
+            )
+
     print(
         f"check_trace: OK: {checked} events on {len(last_ts)} tracks "
         f"({len(worker_tracks)} worker), monotone per-track ts, balanced spans"
         + (f" (balance skipped: {dropped} dropped)" if dropped else "")
+        + conservation
     )
     return 0
 

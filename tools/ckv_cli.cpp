@@ -421,10 +421,17 @@ int run_serve(int argc, const char* const* argv) {
                                 "' (expected off|chaos)");
   }
   scheduler_config.link_gbps = link_gbps;
-  scheduler_config.fast_tier_budget_bytes = static_cast<std::int64_t>(
+  const double budget_bytes =
       args.get_double("budget-mult") *
       static_cast<double>((prompt + decode) * session_token_bytes(session_config) *
-                          session_config.shape.total_heads()));
+                          session_config.shape.total_heads());
+  // The cast below is undefined for a value int64 cannot hold.
+  if (!(budget_bytes >= -0x1p63 && budget_bytes < 0x1p63)) {
+    throw std::invalid_argument("--budget-mult " + args.get_string("budget-mult") +
+                                " gives a fast-tier budget outside the int64 "
+                                "byte range");
+  }
+  scheduler_config.fast_tier_budget_bytes = static_cast<std::int64_t>(budget_bytes);
   scheduler_config.prefill_chunk_tokens = args.get_index("prefill-chunk");
   scheduler_config.max_running = args.get_index("max-running");
   scheduler_config.parallel_tick = !args.get_switch("serial-tick");
