@@ -52,8 +52,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/full_kv.hpp"
-#include "baselines/quest.hpp"
 #include "bench_common.hpp"
 #include "core/clusterkv_engine.hpp"
 #include "obs/trace.hpp"
@@ -128,26 +126,21 @@ ServingSetup make_setup(std::uint64_t seed) {
 
 struct MethodRun {
   std::string name;
-  SelectorFactory factory;
+  ServeMethod serve;
   BatchSchedulerConfig scheduler;
 };
 
 std::vector<MethodRun> serving_methods(const ServingSetup& setup,
                                        bool clusterkv_only = false) {
   std::vector<MethodRun> methods;
+  const auto clusterkv = [&](const ClusterKVConfig& config) {
+    return ServeMethod{LatencyModel::Method::kClusterKV, config, setup.seed};
+  };
 
   BatchSchedulerConfig ckv_config;
-  ckv_config.method = LatencyModel::Method::kClusterKV;
-  ckv_config.tiered_residency = true;
-  ckv_config.sink_tokens = setup.clusterkv.sink_tokens;
-  ckv_config.decode_interval = setup.clusterkv.decode_interval;
-  ckv_config.cache_depth = setup.clusterkv.cache_depth;
-  ckv_config.tokens_per_cluster = setup.clusterkv.tokens_per_cluster;
   ckv_config.admission_overcommit = 1.5;
   ckv_config.fast_tier_budget_bytes = setup.fast_budget_bytes;
   ckv_config.prefill_chunk_tokens = 256;  // ~3-7 chunks per long prompt
-  ckv_config.repair_refine_iterations = setup.clusterkv.repair_refine_iterations;
-  ckv_config.repair_decode_interval = setup.clusterkv.repair_decode_interval;
   ckv_config.link_gbps = setup.link_gbps;
 
   // Serving default: repair + async cluster prefetch. Same engine seed
@@ -157,49 +150,33 @@ std::vector<MethodRun> serving_methods(const ServingSetup& setup,
   prefetch_ckv.prefetch_clusters = kPrefetchClusters;
   prefetch_ckv.prefetch_prior_weight = kPrefetchPriorWeight;
   prefetch_ckv.prefetch_prior_decay = kPrefetchPriorDecay;
-  BatchSchedulerConfig prefetch_config = ckv_config;
-  prefetch_config.prefetch_clusters = kPrefetchClusters;
-  methods.push_back({"ClusterKV (prefetch)",
-                     make_clusterkv_factory(prefetch_ckv, setup.seed),
-                     prefetch_config});
+  methods.push_back({"ClusterKV (prefetch)", clusterkv(prefetch_ckv), ckv_config});
 
-  methods.push_back({"ClusterKV (repair)",
-                     make_clusterkv_factory(setup.clusterkv, setup.seed),
-                     ckv_config});
+  methods.push_back({"ClusterKV (repair)", clusterkv(setup.clusterkv), ckv_config});
 
   // Repair off: the chunk-local clustering recall regression, isolated.
   ClusterKVConfig no_repair = setup.clusterkv;
   no_repair.repair_refine_iterations = 0;
-  BatchSchedulerConfig chunked_config = ckv_config;
-  chunked_config.repair_refine_iterations = 0;
-  chunked_config.repair_decode_interval = 0;
-  methods.push_back({"ClusterKV (chunked)",
-                     make_clusterkv_factory(no_repair, setup.seed),
-                     chunked_config});
+  methods.push_back({"ClusterKV (chunked)", clusterkv(no_repair), ckv_config});
 
   // Same method, inline (whole-prompt-per-tick) prefill: isolates what
   // chunking buys — queued/running sessions stop paying a full foreign
   // prefill per admission, so tail TTFT drops at equal throughput. One
   // clustering batch per prompt also makes repair a no-op, so this row is
   // the one-shot recall ceiling.
-  BatchSchedulerConfig inline_config = chunked_config;
+  BatchSchedulerConfig inline_config = ckv_config;
   inline_config.prefill_chunk_tokens = 0;
-  methods.push_back({"ClusterKV (inline)",
-                     make_clusterkv_factory(no_repair, setup.seed),
-                     inline_config});
+  methods.push_back({"ClusterKV (inline)", clusterkv(no_repair), inline_config});
   if (clusterkv_only) {
     return methods;
   }
 
-  BatchSchedulerConfig quest_config;
-  quest_config.method = LatencyModel::Method::kQuest;
-  quest_config.fast_tier_budget_bytes = setup.fast_budget_bytes;
-  methods.push_back({"Quest", make_quest_factory(bench::paper_quest()), quest_config});
-
-  BatchSchedulerConfig full_config;
-  full_config.method = LatencyModel::Method::kFullKV;
-  full_config.fast_tier_budget_bytes = setup.fast_budget_bytes;
-  methods.push_back({"Full KV", make_full_kv_factory(), full_config});
+  BatchSchedulerConfig baseline_config;
+  baseline_config.fast_tier_budget_bytes = setup.fast_budget_bytes;
+  methods.push_back(
+      {"Quest", ServeMethod{LatencyModel::Method::kQuest, {}, 0}, baseline_config});
+  methods.push_back(
+      {"Full KV", ServeMethod{LatencyModel::Method::kFullKV, {}, 0}, baseline_config});
   return methods;
 }
 
@@ -252,7 +229,7 @@ int check_recall(const ServingSetup& setup, const LatencyModel& latency) {
   double chunked_recall = 0.0;
   double chunked_tps = 0.0;
   for (const auto& method : serving_methods(setup, /*clusterkv_only=*/true)) {
-    BatchScheduler scheduler(trace, method.factory, setup.session, latency,
+    BatchScheduler scheduler(trace, method.serve, setup.session, latency,
                              method.scheduler);
     scheduler.run();
     const auto& m = scheduler.metrics();
@@ -322,7 +299,7 @@ int check_prefetch(const ServingSetup& base_setup, const LatencyModel& latency) 
     if (method.name != "ClusterKV (prefetch)" && method.name != "ClusterKV (repair)") {
       continue;
     }
-    BatchScheduler scheduler(trace, method.factory, setup.session, latency,
+    BatchScheduler scheduler(trace, method.serve, setup.session, latency,
                              method.scheduler);
     scheduler.run();
     const auto& m = scheduler.metrics();
@@ -449,7 +426,7 @@ int check_transfer(const ServingSetup& setup, const LatencyModel& latency) {
   const auto run = [&](const TraceConfig& tc, double link_gbps) {
     BatchSchedulerConfig config = prefetch->scheduler;
     config.link_gbps = link_gbps;
-    BatchScheduler scheduler(make_poisson_trace(tc, setup.seed), prefetch->factory,
+    BatchScheduler scheduler(make_poisson_trace(tc, setup.seed), prefetch->serve,
                              setup.session, latency, config);
     scheduler.run();
     struct Out {
@@ -590,7 +567,7 @@ FaultRow run_fault_cell(const ServingSetup& setup, const LatencyModel& latency,
   BatchSchedulerConfig config = prefetch->scheduler;
   config.fault_plan = plan;
   BatchScheduler scheduler(make_poisson_trace(trace_config, setup.seed),
-                           prefetch->factory, setup.session, latency, config);
+                           prefetch->serve, setup.session, latency, config);
   scheduler.run();
   return make_fault_row(load, scheduler.metrics(), fault_free_tps);
 }
@@ -956,7 +933,7 @@ int main(int argc, char** argv) {
         if (traced) {
           obs::tracer().enable();
         }
-        BatchScheduler scheduler(trace, method.factory, setup.session, latency,
+        BatchScheduler scheduler(trace, method.serve, setup.session, latency,
                                  method.scheduler);
         scheduler.run();
         if (traced) {
@@ -1041,7 +1018,7 @@ int main(int argc, char** argv) {
     for (const double gbps : {2.5, 5.0, 10.0, 25.0}) {
       BatchSchedulerConfig config = prefetch->scheduler;
       config.link_gbps = gbps;
-      BatchScheduler scheduler(trace, prefetch->factory, setup.session, latency, config);
+      BatchScheduler scheduler(trace, prefetch->serve, setup.session, latency, config);
       scheduler.run();
       ServingRow row = make_serving_row(prefetch->name, gbps, scheduler.metrics());
       sweep_table.add_row({format_double(gbps, 1), format_double(row.tps, 1),

@@ -4,7 +4,9 @@
 // This example walks the serving API end to end:
 //   1. generate a Poisson trace of requests (arrival times, prompt and
 //      generation lengths),
-//   2. build a BatchScheduler with a constrained global fast-tier budget,
+//   2. state the serving method once — ClusterKV, its knobs and the
+//      k-means seed — and build a BatchScheduler over it with a
+//      constrained global fast-tier budget,
 //   3. tick it manually and watch sessions move through their lifecycle
 //      (queued -> prefilling -> decoding -> finished) while the scheduler
 //      arbitrates HBM residency across them,
@@ -46,14 +48,14 @@ int main() {
   ckv.tokens_per_cluster = 20;
   ckv.decode_interval = 16;
   ckv.decode_clusters = 2;
+  // One value states the method: every session's engines are built from
+  // it, and the scheduler reads the same knobs for its admission floors
+  // and its virtual-clock bills (cross-chunk cluster repair runs inside
+  // the engines by default, and its cost lands on the clock at the final
+  // prefill chunk).
+  const ServeMethod method{LatencyModel::Method::kClusterKV, ckv, 2025};
 
   BatchSchedulerConfig scheduler_config;
-  scheduler_config.method = LatencyModel::Method::kClusterKV;
-  scheduler_config.tiered_residency = true;
-  scheduler_config.sink_tokens = ckv.sink_tokens;
-  scheduler_config.decode_interval = ckv.decode_interval;
-  scheduler_config.cache_depth = ckv.cache_depth;
-  scheduler_config.tokens_per_cluster = ckv.tokens_per_cluster;
   // Budget: ~3 ClusterKV working sets — the whole fleet could never pin
   // its full contexts (8 x ~500 tokens), recallable compression is what
   // makes the batch fit.
@@ -69,15 +71,9 @@ int main() {
   scheduler_config.admission_overcommit = 1.5;
   scheduler_config.prefill_chunk_tokens = 128;
   scheduler_config.max_running = 0;  // unlimited; the byte budget gates
-  // Cross-chunk cluster repair runs inside the engines by default (the
-  // ClusterKVConfig repair_* knobs); the scheduler mirror makes its cost
-  // land on the virtual clock at the final prefill chunk.
-  scheduler_config.repair_refine_iterations = ckv.repair_refine_iterations;
-  scheduler_config.repair_decode_interval = ckv.repair_decode_interval;
 
   const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
-  BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 2025),
-                           session_config, latency, scheduler_config);
+  BatchScheduler scheduler(trace, method, session_config, latency, scheduler_config);
 
   // 3. Tick manually to watch the runtime arbitrate. Prefilling sessions
   //    consume one 128-token chunk per tick while decoding sessions keep

@@ -1,20 +1,11 @@
 #include "core/cluster_cache.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace ckv {
 
 ClusterCache::ClusterCache(Index depth) : depth_(depth) {
   expects(depth >= 0, "ClusterCache: depth must be non-negative");
-}
-
-void ClusterCache::count_entry(const Selection& entry, std::int32_t delta) noexcept {
-  for (const auto& [cluster, tokens] : entry) {
-    for (const Index token : tokens) {
-      window_count_[static_cast<std::size_t>(token)] += delta;
-    }
-  }
 }
 
 std::vector<Index> ClusterCache::resident_tokens() const {
@@ -27,43 +18,39 @@ std::vector<Index> ClusterCache::resident_tokens() const {
   return resident;
 }
 
-ClusterCache::StepResult ClusterCache::step(const Selection& selected) {
+ClusterCache::StepResult ClusterCache::step(std::span<const Index> selected) {
   Index end = 0;
-  for (const auto& [cluster, tokens] : selected) {
-    for (const Index token : tokens) {
-      expects(token >= 0, "ClusterCache::step: negative token position");
-      end = std::max(end, token + 1);
-    }
+  for (const Index token : selected) {
+    expects(token >= 0, "ClusterCache::step: negative token position");
+    end = std::max(end, token + 1);
   }
   if (end > static_cast<Index>(window_count_.size())) {
     window_count_.resize(static_cast<std::size_t>(end), 0);
   }
 
   StepResult result;
-  for (const auto& [cluster, tokens] : selected) {
-    for (const Index token : tokens) {
-      if (window_count_[static_cast<std::size_t>(token)] > 0) {
-        ++result.hits;
-      } else {
-        ++result.misses;
-        result.missing_tokens.push_back(token);
-      }
+  for (const Index token : selected) {
+    if (window_count_[static_cast<std::size_t>(token)] > 0) {
+      ++result.hits;
+    } else {
+      ++result.misses;
+      result.missing_tokens.push_back(token);
     }
   }
 
   // Depth 0 caches nothing: the entry would leave the window in the step
   // that pushed it, so it is never counted and nothing is evicted.
   if (depth_ > 0) {
-    window_.push_front(selected);
-    count_entry(window_.front(), 1);
+    window_.emplace_front(selected.begin(), selected.end());
+    for (const Index token : selected) {
+      ++window_count_[static_cast<std::size_t>(token)];
+    }
     while (static_cast<Index>(window_.size()) > depth_) {
       // Only the leaving entry can evict: a position whose last reference
       // it held drops out of the window.
-      for (const auto& [cluster, tokens] : window_.back()) {
-        for (const Index token : tokens) {
-          if (--window_count_[static_cast<std::size_t>(token)] == 0) {
-            result.evicted_tokens.push_back(token);
-          }
+      for (const Index token : window_.back()) {
+        if (--window_count_[static_cast<std::size_t>(token)] == 0) {
+          result.evicted_tokens.push_back(token);
         }
       }
       window_.pop_back();
@@ -82,45 +69,12 @@ ClusterCache::StepResult ClusterCache::step(const Selection& selected) {
 }
 
 void ClusterCache::clear_window() noexcept {
-  for (const Selection& entry : window_) {
-    for (const auto& [cluster, tokens] : entry) {
-      for (const Index token : tokens) {
-        window_count_[static_cast<std::size_t>(token)] = 0;
-      }
+  for (const std::vector<Index>& entry : window_) {
+    for (const Index token : entry) {
+      window_count_[static_cast<std::size_t>(token)] = 0;
     }
   }
   window_.clear();
-}
-
-void ClusterCache::remap_window(std::span<const Index> token_to_cluster) {
-  // Relabel everything before touching any state, so a token without a
-  // cluster leaves the cache unchanged.
-  std::deque<Selection> window;
-  for (const Selection& entry : window_) {
-    std::map<Index, std::vector<Index>> regrouped;
-    for (const auto& [cluster, tokens] : entry) {
-      for (const Index token : tokens) {
-        expects(token >= 0 && token < static_cast<Index>(token_to_cluster.size()) &&
-                    token_to_cluster[static_cast<std::size_t>(token)] >= 0,
-                "ClusterCache::remap_window: cached token lost its cluster");
-        regrouped[token_to_cluster[static_cast<std::size_t>(token)]].push_back(token);
-      }
-    }
-    for (auto& [cluster, tokens] : regrouped) {
-      std::sort(tokens.begin(), tokens.end());
-      tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    }
-    window.emplace_back(regrouped.begin(), regrouped.end());
-  }
-  // Regrouping drops repeats within an entry, so the reference counts are
-  // rebuilt; the set of resident positions is unchanged.
-  for (const Selection& entry : window_) {
-    count_entry(entry, -1);
-  }
-  window_ = std::move(window);
-  for (const Selection& entry : window_) {
-    count_entry(entry, 1);
-  }
 }
 
 double ClusterCache::hit_rate() const noexcept {

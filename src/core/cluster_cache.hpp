@@ -1,10 +1,11 @@
 // Cluster-granularity cache of selected KV (§IV-D). The fast tier retains
-// the tokens selected during the last R decoding steps, keyed by cluster
-// label; at each step, only tokens of clusters absent from the window are
-// fetched from the slow tier. The cache holds only that window: where a
-// token's KV lives (slow, fast, or on the link under a speculative fetch)
-// is TieredKVStore's record, and the engine resolves a step's misses
-// against it.
+// the tokens selected during the last R decoding steps; at each step, only
+// selected tokens absent from that window are fetched from the slow tier.
+// Selection takes whole clusters, but the window stores positions only, so
+// a repair rebuild that renumbers clusters leaves it untouched. The cache
+// holds just the window: where a token's KV lives (slow, fast, or on the
+// link under a speculative fetch) is TieredKVStore's record, and the
+// engine resolves a step's misses against it.
 //
 // Residency is indexed by token position: beside the window's step entries
 // the cache keeps, per position, a count of the window entries' references
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -27,10 +27,6 @@ namespace ckv {
 
 class ClusterCache {
  public:
-  /// One step's selection: each chosen cluster with the token positions
-  /// taken from it.
-  using Selection = std::vector<std::pair<Index, std::vector<Index>>>;
-
   /// depth = R (0 disables caching: every selected token misses).
   explicit ClusterCache(Index depth);
 
@@ -43,13 +39,13 @@ class ClusterCache {
     Index misses = 0;  ///< selected tokens outside the window
   };
 
-  /// Processes one decoding step's selection: `selected` lists each chosen
-  /// cluster with the token positions taken from it (trimmed last cluster
-  /// included as its partial list). Returns the hit/miss breakdown and
-  /// updates the window. A token repeated within the selection counts once
-  /// per occurrence. Throws std::invalid_argument (leaving the cache
-  /// unchanged) for a negative token position.
-  StepResult step(const Selection& selected);
+  /// Processes one decoding step's selection: `selected` lists the token
+  /// positions taken from every chosen cluster (the trimmed last cluster's
+  /// partial list included). Returns the hit/miss breakdown and updates the
+  /// window. A token repeated within the selection counts once per
+  /// occurrence. Throws std::invalid_argument (leaving the cache unchanged)
+  /// for a negative token position.
+  StepResult step(std::span<const Index> selected);
 
   [[nodiscard]] Index depth() const noexcept { return depth_; }
 
@@ -72,21 +68,10 @@ class ClusterCache {
   /// (preemption): the next step then misses and refetches honestly.
   void clear_window() noexcept;
 
-  /// Relabels the window after a cluster-repair rebuild: every cached
-  /// token keeps its residency (the resident token set is unchanged, so
-  /// repair never moves KV) but is regrouped under the cluster that
-  /// `token_to_cluster[position]` now assigns it. Every window token must
-  /// map to a valid cluster — repair rebuilds all clustered tokens and
-  /// sinks/pending never enter the window; otherwise throws
-  /// std::invalid_argument with the cache unchanged. Counters untouched.
-  void remap_window(std::span<const Index> token_to_cluster);
-
  private:
-  /// Adds `delta` to window_count_ for every token reference in `entry`.
-  void count_entry(const Selection& entry, std::int32_t delta) noexcept;
-
   Index depth_;
-  std::deque<Selection> window_;  ///< newest step first, at most depth_ long
+  /// Each step's selected positions, newest first, at most depth_ long.
+  std::deque<std::vector<Index>> window_;
   /// Per position: references to it across window_ entries (resident iff
   /// nonzero); a token repeated within an entry counts once per repeat.
   std::vector<std::int32_t> window_count_;

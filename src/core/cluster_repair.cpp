@@ -73,7 +73,7 @@ Matrix group_seeds(const CentroidStore& store, std::span<const Index> members,
 
 RepairOutcome repair_clusters(CentroidStore& store, const Matrix& keys,
                               std::span<const Index> batch_first_cluster,
-                              Index position_offset, ClusterCache* cache,
+                              Index position_offset,
                               const ClusterRepairConfig& config) {
   expects(config.refine_iterations >= 1,
           "repair_clusters: refine_iterations must be >= 1");
@@ -192,17 +192,6 @@ RepairOutcome repair_clusters(CentroidStore& store, const Matrix& keys,
   store.rebuild(new_centroids, new_labels, position_offset);
   out.clusters_after = store.cluster_count();
   out.changed = true;
-
-  if (cache != nullptr) {
-    // The window caches (cluster, tokens) pairs; token positions — and so
-    // residency — are stable across the rebuild, only the labels move.
-    std::vector<Index> token_to_cluster(
-        static_cast<std::size_t>(position_offset + token_count), -1);
-    for (std::size_t i = 0; i < new_labels.size(); ++i) {
-      token_to_cluster[static_cast<std::size_t>(position_offset) + i] = new_labels[i];
-    }
-    cache->remap_window(token_to_cluster);
-  }
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include <span>
 
 #include "core/centroid_store.hpp"
-#include "core/cluster_cache.hpp"
 #include "core/distance.hpp"
 #include "tensor/matrix.hpp"
 #include "util/common.hpp"
@@ -55,12 +54,10 @@ struct RepairOutcome {
 /// [position_offset, position_offset + store.token_count()).
 /// `batch_first_cluster` holds the first cluster id of each clustering
 /// batch in registration order (batches define chunk adjacency; fewer than
-/// two batches makes the pass a no-op). When `cache` is non-null its
-/// window is relabeled onto the rebuilt cluster ids — the cached token set
-/// (and therefore fast-tier residency) is never altered.
+/// two batches makes the pass a no-op).
 RepairOutcome repair_clusters(CentroidStore& store, const Matrix& keys,
                               std::span<const Index> batch_first_cluster,
-                              Index position_offset, ClusterCache* cache,
+                              Index position_offset,
                               const ClusterRepairConfig& config);
 
 }  // namespace ckv

@@ -10,6 +10,54 @@
 
 namespace ckv {
 
+void ClusterKVConfig::validate() const {
+  expects(sink_tokens >= 0, "ClusterKVConfig: sink_tokens must be >= 0");
+  expects(tokens_per_cluster > 0, "ClusterKVConfig: tokens_per_cluster must be > 0");
+  expects(decode_interval > 0, "ClusterKVConfig: decode_interval must be > 0");
+  expects(decode_clusters > 0, "ClusterKVConfig: decode_clusters must be > 0");
+  expects(cache_depth >= 0, "ClusterKVConfig: cache_depth must be >= 0");
+  // A NaN threshold fails every similarity comparison: repair would
+  // silently never merge.
+  expects(std::isfinite(repair_merge_threshold),
+          "ClusterKVConfig: repair_merge_threshold must be finite");
+  expects(repair_refine_iterations >= 0,
+          "ClusterKVConfig: repair_refine_iterations must be >= 0");
+  expects(repair_decode_interval >= 0,
+          "ClusterKVConfig: repair_decode_interval must be >= 0");
+  expects(prefetch_clusters >= 0, "ClusterKVConfig: prefetch_clusters must be >= 0");
+}
+
+PrefillFlush prefill_flush(const ClusterKVConfig& config, Index pending,
+                           bool last_chunk, bool has_batch) noexcept {
+  if (pending == 0 || (!last_chunk && pending < config.tokens_per_cluster)) {
+    return PrefillFlush::kWait;
+  }
+  return last_chunk && pending < config.tokens_per_cluster && has_batch
+             ? PrefillFlush::kFoldTail
+             : PrefillFlush::kFlush;
+}
+
+PrefillFlushPlan prefill_flush_plan(const ClusterKVConfig& config, Index prompt_len,
+                                    Index chunk_tokens) {
+  PrefillFlushPlan plan;
+  const Index chunk = chunk_tokens > 0 ? chunk_tokens : prompt_len;
+  Index pending = 0;
+  for (Index done = 0; done < prompt_len;) {
+    const Index end = std::min<Index>(done + chunk, prompt_len);
+    // Sinks never pend: the sink prefix spans [0, min(sink_tokens, end)).
+    pending += end - std::max<Index>(done, std::min<Index>(config.sink_tokens, end));
+    done = end;
+    const PrefillFlush flush =
+        prefill_flush(config, pending, done == prompt_len, plan.batches > 0);
+    if (flush != PrefillFlush::kWait) {
+      plan.batches += flush == PrefillFlush::kFlush ? 1 : 0;
+      plan.tail_folds |= flush == PrefillFlush::kFoldTail;
+      pending = 0;
+    }
+  }
+  return plan;
+}
+
 ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
                                  Rng rng)
     : config_(config),
@@ -20,13 +68,7 @@ ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
       prefetcher_(ClusterPrefetchConfig{config.prefetch_clusters,
                                         config.prefetch_prior_weight,
                                         config.prefetch_prior_decay}) {
-  expects(config.sink_tokens >= 0, "ClusterKVEngine: sink_tokens must be >= 0");
-  expects(config.decode_interval > 0, "ClusterKVEngine: decode_interval must be > 0");
-  expects(config.decode_clusters > 0, "ClusterKVEngine: decode_clusters must be > 0");
-  // A NaN threshold fails every similarity comparison: repair would
-  // silently never merge.
-  expects(std::isfinite(config.repair_merge_threshold),
-          "ClusterKVEngine: repair_merge_threshold must be finite");
+  config.validate();
 }
 
 void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count) {
@@ -69,7 +111,7 @@ RepairOutcome ClusterKVEngine::repair_now() {
     batch_firsts.push_back(batch.first_cluster);
   }
   const auto outcome = repair_clusters(centroids_, tiered_.store().keys(),
-                                       batch_firsts, sink_count_, &cache_, repair);
+                                       batch_firsts, sink_count_, repair);
   repair_flops_ += outcome.scoring_flops + outcome.refine_flops;
   obs::tracer().instant(
       outcome.changed ? "repair-pass" : "repair-noop",
@@ -115,9 +157,14 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
   for (Index p = std::max<Index>(begin, sink_count_); p < end; ++p) {
     pending_positions_.push_back(p);
   }
-  const Index pending = pending_count();
-  if (pending > 0 && (last_chunk || pending >= config_.tokens_per_cluster)) {
-    if (last_chunk && pending < config_.tokens_per_cluster && !batches_.empty()) {
+  switch (prefill_flush(config_, pending_count(), last_chunk, !batches_.empty())) {
+    case PrefillFlush::kWait:
+      break;
+    case PrefillFlush::kFlush:
+      flush_pending_clusters(
+          default_cluster_count(pending_count(), config_.tokens_per_cluster));
+      break;
+    case PrefillFlush::kFoldTail: {
       // End-of-prompt tail fold: a remainder shorter than a clustering
       // window would become a degenerate tail cluster that repair then has
       // to clean up. Re-cluster the preceding batch together with the tail
@@ -126,10 +173,10 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
       const ClusterBatch tail_into = batches_.back();
       centroids_.truncate(tail_into.first_cluster);
       batches_.pop_back();
-      // Selections between chunks may have cached the popped cluster ids;
-      // forgetting the window (and any prefetches issued against those
-      // ids) keeps it honest (prefill-time windows are empty in serving,
-      // where selection starts after the final chunk). The dropped
+      // The joint pass offloads the batch's tokens again, so a window (and
+      // any prefetches) built by selections between chunks would no longer
+      // match the store: forget both (prefill-time windows are empty in
+      // serving, where selection starts after the final chunk). The dropped
       // speculation is a misprediction: the rebuild made it obsolete, no
       // budget pressure was involved.
       cancel_prefetches(obs::FetchCancelReason::kMisprediction);
@@ -143,9 +190,7 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
       // tail_into.first_cluster on; a prior warmed by inter-chunk
       // selections would now boost unrelated clusters.
       prefetcher_.on_rebuild(centroids_.cluster_count());
-    } else {
-      flush_pending_clusters(
-          default_cluster_count(pending, config_.tokens_per_cluster));
+      break;
     }
   }
   if (last_chunk && repair_enabled()) {
@@ -267,7 +312,7 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
     // misprediction and cancels. Only the remaining demand misses stall
     // this step. Window tokens are always fast-resident, so no in-flight
     // token can be a window hit.
-    const auto cache_step = cache_.step(indexed.per_cluster);
+    const auto cache_step = cache_.step(indexed.token_positions);
     const Index landed = tiered_.complete_fetch(cache_step.missing_tokens);
     tiered_.cancel_all_fetches(obs::FetchCancelReason::kMisprediction);
     tiered_.ensure_resident(cache_step.missing_tokens);

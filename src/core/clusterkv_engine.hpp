@@ -4,6 +4,7 @@
 // decode step, and the R-step cluster cache over a tiered KV store.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -64,7 +65,31 @@ struct ClusterKVConfig {
   double prefetch_prior_weight = 0.5;
   /// Per-step EMA decay of the prior.
   double prefetch_prior_decay = 0.5;
+
+  /// Range-checks the knobs; throws std::invalid_argument naming the
+  /// offending field. The engine constructor and the serving scheduler
+  /// both call it, so a serving run rejects a bad knob for every method.
+  void validate() const;
 };
+
+/// What chunked prefill does with its pending prompt tokens once a chunk
+/// lands: they cluster when tokens_per_cluster of them are buffered or the
+/// prompt ends, and an end-of-prompt tail shorter than that folds into the
+/// preceding batch when there is one.
+enum class PrefillFlush : std::uint8_t { kWait, kFlush, kFoldTail };
+[[nodiscard]] PrefillFlush prefill_flush(const ClusterKVConfig& config, Index pending,
+                                         bool last_chunk, bool has_batch) noexcept;
+
+/// The clustering batches a prompt registers when prefilled in
+/// `chunk_tokens`-token chunks (0 = one whole-prompt chunk): the engine's
+/// prefill_flush decisions replayed over token counts alone. The serving
+/// scheduler bills the post-prefill repair pass and the tail fold from it.
+struct PrefillFlushPlan {
+  Index batches = 0;        ///< clustering batches registered by prefill
+  bool tail_folds = false;  ///< final tail re-clusters with the last batch
+};
+[[nodiscard]] PrefillFlushPlan prefill_flush_plan(const ClusterKVConfig& config,
+                                                  Index prompt_len, Index chunk_tokens);
 
 class ClusterKVEngine : public KVSelector {
  public:
@@ -79,14 +104,14 @@ class ClusterKVEngine : public KVSelector {
   /// Incremental prefill: appends one prompt slice, extends the sink
   /// prefix while the context is still all-sink, and accumulates the rest
   /// as pending tokens that cluster at prompt granularity whenever at
-  /// least tokens_per_cluster of them are buffered (the last chunk flushes
-  /// the remainder, so decode starts fully clustered). Chunk boundaries
-  /// are scheduler artifacts and never force undersized clusters: an
-  /// end-of-prompt tail shorter than tokens_per_cluster folds into the
-  /// preceding batch's clustering window instead of becoming a degenerate
-  /// cluster of its own, and when repair is enabled the final chunk runs
-  /// one cross-chunk repair pass. The fixed_cluster_count ablation knob
-  /// applies only to the whole-prompt observe_prefill path.
+  /// least tokens_per_cluster of them are buffered (prefill_flush; the
+  /// last chunk flushes the remainder, so decode starts fully clustered).
+  /// Chunk boundaries are scheduler artifacts and never force undersized
+  /// clusters: an end-of-prompt tail shorter than tokens_per_cluster folds
+  /// into the preceding batch's clustering window instead of becoming a
+  /// degenerate cluster of its own, and when repair is enabled the final
+  /// chunk runs one cross-chunk repair pass. The fixed_cluster_count
+  /// ablation knob applies only to the whole-prompt observe_prefill path.
   void observe_prefill_chunk(const Matrix& keys, const Matrix& values,
                              bool last_chunk) override;
 

@@ -17,16 +17,63 @@ std::int64_t session_track(const Session& session) noexcept {
   return 1 + session.request().id;
 }
 
+/// The ServeMethod the SelectorFactory constructor's mirror fields state.
+/// The factory's own element width is not visible here, so the session's
+/// stands in; a factory at another width is caught by the tiered-ledger
+/// check once a session finishes prefill.
+ServeMethod mirrored_method(const BatchSchedulerConfig& config,
+                            const SessionConfig& session) {
+  const bool clusterkv = config.method == LatencyModel::Method::kClusterKV;
+  expects(config.tiered_residency == clusterkv,
+          "BatchScheduler: tiered_residency must be set exactly when method is "
+          "kClusterKV (the only method with a tiered store)");
+  expects(clusterkv || !config.use_transfer_engine,
+          "BatchScheduler: use_transfer_engine requires method kClusterKV "
+          "(the transfer engine models ClusterKV's slow->fast fetch traffic)");
+  ServeMethod method{config.method, ClusterKVConfig{}, 0};
+  method.clusterkv.sink_tokens = config.sink_tokens;
+  method.clusterkv.decode_interval = config.decode_interval;
+  method.clusterkv.cache_depth = config.cache_depth;
+  method.clusterkv.tokens_per_cluster = config.tokens_per_cluster;
+  method.clusterkv.repair_refine_iterations = config.repair_refine_iterations;
+  method.clusterkv.repair_decode_interval = config.repair_decode_interval;
+  method.clusterkv.prefetch_clusters = config.prefetch_clusters;
+  method.clusterkv.element_bytes = session.element_bytes;
+  return method;
+}
+
 }  // namespace
+
+BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
+                               SessionConfig session_config, LatencyModel latency,
+                               BatchSchedulerConfig config)
+    : BatchScheduler(std::move(trace), method, method.factory(), session_config,
+                     std::move(latency), config) {}
 
 BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
                                SelectorFactory factory,
                                SessionConfig session_config, LatencyModel latency,
                                BatchSchedulerConfig config)
-    : factory_(std::move(factory)),
+    : BatchScheduler(std::move(trace), mirrored_method(config, session_config),
+                     std::move(factory), session_config, std::move(latency),
+                     config) {}
+
+BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
+                               SelectorFactory factory,
+                               SessionConfig session_config, LatencyModel latency,
+                               BatchSchedulerConfig config)
+    : method_(method),
+      factory_(std::move(factory)),
       session_config_(session_config),
       latency_(std::move(latency)),
       config_(config) {
+  method_.validate();
+  // The tiered stores feed the ledger at the engine's width while the
+  // admission and enforcement byte math uses the session's.
+  expects(!method_.tiered() ||
+              method_.clusterkv.element_bytes == session_config_.element_bytes,
+          "BatchScheduler: ClusterKVConfig::element_bytes must equal "
+          "SessionConfig::element_bytes");
   expects(config.fast_tier_budget_bytes >= 0,
           "BatchScheduler: budget must be >= 0");
   expects(config.prefill_chunk_tokens >= 0,
@@ -35,45 +82,24 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
   expects(config.max_running >= 0, "BatchScheduler: max_running must be >= 0");
   expects(config.admission_overcommit >= 1.0,
           "BatchScheduler: admission_overcommit must be >= 1");
-  expects(config.tiered_residency || config.admission_overcommit == 1.0,
+  expects(method_.tiered() || config.admission_overcommit == 1.0,
           "BatchScheduler: overcommit requires tiered residency (untiered "
           "sessions cannot be preempted back under budget)");
-  expects(config.tiered_residency || config.prefetch_clusters == 0,
-          "BatchScheduler: prefetch requires tiered residency (the untiered "
-          "residency sum cannot see in-flight reserved bytes, so the budget "
-          "invariant would not cover transfers on the wire)");
   expects(config.link_gbps >= 0.0,
           "BatchScheduler: link_gbps must be >= 0 (0 = hardware gather rate)");
-  // Engine mirrors: a negative one would shrink the admission floors and
-  // the growth bound that proves a fan-out wave order-free.
-  expects(config.sink_tokens >= 0, "BatchScheduler: sink_tokens must be >= 0");
-  expects(config.cache_depth >= 0, "BatchScheduler: cache_depth must be >= 0");
-  expects(config.repair_refine_iterations >= 0,
-          "BatchScheduler: repair_refine_iterations must be >= 0");
-  expects(config.repair_decode_interval >= 0,
-          "BatchScheduler: repair_decode_interval must be >= 0");
-  expects(config.prefetch_clusters >= 0, "BatchScheduler: prefetch_clusters must be >= 0");
-  expects(config.decode_interval > 0 && config.tokens_per_cluster > 0,
-          "BatchScheduler: decode_interval and tokens_per_cluster must be > 0");
-  const bool clusterkv = config.method == LatencyModel::Method::kClusterKV;
-  expects(clusterkv || !config.use_transfer_engine,
-          "BatchScheduler: use_transfer_engine requires method kClusterKV "
-          "(the transfer engine models ClusterKV's slow->fast fetch traffic)");
-  expects(clusterkv || config.link_gbps == 0.0,
+  expects(method_.tiered() || config.link_gbps == 0.0,
           "BatchScheduler: link_gbps requires method kClusterKV (no other "
           "method has a modeled slow->fast wire)");
-  if (clusterkv) {
+  if (method_.tiered()) {
     transfer_link_gbps_ = config_.link_gbps > 0.0 ? config_.link_gbps
                                                   : latency_.link_gather_gbps();
     transfer_engine_ = std::make_unique<TransferEngine>(transfer_link_gbps_);
   }
   if (config_.fault_plan.enabled) {
     config_.fault_plan.validate();
-    expects(config_.method == LatencyModel::Method::kClusterKV &&
-                config_.tiered_residency,
-            "BatchScheduler: fault injection requires kClusterKV with "
-            "tiered_residency (graceful degradation falls back to "
-            "resident-only cluster selection)");
+    expects(method_.tiered(),
+            "BatchScheduler: fault injection requires kClusterKV (graceful "
+            "degradation falls back to resident-only cluster selection)");
     fault_injector_ = std::make_unique<FaultInjector>(config_.fault_plan);
     if (config_.fault_plan.wire_failure_rate > 0.0) {
       transfer_engine_->set_fault_hook(
@@ -99,18 +125,19 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
 std::int64_t BatchScheduler::projected_bytes(const ServeRequest& request) const {
   const Index context = request.prompt_len + request.decode_len;
   Index tokens = context;
-  if (config_.tiered_residency) {
+  if (method_.tiered()) {
     // Working-set peak of a tiered session between ticks: sinks + the
     // larger of the decode-phase set (one decode interval of pending
     // tokens + the cache window of R steps x at most `budget` selected
     // tokens) and the prefill-phase pending buffer (chunked prefill
     // flushes clusters every tokens_per_cluster tokens). The whole context
     // caps it for short requests.
+    const ClusterKVConfig& ckv = method_.clusterkv;
     const Index floor_tokens =
-        config_.sink_tokens +
-        std::max<Index>(config_.tokens_per_cluster,
-                        config_.decode_interval +
-                            config_.cache_depth * session_config_.engine.budget);
+        ckv.sink_tokens +
+        std::max<Index>(ckv.tokens_per_cluster,
+                        ckv.decode_interval +
+                            ckv.cache_depth * session_config_.engine.budget);
     tokens = std::min<Index>(context, floor_tokens);
   }
   return session_context_bytes(session_config_, tokens);
@@ -119,14 +146,15 @@ std::int64_t BatchScheduler::projected_bytes(const ServeRequest& request) const 
 std::int64_t BatchScheduler::residual_bytes(const ServeRequest& request) const {
   const Index context = request.prompt_len + request.decode_len;
   Index tokens = context;
-  if (config_.tiered_residency) {
+  if (method_.tiered()) {
     // Irreducible fast residency: sinks plus the larger of the two pending
     // buffers — decode-phase (flushed every decode_interval steps) and
     // prefill-phase (chunked prefill flushes every tokens_per_cluster
     // tokens). Preemption can never reclaim below this, mid-prefill or not.
+    const ClusterKVConfig& ckv = method_.clusterkv;
     tokens = std::min<Index>(
-        context, config_.sink_tokens + std::max<Index>(config_.decode_interval,
-                                                       config_.tokens_per_cluster));
+        context,
+        ckv.sink_tokens + std::max<Index>(ckv.decode_interval, ckv.tokens_per_cluster));
   }
   return session_context_bytes(session_config_, tokens);
 }
@@ -134,23 +162,16 @@ std::int64_t BatchScheduler::residual_bytes(const ServeRequest& request) const {
 StepBreakdown BatchScheduler::step_cost(const Session& session) const {
   const Index context = session.request().prompt_len + session.tokens_generated();
   const Index budget = session_config_.engine.budget;
-  switch (config_.method) {
-    case LatencyModel::Method::kFullKV:
-      return latency_.full_kv_step(context);
-    case LatencyModel::Method::kClusterKV: {
-      // Compute-only step: the fetch stall is billed from the transfer
-      // engine's contended queue in the tick's bill pass (one shared wire).
-      const Index clusters = std::max<Index>(1, context / config_.tokens_per_cluster);
-      return latency_.clusterkv_step(context, budget, 0.0, clusters);
-    }
-    case LatencyModel::Method::kQuest:
-      return latency_.quest_step(context, budget);
-    case LatencyModel::Method::kInfiniGen:
-      return latency_.infinigen_step(context, budget);
-    case LatencyModel::Method::kFullKVOffload:
-      return latency_.full_kv_offload_step(context);
+  if (method_.tiered()) {
+    // Compute-only step: the fetch stall is billed from the transfer
+    // engine's contended queue in the tick's bill pass (one shared wire).
+    const Index clusters =
+        std::max<Index>(1, context / method_.clusterkv.tokens_per_cluster);
+    return latency_.clusterkv_step(context, budget, 0.0, clusters);
   }
-  return latency_.full_kv_step(context);
+  return method_.method == LatencyModel::Method::kQuest
+             ? latency_.quest_step(context, budget)
+             : latency_.full_kv_step(context);
 }
 
 std::int64_t BatchScheduler::fast_tier_bytes() const {
@@ -159,7 +180,7 @@ std::int64_t BatchScheduler::fast_tier_bytes() const {
 }
 
 std::int64_t BatchScheduler::fast_tier_bytes_locked() const {
-  if (config_.tiered_residency) {
+  if (method_.tiered()) {
     // Every running session's per-head stores feed the shared ledger, so
     // global residency is a single read — enforcement calls this in a
     // loop, which would otherwise be O(sessions x heads) per victim.
@@ -236,7 +257,7 @@ void BatchScheduler::admit_arrivals() {
       }
     }
     auto session = std::make_unique<Session>(queue_.pop(), factory_, session_config_);
-    if (config_.tiered_residency) {
+    if (method_.tiered()) {
       session->attach_fast_tier_ledger(&ledger_);
     }
     // Admission only reserves and changes state; the prompt is consumed
@@ -261,37 +282,6 @@ void BatchScheduler::admit_arrivals() {
   }
 }
 
-BatchScheduler::PrefillFlushPlan BatchScheduler::prefill_flush_plan(
-    Index prompt_len) const {
-  PrefillFlushPlan plan;
-  const Index chunk = config_.prefill_chunk_tokens;
-  const Index tpc = config_.tokens_per_cluster;
-  if (chunk <= 0) {
-    // Inline prefill: one whole-prompt flush (if anything clusters at all).
-    plan.batches = prompt_len > config_.sink_tokens ? 1 : 0;
-    return plan;
-  }
-  Index pending = 0;
-  Index done = 0;
-  while (done < prompt_len) {
-    const Index take = std::min<Index>(chunk, prompt_len - done);
-    const Index sink_part =
-        std::clamp<Index>(config_.sink_tokens - done, 0, take);
-    pending += take - sink_part;
-    done += take;
-    const bool last = done == prompt_len;
-    if (pending > 0 && (last || pending >= tpc)) {
-      if (last && pending < tpc && plan.batches > 0) {
-        plan.tail_folds = true;  // merges into the preceding batch
-      } else {
-        ++plan.batches;
-      }
-      pending = 0;
-    }
-  }
-  return plan;
-}
-
 Index BatchScheduler::next_chunk_tokens(const Session& session) const {
   const Index remaining =
       session.request().prompt_len - session.prefill_tokens_done();
@@ -304,7 +294,7 @@ double BatchScheduler::prefill_chunk_cost_ms(const Session& session,
                                              Index chunk_tokens) const {
   double cost_ms =
       latency_.prefill_chunk_ms(session.prefill_tokens_done(), chunk_tokens);
-  if (config_.method == LatencyModel::Method::kClusterKV) {
+  if (method_.tiered()) {
     // Per-chunk incremental clustering: the visible k-means tail of this
     // chunk's centroids (chunk/tokens_per_cluster of them over chunk
     // tokens), mirroring ClusterKVEngine::observe_prefill_chunk.
@@ -564,7 +554,7 @@ std::int64_t BatchScheduler::advance_growth_bound_bytes(
     // metadata only).
     return session_context_bytes(session_config_, item.chunk);
   }
-  if (!config_.tiered_residency) {
+  if (!method_.tiered()) {
     // Untiered residency pins the whole context, which grows by exactly
     // the generated token.
     return session_context_bytes(session_config_, 1);
@@ -575,8 +565,9 @@ std::int64_t BatchScheduler::advance_growth_bound_bytes(
   // existing reservations; flushes and window evictions only release).
   const Index context =
       item.session->request().prompt_len + item.session->tokens_generated() + 1;
-  const Index tokens = std::min<Index>(session_config_.engine.budget, context) +
-                       1 + config_.prefetch_clusters * config_.tokens_per_cluster;
+  const Index tokens =
+      std::min<Index>(session_config_.engine.budget, context) + 1 +
+      method_.clusterkv.prefetch_clusters * method_.clusterkv.tokens_per_cluster;
   return session_context_bytes(session_config_, tokens);
 }
 
@@ -605,12 +596,13 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
     if (session->state() != SessionState::kPrefilling) {
       tr.end("prefilling");
       tr.begin("decoding");
-      // Config/factory mismatch guard: with tiered_residency, every
-      // selector must feed the shared ledger — an untiered factory would
-      // leave it at zero and silently void budget enforcement. Checked
-      // when a session finishes prefill, when chunk-oblivious selectors
-      // have materialized their whole-prompt state.
-      if (config_.tiered_residency) {
+      // Factory mismatch guard for the SelectorFactory constructor: with a
+      // tiered method, every selector must feed the shared ledger at the
+      // session's width — an untiered factory would leave it at zero and
+      // silently void budget enforcement. Checked when a session finishes
+      // prefill, when chunk-oblivious selectors have materialized their
+      // whole-prompt state.
+      if (method_.tiered()) {
         std::int64_t summed = 0;
         for (const auto& running : running_) {
           summed += running->fast_resident_bytes();
@@ -726,8 +718,8 @@ void BatchScheduler::bill(TickState& t) {
   // rides the batch's shared pass), billed per chunk so a long prompt
   // stalls the batch by at most one chunk per tick.
   auto& tr = obs::tracer();
-  const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
-                             config_.repair_refine_iterations > 0;
+  const ClusterKVConfig& ckv = method_.clusterkv;
+  const bool repair_billed = method_.tiered() && ckv.repair_refine_iterations > 0;
   // ClusterKV demand billing: the wire serves one contended queue, so
   // a decoder's stall is the completion time of the backlog plus every
   // demand request at or ahead of its position — later decoders wait
@@ -784,8 +776,8 @@ void BatchScheduler::bill(TickState& t) {
       demand_stall_tail_ms = stall_ms;
     }
     const Index generated = decoder.tokens_generated() + 1;
-    if (repair_billed && config_.repair_decode_interval > 0 &&
-        generated % config_.repair_decode_interval == 0) {
+    if (repair_billed && ckv.repair_decode_interval > 0 &&
+        generated % ckv.repair_decode_interval == 0) {
       // Periodic decode-side repair pass (mirrors the engine's trigger in
       // observe_decode); overlappable compute like prefill clustering. A
       // pass can only do work once a decode flush has registered a new
@@ -794,12 +786,12 @@ void BatchScheduler::bill(TickState& t) {
       // flush — a repair interval finer than the flush cadence must not
       // charge phantom passes for the engine's immediate no-op returns.
       const bool flushed_since_last_pass =
-          generated / config_.decode_interval >
-          (generated - config_.repair_decode_interval) / config_.decode_interval;
+          generated / ckv.decode_interval >
+          (generated - ckv.repair_decode_interval) / ckv.decode_interval;
       if (flushed_since_last_pass) {
         t.repair_ms += latency_.repair_ms(decoder.request().prompt_len + generated,
-                                          config_.repair_refine_iterations,
-                                          config_.tokens_per_cluster);
+                                          ckv.repair_refine_iterations,
+                                          ckv.tokens_per_cluster);
       }
     }
   }
@@ -811,8 +803,9 @@ void BatchScheduler::bill(TickState& t) {
     t.tick_ms += prefill_chunk_cost_ms(prefiller, chunk);
     const Index prompt_len = prefiller.request().prompt_len;
     const bool final_chunk = prefiller.prefill_tokens_done() + chunk == prompt_len;
-    if (config_.method == LatencyModel::Method::kClusterKV && final_chunk) {
-      const PrefillFlushPlan plan = prefill_flush_plan(prompt_len);
+    if (method_.tiered() && final_chunk) {
+      const PrefillFlushPlan plan =
+          prefill_flush_plan(ckv, prompt_len, config_.prefill_chunk_tokens);
       if (plan.tail_folds) {
         // End-of-prompt tail fold: the engine re-clusters the preceding
         // batch together with the short tail; bill that window's k-means
@@ -820,15 +813,15 @@ void BatchScheduler::bill(TickState& t) {
         // tail's own tokens).
         t.tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
             prompt_len,
-            std::max(config_.prefill_chunk_tokens, config_.tokens_per_cluster) + chunk));
+            std::max(config_.prefill_chunk_tokens, ckv.tokens_per_cluster) + chunk));
       }
       if (repair_billed && plan.batches >= 2) {
         // The post-prefill repair pass only does work when prefill
         // registered at least two clustering batches (a single batch —
         // inline prefill, short prompts, or a folded tail — makes the
         // engine's pass a no-op; bill nothing then).
-        t.repair_ms += latency_.repair_ms(prompt_len, config_.repair_refine_iterations,
-                                          config_.tokens_per_cluster);
+        t.repair_ms += latency_.repair_ms(prompt_len, ckv.repair_refine_iterations,
+                                          ckv.tokens_per_cluster);
       }
     }
   }
@@ -975,7 +968,7 @@ void BatchScheduler::sample_counters() {
   auto& tr = obs::tracer();
   tr.set_virtual_now_ms(now_ms_);
   tr.counter("fast-tier-bytes", fast_tier_bytes_locked());
-  if (config_.tiered_residency) {
+  if (method_.tiered()) {
     tr.counter("reserved-bytes", ledger_.reserved_bytes());
   }
   tr.counter("queue-depth", queue_.size());

@@ -33,6 +33,7 @@
 #include "kvcache/tiered_store.hpp"
 #include "metrics/serve_metrics.hpp"
 #include "serve/request_queue.hpp"
+#include "serve/serve_method.hpp"
 #include "serve/session.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/latency_model.hpp"
@@ -48,49 +49,18 @@ struct BatchSchedulerConfig {
   std::int64_t fast_tier_budget_bytes = 0;
   /// Hard cap on concurrently running sessions (0 = unlimited).
   Index max_running = 0;
-  /// Latency composition for the virtual clock.
-  LatencyModel::Method method = LatencyModel::Method::kClusterKV;
-  /// True for methods with a tiered store (ClusterKV): admission projects
-  /// the bounded working-set floor instead of the full context.
-  bool tiered_residency = false;
-  /// Floor parameters when tiered_residency (match the engine's config).
-  Index sink_tokens = 16;
-  Index decode_interval = 320;
-  Index cache_depth = 1;
-  /// Cluster granularity for ClusterKV step costs (match the engine's
-  /// config: the latency model bills centroid scoring per live cluster).
-  Index tokens_per_cluster = 80;
   /// Admission overcommit: reservations may sum to budget * overcommit
   /// while *actual* residency is still enforced to the plain budget by
   /// preempting cold sessions. 1.0 = reserve true peaks (no preemption
   /// ever needed); > 1.0 trades preemption churn for utilization. Only
-  /// meaningful with tiered_residency — untiered sessions cannot release
-  /// anything, so overcommitting them would make the budget unenforceable.
+  /// meaningful for ClusterKV — untiered sessions cannot release anything,
+  /// so overcommitting them would make the budget unenforceable.
   double admission_overcommit = 1.0;
   /// Prompt tokens a prefilling session consumes per tick. Small chunks
   /// bound how long one admission can stall the running batch's decode
   /// steps (TTFT of everyone else); 0 runs the whole prompt as a single
   /// chunk in one tick (the inline-prefill baseline).
   Index prefill_chunk_tokens = 256;
-  /// Cross-chunk cluster-repair billing (match the engine's
-  /// ClusterKVConfig): the tick that lands a session's final prompt chunk
-  /// bills one LatencyModel::repair_ms pass when the prompt actually
-  /// spanned multiple chunks, and decoding sessions bill one pass every
-  /// repair_decode_interval generated tokens. 0 refine iterations = repair
-  /// off, nothing billed.
-  Index repair_refine_iterations = 4;
-  Index repair_decode_interval = 0;
-  /// Async cluster-prefetch mirror (match the engine's
-  /// ClusterKVConfig::prefetch_clusters): bounds the speculative bytes one
-  /// decode step may reserve, which the fan-out headroom guard counts.
-  /// Billing needs no mirror — issued fetches reach the transfer engine's
-  /// queue from the step's observed traffic — and in-flight bytes reach
-  /// the budget through the ledger's reserved counter.
-  Index prefetch_clusters = 0;
-  /// Kept for source compatibility only: every kClusterKV run bills its
-  /// slow->fast fetches through the transfer engine. The scheduler rejects
-  /// it with any other method and otherwise ignores it.
-  bool use_transfer_engine = false;
   /// Bandwidth (GB/s) of the one modeled slow->fast wire every kClusterKV
   /// fetch crosses (sim/transfer_engine): each tick's demand stall is the
   /// engine's completion time for the fleet's queued demand bytes (drain
@@ -113,13 +83,45 @@ struct BatchSchedulerConfig {
   /// Deterministic fault injection (docs/ROBUSTNESS.md). Disabled by
   /// default: every fault branch in the scheduler is gated on the plan,
   /// so a disabled plan reproduces the fault-free schedule byte for
-  /// byte. When enabled, requires kClusterKV with tiered_residency (the
-  /// degradation fallback is resident-only cluster selection).
+  /// byte. When enabled, requires a ClusterKV method (the degradation
+  /// fallback is resident-only cluster selection).
   FaultPlan fault_plan;
+
+  // ---- SelectorFactory-constructor mirrors ----
+  // Only the SelectorFactory constructor reads these: it builds its
+  // ServeMethod from them, with the other ClusterKVConfig knobs at their
+  // defaults. The ServeMethod constructor ignores them. They go with that
+  // constructor once perfbench constructs through ServeMethod.
+  LatencyModel::Method method = LatencyModel::Method::kClusterKV;
+  bool tiered_residency = false;  ///< must equal (method == kClusterKV)
+  Index sink_tokens = 16;
+  Index decode_interval = 320;
+  Index cache_depth = 1;
+  Index tokens_per_cluster = 80;
+  Index repair_refine_iterations = 4;
+  Index repair_decode_interval = 0;
+  Index prefetch_clusters = 0;
+  bool use_transfer_engine = false;  ///< ignored; rejected unless kClusterKV
 };
 
 class BatchScheduler {
  public:
+  /// Serves `trace` with `method`: every session's selectors come from
+  /// method.factory(), and every ClusterKV knob the scheduler bills or
+  /// projects with is read from method.clusterkv. Throws
+  /// std::invalid_argument for an invalid method or config, a ClusterKV
+  /// element width that differs from session_config.element_bytes, or a
+  /// request that could never be admitted.
+  BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
+                 SessionConfig session_config, LatencyModel latency,
+                 BatchSchedulerConfig config);
+
+  /// Adapter for a driver that decorates the selector factory: the method
+  /// and its ClusterKV knobs come from the config's mirror fields, and
+  /// `factory` must build that method's selectors. Throws
+  /// std::invalid_argument unless tiered_residency == (method ==
+  /// kClusterKV); a factory that does not match the mirrored method is
+  /// caught when its first session finishes prefill (std::logic_error).
   BatchScheduler(std::vector<ServeRequest> trace, SelectorFactory factory,
                  SessionConfig session_config, LatencyModel latency,
                  BatchSchedulerConfig config);
@@ -178,8 +180,6 @@ class BatchScheduler {
     const ExclusiveLock serial(serial_phase_);
     return metrics_;
   }
-  [[nodiscard]] const BatchSchedulerConfig& config() const noexcept { return config_; }
-
   /// Running sessions, admission order (testing hook: invariant checks
   /// walk these to assert sink residency).
   [[nodiscard]] const std::vector<std::unique_ptr<Session>>& running() const noexcept {
@@ -187,19 +187,11 @@ class BatchScheduler {
     return running_;
   }
 
-  /// Replay of ClusterKVEngine's chunked-prefill flush policy for one
-  /// prompt (sinks don't pend; pending flushes at chunk boundaries once
-  /// tokens_per_cluster accumulated; a final tail below that folds into
-  /// the preceding batch). The repair and tail-fold bills key off this so
-  /// the virtual clock only charges work the engine actually performs;
-  /// public so tests can pin it to the engine's batch registration.
-  struct PrefillFlushPlan {
-    Index batches = 0;        ///< clustering batches registered by prefill
-    bool tail_folds = false;  ///< final tail re-clusters with the last batch
-  };
-  [[nodiscard]] PrefillFlushPlan prefill_flush_plan(Index prompt_len) const;
-
  private:
+  BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
+                 SelectorFactory factory, SessionConfig session_config,
+                 LatencyModel latency, BatchSchedulerConfig config);
+
   /// One session's advancement this tick, carried from plan_batch through
   /// the (possibly parallel) advance phase into the serial commit phase.
   /// Pre-step values are captured before anything advances because
@@ -332,6 +324,7 @@ class BatchScheduler {
   mutable ExclusiveContext serial_phase_;
 
   RequestQueue queue_ CKV_GUARDED_BY(serial_phase_);
+  ServeMethod method_;
   SelectorFactory factory_;
   SessionConfig session_config_;
   LatencyModel latency_;
@@ -346,7 +339,7 @@ class BatchScheduler {
   Index ticks_ CKV_GUARDED_BY(serial_phase_) = 0;
   Index finished_count_ CKV_GUARDED_BY(serial_phase_) = 0;
   Index round_robin_offset_ CKV_GUARDED_BY(serial_phase_) = 0;
-  /// The contended slow->fast wire (null unless the method is kClusterKV).
+  /// The contended slow->fast wire (null unless the method is ClusterKV).
   /// All engine state advances in the serial phase on the virtual clock.
   std::unique_ptr<TransferEngine> transfer_engine_ CKV_GUARDED_BY(serial_phase_);
   /// Effective engine link rate (GB/s) — config_.link_gbps or the

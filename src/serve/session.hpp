@@ -31,9 +31,9 @@ struct SessionConfig {
   SimShape shape;            ///< simulation slice every session runs
   ProceduralParams params;   ///< procedural context statistics
   DecodeEngineConfig engine; ///< budget etc. for the per-session engine
-  /// fp16-equivalent residency accounting. Must match the selector's own
-  /// width (ClusterKVConfig::element_bytes) or the scheduler's byte math
-  /// diverges from the stores' ledger.
+  /// fp16-equivalent residency accounting. BatchScheduler rejects a
+  /// ClusterKV ServeMethod whose ClusterKVConfig::element_bytes differs:
+  /// the tiered stores' ledger counts at the engine's width.
   Index element_bytes = 2;
 };
 

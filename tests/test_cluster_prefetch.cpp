@@ -12,12 +12,10 @@
 #include <algorithm>
 #include <deque>
 #include <iterator>
-#include <map>
 #include <numeric>
 #include <set>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/cluster_cache.hpp"
@@ -201,8 +199,6 @@ TEST(TieredKVStore, CancelAllAndDetachClearReservation) {
 
 // ------------------------------------------- differential residency model
 
-using Selected = std::vector<std::pair<Index, std::vector<Index>>>;
-
 void sort_unique(std::vector<Index>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -217,25 +213,21 @@ class SetCacheModel {
 
   [[nodiscard]] std::set<Index> resident() const {
     std::set<Index> out;
-    for (const Selected& entry : window_) {
-      for (const auto& [cluster, tokens] : entry) {
-        out.insert(tokens.begin(), tokens.end());
-      }
+    for (const std::vector<Index>& entry : window_) {
+      out.insert(entry.begin(), entry.end());
     }
     return out;
   }
 
-  ClusterCache::StepResult step(const Selected& selected) {
+  ClusterCache::StepResult step(const std::vector<Index>& selected) {
     ClusterCache::StepResult r;
     const std::set<Index> before = resident();
-    for (const auto& [cluster, tokens] : selected) {
-      for (const Index t : tokens) {
-        if (before.contains(t)) {
-          ++r.hits;
-        } else {
-          ++r.misses;
-          r.missing_tokens.push_back(t);
-        }
+    for (const Index t : selected) {
+      if (before.contains(t)) {
+        ++r.hits;
+      } else {
+        ++r.misses;
+        r.missing_tokens.push_back(t);
       }
     }
     window_.push_front(selected);
@@ -254,28 +246,13 @@ class SetCacheModel {
 
   void clear_window() { window_.clear(); }
 
-  void remap(const std::vector<Index>& token_to_cluster) {
-    for (Selected& entry : window_) {
-      std::map<Index, std::vector<Index>> regrouped;
-      for (const auto& [cluster, tokens] : entry) {
-        for (const Index t : tokens) {
-          regrouped[token_to_cluster[static_cast<std::size_t>(t)]].push_back(t);
-        }
-      }
-      for (auto& [cluster, tokens] : regrouped) {
-        sort_unique(tokens);
-      }
-      entry.assign(regrouped.begin(), regrouped.end());
-    }
-  }
-
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   Index steps = 0;
 
  private:
   Index depth_;
-  std::deque<Selected> window_;
+  std::deque<std::vector<Index>> window_;
 };
 
 // TieredKVStore's placement bookkeeping restated over two std::sets.
@@ -429,9 +406,8 @@ class ResidencyHarness {
         cache_.clear_window();
         model_cache_.clear_window();
       } else if (kind < 75) {
+        // A repair rebuild: clusters regroup, the window's positions stay.
         relabel_all();
-        cache_.remap_window(labels_);
-        model_cache_.remap(labels_);
       } else if (kind < 84) {
         const Index cause = rng_.uniform_int(0, obs::kFetchCancelReasonCount - 1);
         const auto reason = static_cast<obs::FetchCancelReason>(cause);
@@ -470,7 +446,7 @@ class ResidencyHarness {
   }
 
   void select_step() {
-    Selected selected;
+    std::vector<Index> selected;
     const Index picks = rng_.uniform_int(1, 3);
     for (Index i = 0; i < picks; ++i) {
       auto tokens = tokens_of(rng_.uniform_int(0, clusters_ - 1));
@@ -488,8 +464,7 @@ class ResidencyHarness {
       if (rng_.bernoulli(0.2)) {  // unsorted
         std::reverse(tokens.begin(), tokens.end());
       }
-      selected.emplace_back(labels_[static_cast<std::size_t>(tokens.front())],
-                            std::move(tokens));
+      selected.insert(selected.end(), tokens.begin(), tokens.end());
     }
     const auto real = cache_.step(selected);
     const auto model = model_cache_.step(selected);

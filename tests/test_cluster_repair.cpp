@@ -74,7 +74,7 @@ TEST(ClusterRepair, MergesAdjacentBatchesAndKeepsEveryToken) {
   config.refine_iterations = 50;
   config.tokens_per_cluster = 60;
   const auto outcome =
-      repair_clusters(store, keys, batch_firsts, 0, nullptr, config);
+      repair_clusters(store, keys, batch_firsts, 0, config);
 
   EXPECT_TRUE(outcome.changed);
   EXPECT_EQ(outcome.clusters_before, before);
@@ -106,7 +106,7 @@ TEST(ClusterRepair, RepairedClustersRecoverPlantedTopics) {
   config.merge_threshold = -1.0;
   config.refine_iterations = 60;
   config.tokens_per_cluster = 60;
-  ASSERT_TRUE(repair_clusters(store, keys, batch_firsts, 0, nullptr, config).changed);
+  ASSERT_TRUE(repair_clusters(store, keys, batch_firsts, 0, config).changed);
   ASSERT_EQ(store.cluster_count(), 5);
 
   // After repair, clusters align with the planted topics: pairwise label
@@ -140,7 +140,7 @@ TEST(ClusterRepair, HighThresholdIsNoOp) {
   config.merge_threshold = 0.999999;  // nothing this similar exists
   config.refine_iterations = 10;
   const auto outcome =
-      repair_clusters(store, keys, batch_firsts, 0, nullptr, config);
+      repair_clusters(store, keys, batch_firsts, 0, config);
   EXPECT_FALSE(outcome.changed);
   EXPECT_EQ(outcome.groups_repaired, 0);
   EXPECT_EQ(outcome.refine_flops, 0);
@@ -155,46 +155,7 @@ TEST(ClusterRepair, SingleBatchIsNoOp) {
   ClusterRepairConfig config;
   config.merge_threshold = -1.0;
   config.refine_iterations = 10;
-  EXPECT_FALSE(repair_clusters(store, keys, batch_firsts, 0, nullptr, config).changed);
-}
-
-TEST(ClusterRepair, RemapsCacheWindowWithoutChangingResidentTokens) {
-  const auto keys = planted_keys(120, 16, 3, 25);
-  CentroidStore store(16);
-  const auto batch_firsts = register_batches(store, keys, 3, 2, 9);
-
-  // Cache a selection of cluster 0's tokens, then repair under it.
-  ClusterCache cache(2);
-  const auto tokens0 = store.tokens_of(0);
-  const auto tokens3 = store.tokens_of(3);
-  cache.step({{0, {tokens0.begin(), tokens0.end()}},
-              {3, {tokens3.begin(), tokens3.end()}}});
-  const auto resident_before = cache.resident_tokens();
-
-  ClusterRepairConfig config;
-  config.merge_threshold = -1.0;
-  config.refine_iterations = 30;
-  config.tokens_per_cluster = 40;
-  ASSERT_TRUE(repair_clusters(store, keys, batch_firsts, 0, &cache, config).changed);
-
-  // Residency is untouched; the window now speaks the rebuilt cluster ids,
-  // so re-selecting the same tokens under their new clusters hits.
-  EXPECT_EQ(cache.resident_tokens(), resident_before);
-  std::vector<std::pair<Index, std::vector<Index>>> reselect;
-  for (Index c = 0; c < store.cluster_count(); ++c) {
-    std::vector<Index> cached;
-    for (const Index t : store.tokens_of(c)) {
-      if (std::binary_search(resident_before.begin(), resident_before.end(), t)) {
-        cached.push_back(t);
-      }
-    }
-    if (!cached.empty()) {
-      reselect.emplace_back(c, std::move(cached));
-    }
-  }
-  const auto r = cache.step(reselect);
-  EXPECT_EQ(r.misses, 0);
-  EXPECT_EQ(r.hits, static_cast<Index>(resident_before.size()));
+  EXPECT_FALSE(repair_clusters(store, keys, batch_firsts, 0, config).changed);
 }
 
 // ---- engine-level repair ----

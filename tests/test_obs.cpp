@@ -271,18 +271,12 @@ ClusterKVConfig obs_ckv_config() {
   return config;
 }
 
-BatchSchedulerConfig obs_scheduler_config(const ClusterKVConfig& ckv,
-                                          const SessionConfig& session) {
+ServeMethod obs_method() {
+  return {LatencyModel::Method::kClusterKV, obs_ckv_config(), 11};
+}
+
+BatchSchedulerConfig obs_scheduler_config(const SessionConfig& session) {
   BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  config.prefetch_clusters = ckv.prefetch_clusters;
   config.prefill_chunk_tokens = 64;
   // Tight budget so enforcement fires and contributes enforcement-reason
   // cancels to the attribution identity.
@@ -313,13 +307,10 @@ void run_obs_fleet(BatchScheduler& scheduler) { scheduler.run(); }
 /// fetches are fully explained: hits plus the three cancellation reasons.
 TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
   const auto session = obs_session_config();
-  const auto ckv = obs_ckv_config();
-  const auto scheduler_config = obs_scheduler_config(ckv, session);
-  BatchScheduler scheduler(obs_trace(4), make_clusterkv_factory(ckv, 11),
-                           session,
+  BatchScheduler scheduler(obs_trace(4), obs_method(), session,
                            LatencyModel(HardwareModel::ada6000(),
                                         ModelConfig::llama31_8b()),
-                           scheduler_config);
+                           obs_scheduler_config(session));
   run_obs_fleet(scheduler);
   const auto& m = scheduler.metrics();
   ASSERT_EQ(m.sessions(), 4);
@@ -361,8 +352,7 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
   const auto session = obs_session_config();
-  const auto ckv = obs_ckv_config();
-  const auto scheduler_config = obs_scheduler_config(ckv, session);
+  const auto scheduler_config = obs_scheduler_config(session);
   const LatencyModel latency(HardwareModel::ada6000(),
                              ModelConfig::llama31_8b());
 
@@ -377,8 +367,8 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
     set_parallel_workers(workers);
     auto& tr = obs::tracer();
     tr.enable();
-    BatchScheduler scheduler(obs_trace(3), make_clusterkv_factory(ckv, 11),
-                             session, latency, scheduler_config);
+    BatchScheduler scheduler(obs_trace(3), obs_method(), session, latency,
+                             scheduler_config);
     run_obs_fleet(scheduler);
     std::vector<Snapshot> out;
     for (const auto& event : tr.events()) {
@@ -454,7 +444,7 @@ TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
                              ModelConfig::llama31_8b());
   // Tighter than the shared obs budget: room for a few residual floors but
   // not for the admitted working sets, so enforcement must preempt.
-  BatchSchedulerConfig config = obs_scheduler_config(ckv, session);
+  BatchSchedulerConfig config = obs_scheduler_config(session);
   config.fast_tier_budget_bytes =
       session_context_bytes(session, 3 * ckv.sink_tokens + 3 * ckv.tokens_per_cluster);
   config.admission_overcommit = 4.0;
@@ -462,8 +452,7 @@ TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
     set_parallel_workers(workers);
     auto& tr = obs::tracer();
     tr.enable();
-    BatchScheduler scheduler(obs_trace(4), make_clusterkv_factory(ckv, 11),
-                             session, latency, config);
+    BatchScheduler scheduler(obs_trace(4), obs_method(), session, latency, config);
     run_obs_fleet(scheduler);
     EXPECT_GT(scheduler.metrics().total_preemptions(), 0) << workers << " workers";
     std::map<std::int64_t, std::string> last_edge;  // per session track

@@ -1,9 +1,9 @@
-// Property-based tests (parameterized fuzz) of the selection, indexing and
-// caching invariants the ClusterKV pipeline relies on, plus the serving
-// residency sweep: randomized admit/prefill/decode/preempt/repair/prefetch
-// schedules asserting the fast-tier budget and sink-residency invariants
-// at every tick. Runs under `ctest -L properties` with this fixed seed set
-// in CI.
+// Property-based tests (parameterized fuzz) of the selection, indexing,
+// caching and prefill-flush invariants the ClusterKV pipeline relies on,
+// plus the serving residency sweep: randomized admit/prefill/decode/
+// preempt/repair/prefetch schedules asserting the fast-tier budget and
+// sink-residency invariants at every tick. Runs under `ctest -L
+// properties` with this fixed seed set in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,7 +82,9 @@ TEST_P(ClusterCacheFuzz, MatchesNaiveReferenceModel) {
 
   for (int step = 0; step < 60; ++step) {
     const Index clusters = rng.uniform_int(1, 5);
-    std::vector<std::pair<Index, std::vector<Index>>> selected;
+    // Each cluster's tokens, ascending, in cluster order: the flat
+    // position list select() hands the cache.
+    std::vector<Index> selected;
     std::unordered_set<Index> requested;
     for (Index c = 0; c < clusters; ++c) {
       const Index cluster_id = rng.uniform_int(0, 9);
@@ -94,10 +96,8 @@ TEST_P(ClusterCacheFuzz, MatchesNaiveReferenceModel) {
           tokens.push_back(token);
         }
       }
-      if (!tokens.empty()) {
-        std::sort(tokens.begin(), tokens.end());
-        selected.emplace_back(cluster_id, tokens);
-      }
+      std::sort(tokens.begin(), tokens.end());
+      selected.insert(selected.end(), tokens.begin(), tokens.end());
     }
 
     std::unordered_set<Index> resident;
@@ -106,13 +106,11 @@ TEST_P(ClusterCacheFuzz, MatchesNaiveReferenceModel) {
     }
     Index expected_hits = 0;
     Index expected_misses = 0;
-    for (const auto& [cluster, tokens] : selected) {
-      for (const Index t : tokens) {
-        if (resident.contains(t)) {
-          ++expected_hits;
-        } else {
-          ++expected_misses;
-        }
+    for (const Index t : selected) {
+      if (resident.contains(t)) {
+        ++expected_hits;
+      } else {
+        ++expected_misses;
       }
     }
 
@@ -236,6 +234,46 @@ TEST_P(GatherTrimFuzz, NeverExceedsBudgetAndPreservesClusterOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GatherTrimFuzz, ::testing::Values(41, 42, 43, 44));
 
+// One flush rule, two readers: the engine flushes prefill chunks through
+// prefill_flush, and the scheduler bills the post-prefill repair pass from
+// prefill_flush_plan's replay of it. Over random prompt lengths, chunk
+// sizes (0 = one whole-prompt chunk), cluster granularities and sink
+// counts, an engine fed the prompt in those chunks must do repair work
+// exactly when the plan counts two or more clustering batches.
+class PrefillFlushPlanFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PrefillFlushPlanFuzz, RepairWorkMatchesPlannedBatches) {
+  constexpr Index kDim = 8;
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 40; ++trial) {
+    ClusterKVConfig config;
+    config.sink_tokens = rng.uniform_int(0, 24);
+    config.tokens_per_cluster = rng.uniform_int(4, 48);
+    config.kmeans_max_iterations = 3;
+    const Index prompt_len = rng.uniform_int(1, 320);
+    const Index chunk = rng.bernoulli(0.25) ? 0 : rng.uniform_int(1, 128);
+    Matrix keys(prompt_len, kDim);
+    Matrix values(prompt_len, kDim);
+    rng.fill_normal(keys.flat(), 0.0, 1.0);
+    rng.fill_normal(values.flat(), 0.0, 1.0);
+
+    ClusterKVEngine engine(kDim, config, Rng(derive_seed(GetParam(), "flush-plan")));
+    const Index step = chunk > 0 ? chunk : prompt_len;
+    for (Index begin = 0; begin < prompt_len; begin += step) {
+      const Index end = std::min(begin + step, prompt_len);
+      engine.observe_prefill_chunk(keys.row_slice(begin, end),
+                                   values.row_slice(begin, end), end == prompt_len);
+    }
+    const PrefillFlushPlan plan = prefill_flush_plan(config, prompt_len, chunk);
+    EXPECT_EQ(engine.repair_flops() > 0, plan.batches >= 2)
+        << "L " << prompt_len << ", chunk " << chunk << ", tokens_per_cluster "
+        << config.tokens_per_cluster << ", sinks " << config.sink_tokens;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefillFlushPlanFuzz,
+                         ::testing::Values(51, 52, 53, 54, 55, 56));
+
 // Serving residency sweep: a randomized schedule — random session mix,
 // chunk sizes, budgets, overcommit, repair cadence, prefetch depth, plus
 // externally injected preemptions and prefetch cancels (including
@@ -284,15 +322,6 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
     ckv.prefetch_prior_decay = rng.uniform(0.0, 0.95);
 
     BatchSchedulerConfig config;
-    config.method = LatencyModel::Method::kClusterKV;
-    config.tiered_residency = true;
-    config.sink_tokens = ckv.sink_tokens;
-    config.decode_interval = ckv.decode_interval;
-    config.cache_depth = ckv.cache_depth;
-    config.tokens_per_cluster = ckv.tokens_per_cluster;
-    config.repair_refine_iterations = ckv.repair_refine_iterations;
-    config.repair_decode_interval = ckv.repair_decode_interval;
-    config.prefetch_clusters = ckv.prefetch_clusters;
     config.prefill_chunk_tokens = rng.bernoulli(0.2) ? 0 : rng.uniform_int(16, 96);
     config.admission_overcommit = rng.uniform(1.0, 2.0);
 
@@ -348,8 +377,9 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
                                               static_cast<double>(projected)) + 1;
 
     const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
-    BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, GetParam()), session,
-                             latency, config);
+    BatchScheduler scheduler(
+        trace, ServeMethod{LatencyModel::Method::kClusterKV, ckv, GetParam()}, session,
+        latency, config);
 
     while (scheduler.tick()) {
       // External events the scheduler does not control: a preemption or a

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "baselines/full_kv.hpp"
-#include "baselines/quest.hpp"
 #include "core/clusterkv_engine.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/request_queue.hpp"
@@ -40,20 +39,11 @@ ClusterKVConfig small_ckv_config() {
   return config;
 }
 
-BatchSchedulerConfig tiered_scheduler_config(const ClusterKVConfig& ckv,
-                                             const SessionConfig& session) {
-  BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  (void)session;
-  return config;
+ServeMethod clusterkv_method(const ClusterKVConfig& ckv, std::uint64_t seed) {
+  return {LatencyModel::Method::kClusterKV, ckv, seed};
 }
+
+const ServeMethod kFullKVMethod{LatencyModel::Method::kFullKV, {}, 0};
 
 std::vector<ServeRequest> fixed_trace(Index n, Index prompt_len, Index decode_len,
                                       double gap_ms) {
@@ -210,7 +200,7 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   // checks below: budget and sink invariants must hold mid-repair too.
   ckv.repair_merge_threshold = 0.3;
   ckv.repair_decode_interval = 2;
-  auto config = tiered_scheduler_config(ckv, session_config);
+  BatchSchedulerConfig config;
   // Tight budget + overcommit so admission piles sessions on and
   // enforcement has to preempt; small chunks so the invariants are
   // exercised mid-prefill, not just between whole-prompt admissions.
@@ -223,7 +213,7 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   config.prefill_chunk_tokens = 64;
 
   BatchScheduler scheduler(fixed_trace(6, 300, 6, 1.0),
-                           make_clusterkv_factory(ckv, 5), session_config,
+                           clusterkv_method(ckv, 5), session_config,
                            test_latency(), config);
   bool saw_mid_prefill = false;
   while (scheduler.tick()) {
@@ -266,7 +256,7 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
 TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  BatchSchedulerConfig config;
   const Index per_token = session_token_bytes(session_config);
   const Index floor_tokens =
       ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session_config.engine.budget;
@@ -275,7 +265,7 @@ TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
       floor_tokens * per_token * session_config.shape.total_heads() + 1;
 
   BatchScheduler scheduler(fixed_trace(3, 250, 4, 0.0),
-                           make_clusterkv_factory(ckv, 6), session_config,
+                           clusterkv_method(ckv, 6), session_config,
                            test_latency(), config);
   Index max_running = 0;
   while (scheduler.tick()) {
@@ -292,11 +282,11 @@ TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
 TEST(BatchScheduler, UnlimitedBudgetRunsAllConcurrently) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  BatchSchedulerConfig config;
   config.fast_tier_budget_bytes = 0;  // unlimited
 
   BatchScheduler scheduler(fixed_trace(4, 200, 5, 0.0),
-                           make_clusterkv_factory(ckv, 7), session_config,
+                           clusterkv_method(ckv, 7), session_config,
                            test_latency(), config);
   scheduler.tick();
   EXPECT_EQ(scheduler.running_count(), 4);
@@ -308,19 +298,20 @@ TEST(BatchScheduler, UnlimitedBudgetRunsAllConcurrently) {
 TEST(BatchScheduler, RejectsImpossibleRequests) {
   const auto session_config = small_session_config();
   BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kFullKV;
   config.fast_tier_budget_bytes = 1024;  // smaller than any full context
-  EXPECT_THROW(BatchScheduler(fixed_trace(1, 300, 4, 0.0), make_full_kv_factory(),
+  EXPECT_THROW(BatchScheduler(fixed_trace(1, 300, 4, 0.0), kFullKVMethod,
                               session_config, test_latency(), config),
                std::invalid_argument);
 }
 
 TEST(BatchScheduler, TieredResidencyRequiresTieredFactory) {
-  // tiered_residency with an untiered factory would leave the ledger at
-  // zero and silently void budget enforcement; admission must catch the
-  // mismatch instead.
+  // SelectorFactory constructor: the mirrors say ClusterKV, but an
+  // untiered factory would leave the ledger at zero and silently void
+  // budget enforcement; admission must catch the mismatch instead.
   const auto session_config = small_session_config();
-  auto config = tiered_scheduler_config(small_ckv_config(), session_config);
+  BatchSchedulerConfig config;
+  config.method = LatencyModel::Method::kClusterKV;
+  config.tiered_residency = true;
   config.fast_tier_budget_bytes = 1 << 20;
   BatchScheduler scheduler(fixed_trace(1, 100, 4, 0.0), make_full_kv_factory(),
                            session_config, test_latency(), config);
@@ -330,17 +321,16 @@ TEST(BatchScheduler, TieredResidencyRequiresTieredFactory) {
 TEST(BatchScheduler, OvercommitRequiresTieredResidency) {
   const auto session_config = small_session_config();
   BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kFullKV;
   config.admission_overcommit = 1.5;
-  EXPECT_THROW(BatchScheduler(fixed_trace(1, 100, 4, 0.0), make_full_kv_factory(),
+  EXPECT_THROW(BatchScheduler(fixed_trace(1, 100, 4, 0.0), kFullKVMethod,
                               session_config, test_latency(), config),
                std::invalid_argument);
 }
 
 TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
-  // Without the ledger, fast_tier_bytes() cannot see in-flight reserved
-  // bytes, so the budget invariant would silently ignore transfers on the
-  // wire; the constructor must reject the combination.
+  // SelectorFactory constructor: a ClusterKV run (prefetch included) must
+  // say tiered_residency, or fast_tier_bytes() would skip the ledger and
+  // the budget invariant would silently ignore transfers on the wire.
   const auto session_config = small_session_config();
   BatchSchedulerConfig config;
   config.method = LatencyModel::Method::kClusterKV;
@@ -351,29 +341,39 @@ TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
                std::invalid_argument);
 }
 
-// The engine mirrors feed the admission floors and the fan-out growth
-// bound, so each is range-checked at construction (negative counts, or a
-// zero flush cadence / cluster size, are typed errors).
-TEST(BatchScheduler, RejectsOutOfRangeEngineMirrors) {
+// The ClusterKV knobs feed the admission floors and the fan-out growth
+// bound as well as the engines, so ClusterKVConfig::validate() checks each
+// at construction, whatever the method (negative counts, or a zero flush
+// cadence / cluster size, are typed errors). A ClusterKV element width
+// that differs from the session's would split the ledger's byte math from
+// the scheduler's, and a method without a serving selector has no factory.
+TEST(ServeMethod, RejectsOutOfRangeClusterKVConfig) {
+  using Method = LatencyModel::Method;
   const auto session_config = small_session_config();
-  const ClusterKVConfig ckv = small_ckv_config();
-  const auto build = [&](Index BatchSchedulerConfig::*field, Index value) {
-    BatchSchedulerConfig config = tiered_scheduler_config(ckv, session_config);
-    config.*field = value;
-    BatchScheduler(fixed_trace(1, 100, 4, 0.0), make_clusterkv_factory(ckv, 8),
-                   session_config, test_latency(), config);
+  const auto build = [&](Method method, Index ClusterKVConfig::*field, Index value) {
+    ClusterKVConfig ckv = small_ckv_config();
+    ckv.*field = value;
+    BatchScheduler(fixed_trace(1, 100, 4, 0.0), ServeMethod{method, ckv, 8},
+                   session_config, test_latency(), BatchSchedulerConfig{});
   };
-  EXPECT_NO_THROW(build(&BatchSchedulerConfig::sink_tokens, 0));
-  EXPECT_THROW(build(&BatchSchedulerConfig::sink_tokens, -1), std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::cache_depth, -1), std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::repair_refine_iterations, -1),
+  for (const auto method : {Method::kClusterKV, Method::kQuest, Method::kFullKV}) {
+    EXPECT_NO_THROW(build(method, &ClusterKVConfig::sink_tokens, 0));
+    EXPECT_THROW(build(method, &ClusterKVConfig::sink_tokens, -1), std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::cache_depth, -1), std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::repair_refine_iterations, -1),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::repair_decode_interval, -3),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_clusters, -1),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::decode_interval, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::tokens_per_cluster, 0),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(build(Method::kClusterKV, &ClusterKVConfig::element_bytes, 4),
                std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::repair_decode_interval, -3),
-               std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::prefetch_clusters, -1),
-               std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::decode_interval, 0), std::invalid_argument);
-  EXPECT_THROW(build(&BatchSchedulerConfig::tokens_per_cluster, 0),
+  EXPECT_THROW(build(Method::kInfiniGen, &ClusterKVConfig::sink_tokens, 0),
                std::invalid_argument);
 }
 
@@ -391,9 +391,9 @@ TEST(BatchScheduler, ChunkedPrefillBoundsQueuedTTFT) {
   trace.push_back({1, 1.0, 64, 4, derive_seed(4, "short")});
 
   auto run = [&](Index chunk_tokens) {
-    auto config = tiered_scheduler_config(ckv, session_config);
+    BatchSchedulerConfig config;
     config.prefill_chunk_tokens = chunk_tokens;
-    BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 11),
+    BatchScheduler scheduler(trace, clusterkv_method(ckv, 11),
                              session_config, test_latency(), config);
     scheduler.run();
     EXPECT_EQ(scheduler.finished_count(), 2);
@@ -425,7 +425,7 @@ TEST(BatchScheduler, ChunkedPrefillBoundsQueuedTTFT) {
 TEST(BatchScheduler, BudgetHoldsOnEveryChunkedPrefillTick) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  BatchSchedulerConfig config;
   const Index per_token = session_token_bytes(session_config);
   const Index floor_tokens =
       ckv.sink_tokens + std::max(ckv.decode_interval, ckv.tokens_per_cluster) +
@@ -435,7 +435,7 @@ TEST(BatchScheduler, BudgetHoldsOnEveryChunkedPrefillTick) {
   config.prefill_chunk_tokens = 40;
 
   BatchScheduler scheduler(fixed_trace(2, 600, 4, 0.0),
-                           make_clusterkv_factory(ckv, 12), session_config,
+                           clusterkv_method(ckv, 12), session_config,
                            test_latency(), config);
   Index prefill_ticks = 0;
   while (scheduler.tick()) {
@@ -502,17 +502,13 @@ TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
   const std::int64_t budget = static_cast<std::int64_t>(2.2 * 408.0) * per_token *
                               session_config.shape.total_heads();
 
-  auto full_config = BatchSchedulerConfig{};
-  full_config.method = LatencyModel::Method::kFullKV;
-  full_config.fast_tier_budget_bytes = budget;
-  BatchScheduler full(trace, make_full_kv_factory(), session_config, test_latency(),
-                      full_config);
+  BatchSchedulerConfig config;
+  config.fast_tier_budget_bytes = budget;
+  BatchScheduler full(trace, kFullKVMethod, session_config, test_latency(), config);
   full.run();
 
-  auto ckv_config = tiered_scheduler_config(ckv, session_config);
-  ckv_config.fast_tier_budget_bytes = budget;
-  BatchScheduler clustered(trace, make_clusterkv_factory(ckv, 9), session_config,
-                           test_latency(), ckv_config);
+  BatchScheduler clustered(trace, clusterkv_method(ckv, 9), session_config,
+                           test_latency(), config);
   clustered.run();
 
   EXPECT_EQ(full.finished_count(), 8);
@@ -529,43 +525,36 @@ TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
   EXPECT_NEAR(full.metrics().mean_recall(), 1.0, 1e-9);
 }
 
-// The repair/tail-fold bills key off a replay of the engine's flush
-// policy; it must agree with ClusterKVEngine batch registration in the
-// corner cases (short prompts, folded tails, chunks smaller than the
-// clustering window) or the virtual clock charges work that never ran.
+// The repair/tail-fold bills key off prefill_flush_plan, a replay of the
+// engine's own prefill_flush decisions over token counts; it must agree
+// with batch registration in the corner cases (short prompts, folded
+// tails, chunks smaller than the clustering window) or the virtual clock
+// charges work that never ran.
 TEST(BatchScheduler, PrefillFlushPlanMirrorsEngineBatches) {
-  const auto session_config = small_session_config();
-  auto ckv = small_ckv_config();  // 8 sinks, 40 tokens/cluster
+  auto ckv = small_ckv_config();
   ckv.tokens_per_cluster = 20;
   ckv.sink_tokens = 16;
-  auto config = tiered_scheduler_config(ckv, session_config);
-  config.prefill_chunk_tokens = 256;
-  BatchScheduler scheduler({}, make_clusterkv_factory(ckv, 41), session_config,
-                           test_latency(), config);
 
   // Single-batch prompts: no fold (nothing precedes the tail), no repair.
-  auto plan = scheduler.prefill_flush_plan(18);
+  auto plan = prefill_flush_plan(ckv, 18, 256);
   EXPECT_EQ(plan.batches, 1);
   EXPECT_FALSE(plan.tail_folds);
   // Multi-chunk prompt whose tail folds: still one batch — repair no-op.
-  plan = scheduler.prefill_flush_plan(270);
+  plan = prefill_flush_plan(ckv, 270, 256);
   EXPECT_EQ(plan.batches, 1);
   EXPECT_TRUE(plan.tail_folds);
   // Tail long enough to flush: two batches, repair does real work.
-  plan = scheduler.prefill_flush_plan(276 + 16);
+  plan = prefill_flush_plan(ckv, 276 + 16, 256);
   EXPECT_EQ(plan.batches, 2);
   EXPECT_FALSE(plan.tail_folds);
 
   // Chunks smaller than the clustering window: pending accumulates across
-  // chunks, so a short *final chunk* is not a fold when the accumulated
-  // pending still reaches tokens_per_cluster (56 = 16+16+16+8 with no
-  // sinks pending after the first boundary... the last 8 join 16 pending).
-  auto small_chunks = config;
-  small_chunks.prefill_chunk_tokens = 16;
-  small_chunks.sink_tokens = 0;
-  BatchScheduler fine({}, make_clusterkv_factory(ckv, 42), session_config,
-                      test_latency(), small_chunks);
-  plan = fine.prefill_flush_plan(56);
+  // chunks, so a short final chunk is not a fold when the accumulated
+  // pending still reaches tokens_per_cluster (with no sinks, 56 = 16 + 16
+  // flushes 32, then 16 + 8 flushes 24).
+  ClusterKVConfig no_sinks = ckv;
+  no_sinks.sink_tokens = 0;
+  plan = prefill_flush_plan(no_sinks, 56, 16);
   EXPECT_EQ(plan.batches, 2);
   EXPECT_FALSE(plan.tail_folds);
 }
@@ -584,9 +573,9 @@ TEST(ServeMetrics, RecallDenominatorIdenticalAcrossSchedulerModes) {
   auto run = [&](Index chunk_tokens, Index refine_iterations) {
     auto no_repair = ckv;
     no_repair.repair_refine_iterations = refine_iterations;
-    auto config = tiered_scheduler_config(no_repair, session_config);
+    BatchSchedulerConfig config;
     config.prefill_chunk_tokens = chunk_tokens;
-    BatchScheduler scheduler(trace, make_clusterkv_factory(no_repair, 31),
+    BatchScheduler scheduler(trace, clusterkv_method(no_repair, 31),
                              session_config, test_latency(), config);
     scheduler.run();
     return scheduler;
@@ -930,7 +919,9 @@ void expect_snapshots_identical(const FleetSnapshot& a, const FleetSnapshot& b,
 /// pool workers — across the four scheduling modes the serving bench
 /// compares, with and without a contended budget (the contended sweep
 /// forces the headroom guard into its degenerate one-item serial waves;
-/// the unlimited sweep fans out whole batches).
+/// the unlimited sweep fans out whole batches). The SelectorFactory
+/// constructor, handed the same knobs through its mirror fields, must
+/// replay every ServeMethod run too.
 TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
@@ -943,7 +934,7 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   std::vector<Variant> variants;
   {
     const ClusterKVConfig base_ckv = small_ckv_config();
-    BatchSchedulerConfig base = tiered_scheduler_config(base_ckv, session);
+    BatchSchedulerConfig base;
     base.prefill_chunk_tokens = 64;
     variants.push_back({"chunked", base_ckv, base});
 
@@ -954,23 +945,18 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
     ClusterKVConfig repair_ckv = base_ckv;
     repair_ckv.repair_refine_iterations = 2;
     repair_ckv.repair_decode_interval = 6;
-    BatchSchedulerConfig repair_cfg = base;
-    repair_cfg.repair_refine_iterations = 2;
-    repair_cfg.repair_decode_interval = 6;
-    variants.push_back({"repair", repair_ckv, repair_cfg});
+    variants.push_back({"repair", repair_ckv, base});
 
     ClusterKVConfig prefetch_ckv = base_ckv;
     prefetch_ckv.prefetch_clusters = 3;
     prefetch_ckv.prefetch_prior_decay = 0.5;
-    BatchSchedulerConfig prefetch_cfg = base;
-    prefetch_cfg.prefetch_clusters = 3;
-    variants.push_back({"prefetch", prefetch_ckv, prefetch_cfg});
+    variants.push_back({"prefetch", prefetch_ckv, base});
 
     // Prefetch on a deliberately narrow link: the transfer engine's wire
     // backlog, late-prefetch conversion and per-tick stall billing all
     // engage, and every one of them must replay byte-identically from the
     // serial commit phase at any worker count.
-    BatchSchedulerConfig narrow_cfg = prefetch_cfg;
+    BatchSchedulerConfig narrow_cfg = base;
     narrow_cfg.link_gbps = 0.5;
     variants.push_back({"narrow-link", prefetch_ckv, narrow_cfg});
 
@@ -989,36 +975,53 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   const std::int64_t capped =
       static_cast<std::int64_t>(1.3 * 190.0) * session_token_bytes(session) *
       session.shape.total_heads();
+  const auto drain = [&](BatchScheduler& scheduler) {
+    scheduler.run();
+    // A faulted run may shed queued arrivals under sustained overload;
+    // retired plus shed must still conserve the offered trace.
+    EXPECT_EQ(static_cast<std::int64_t>(scheduler.finished_count()) +
+                  scheduler.metrics().shed_sessions_total(),
+              static_cast<std::int64_t>(trace.size()));
+    return take_snapshot(scheduler.metrics());
+  };
 
   for (const auto& variant : variants) {
     for (const std::int64_t budget : {std::int64_t{0}, capped}) {
+      BatchSchedulerConfig config = variant.config;
+      config.fast_tier_budget_bytes = budget;
+      if (budget > 0) {
+        config.admission_overcommit = 1.5;
+      }
+      const std::string label = variant.name + (budget > 0 ? "/capped" : "/unlimited");
       FleetSnapshot baseline;
       for (const int workers : {1, 2, 8}) {
         set_parallel_workers(workers);
-        BatchSchedulerConfig config = variant.config;
-        config.fast_tier_budget_bytes = budget;
-        if (budget > 0) {
-          config.admission_overcommit = 1.5;
-        }
-        BatchScheduler scheduler(trace,
-                                 make_clusterkv_factory(variant.ckv, 7),
-                                 session, test_latency(), config);
-        scheduler.run();
-        // A faulted run may shed queued arrivals under sustained overload;
-        // retired plus shed must still conserve the offered trace.
-        ASSERT_EQ(static_cast<std::int64_t>(scheduler.finished_count()) +
-                      scheduler.metrics().shed_sessions_total(),
-                  static_cast<std::int64_t>(trace.size()));
-        const FleetSnapshot snap = take_snapshot(scheduler.metrics());
-        const std::string label = variant.name +
-                                  (budget > 0 ? "/capped" : "/unlimited") +
-                                  " @ " + std::to_string(workers) + " workers";
+        BatchScheduler scheduler(trace, clusterkv_method(variant.ckv, 7), session,
+                                 test_latency(), config);
+        const FleetSnapshot snap = drain(scheduler);
         if (workers == 1) {
           baseline = snap;
         } else {
-          expect_snapshots_identical(baseline, snap, label);
+          expect_snapshots_identical(
+              baseline, snap, label + " @ " + std::to_string(workers) + " workers");
         }
       }
+      // The SelectorFactory constructor, its mirrors copied from the
+      // variant's ClusterKVConfig, must replay the ServeMethod run.
+      BatchSchedulerConfig mirrored = config;
+      mirrored.method = LatencyModel::Method::kClusterKV;
+      mirrored.tiered_residency = true;
+      mirrored.sink_tokens = variant.ckv.sink_tokens;
+      mirrored.decode_interval = variant.ckv.decode_interval;
+      mirrored.cache_depth = variant.ckv.cache_depth;
+      mirrored.tokens_per_cluster = variant.ckv.tokens_per_cluster;
+      mirrored.repair_refine_iterations = variant.ckv.repair_refine_iterations;
+      mirrored.repair_decode_interval = variant.ckv.repair_decode_interval;
+      mirrored.prefetch_clusters = variant.ckv.prefetch_clusters;
+      BatchScheduler adapter(trace, make_clusterkv_factory(variant.ckv, 7), session,
+                             test_latency(), mirrored);
+      expect_snapshots_identical(baseline, drain(adapter),
+                                 label + " via SelectorFactory");
     }
   }
 }
@@ -1031,7 +1034,7 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
   const ClusterKVConfig ckv = small_ckv_config();
-  BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
+  BatchSchedulerConfig config;
   config.prefill_chunk_tokens = 48;
   config.max_running = 3;  // saturated: half the fleet queues behind the cap
 
@@ -1039,9 +1042,9 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   set_parallel_workers(8);
   BatchSchedulerConfig serial_config = config;
   serial_config.parallel_tick = false;
-  BatchScheduler serial(trace, make_clusterkv_factory(ckv, 7), session,
+  BatchScheduler serial(trace, clusterkv_method(ckv, 7), session,
                         test_latency(), serial_config);
-  BatchScheduler parallel(trace, make_clusterkv_factory(ckv, 7), session,
+  BatchScheduler parallel(trace, clusterkv_method(ckv, 7), session,
                           test_latency(), config);
 
   // Per-session progress (prompt tokens prefilled + tokens generated) of
@@ -1101,10 +1104,9 @@ FleetSnapshot run_engine_fleet(const std::vector<ServeRequest>& trace,
                                double link_gbps) {
   const auto session = small_session_config();
   const ClusterKVConfig ckv = prefetch_engine_ckv();
-  BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
-  config.prefetch_clusters = 3;
+  BatchSchedulerConfig config;
   config.link_gbps = link_gbps;
-  BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 7), session,
+  BatchScheduler scheduler(trace, clusterkv_method(ckv, 7), session,
                            test_latency(), config);
   scheduler.run();
   EXPECT_EQ(scheduler.finished_count(), static_cast<Index>(trace.size()));
@@ -1150,17 +1152,16 @@ TEST(TransferEngineServe, ConfigValidation) {
   const ClusterKVConfig ckv = prefetch_engine_ckv();
   const auto trace = fixed_trace(1, 64, 2, 0.0);
 
-  BatchSchedulerConfig bad_link = tiered_scheduler_config(ckv, session);
+  BatchSchedulerConfig bad_link;
   bad_link.link_gbps = -1.0;
-  EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
+  EXPECT_THROW(BatchScheduler(trace, clusterkv_method(ckv, 7), session,
                               test_latency(), bad_link),
                std::invalid_argument);
 
   BatchSchedulerConfig quest_link;
-  quest_link.method = LatencyModel::Method::kQuest;
   quest_link.link_gbps = 5.0;
-  EXPECT_THROW(BatchScheduler(trace, make_quest_factory(), session, test_latency(),
-                              quest_link),
+  EXPECT_THROW(BatchScheduler(trace, ServeMethod{LatencyModel::Method::kQuest, ckv, 7},
+                              session, test_latency(), quest_link),
                std::invalid_argument);
 }
 

@@ -367,30 +367,19 @@ int run_serve(int argc, const char* const* argv) {
   ckv.prefetch_prior_decay =
       args.get_double_in("prefetch-prior-decay", 0.0, 0.999999);
 
-  BatchSchedulerConfig scheduler_config;
-  SelectorFactory factory;
-  if (method == "clusterkv") {
-    scheduler_config.method = LatencyModel::Method::kClusterKV;
-    scheduler_config.tiered_residency = true;
-    scheduler_config.sink_tokens = ckv.sink_tokens;
-    scheduler_config.decode_interval = ckv.decode_interval;
-    scheduler_config.cache_depth = ckv.cache_depth;
-    scheduler_config.tokens_per_cluster = ckv.tokens_per_cluster;
-    scheduler_config.admission_overcommit = args.get_double("overcommit");
-    scheduler_config.repair_refine_iterations = ckv.repair_refine_iterations;
-    scheduler_config.repair_decode_interval = ckv.repair_decode_interval;
-    scheduler_config.prefetch_clusters = ckv.prefetch_clusters;
-    factory = make_clusterkv_factory(ckv, seed);
-  } else if (method == "quest") {
-    scheduler_config.method = LatencyModel::Method::kQuest;
-    factory = make_quest_factory();
+  // The ClusterKV knobs ride along for every method, so an out-of-range
+  // one is rejected even when the method never reads it.
+  ServeMethod serve_method{LatencyModel::Method::kClusterKV, ckv, seed};
+  if (method == "quest") {
+    serve_method.method = LatencyModel::Method::kQuest;
   } else if (method == "full") {
-    scheduler_config.method = LatencyModel::Method::kFullKV;
-    factory = make_full_kv_factory();
-  } else {
+    serve_method.method = LatencyModel::Method::kFullKV;
+  } else if (method != "clusterkv") {
     throw std::invalid_argument("unknown method '" + method +
                                 "' (expected clusterkv|quest|full)");
   }
+  BatchSchedulerConfig scheduler_config;
+  scheduler_config.admission_overcommit = args.get_double("overcommit");
   if (method != "clusterkv" && args.get_double("overcommit") != 1.0) {
     throw std::invalid_argument(
         "--overcommit only applies to clusterkv (untiered methods cannot "
@@ -444,7 +433,7 @@ int run_serve(int argc, const char* const* argv) {
 
   const LatencyModel latency(HardwareModel::ada6000(),
                              make_model("llama31-8b"));
-  BatchScheduler scheduler(trace, factory, session_config, latency,
+  BatchScheduler scheduler(trace, serve_method, session_config, latency,
                            scheduler_config);
   scheduler.run();
 
