@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "tensor/softmax.hpp"
 #include "tensor/topk.hpp"
@@ -69,8 +70,32 @@ Index DecodeEngine::prefill_chunk(Index max_tokens) {
 }
 
 StepResult DecodeEngine::decode_step(Index step) {
-  expects(prefilled_, "DecodeEngine::decode_step: run_prefill first");
-  expects(step == next_step_, "DecodeEngine::decode_step: steps must be sequential");
+  select_step(step);
+  return score_step();
+}
+
+namespace {
+
+/// The query group of KV head (layer, head) at `step`. GQA: the query-head
+/// group shares one selection per KV head.
+std::vector<std::vector<float>> group_queries(HeadStream& stream, Index step,
+                                              Index group) {
+  std::vector<std::vector<float>> queries;
+  queries.reserve(static_cast<std::size_t>(group));
+  for (Index sub = 0; sub < group; ++sub) {
+    queries.push_back(stream.query(step, sub));
+  }
+  return queries;
+}
+
+}  // namespace
+
+StepResult DecodeEngine::select_step(Index step) {
+  expects(prefilled_, "DecodeEngine::select_step: run_prefill first");
+  expects(!pending_.has_value(),
+          "DecodeEngine::select_step: the previous step is not scored yet "
+          "(call score_step first)");
+  expects(step == next_step_, "DecodeEngine::select_step: steps must be sequential");
   ++next_step_;
 
   // The generated token joins the context before selection: its KV is on
@@ -84,7 +109,46 @@ StepResult DecodeEngine::decode_step(Index step) {
     }
   }
 
-  StepResult result;
+  PendingStep pending;
+  pending.step = step;
+  pending.selected.resize(static_cast<std::size_t>(model_.shape().total_heads()));
+  StepResult& traffic = pending.traffic;
+  const Index heads = model_.shape().num_heads;
+  const Index group = model_.shape().queries_per_kv;
+  for (Index l = config_.full_attention_layers; l < model_.shape().num_layers; ++l) {
+    for (Index h = 0; h < heads; ++h) {
+      // The selection query is the group sum — centroid/page scores are
+      // linear in q, so this equals summing the group's scores.
+      const auto queries = group_queries(model_.head(l, h), step, group);
+      std::vector<float> selection_query = queries.front();
+      for (Index sub = 1; sub < group; ++sub) {
+        add_in_place(selection_query, queries[static_cast<std::size_t>(sub)]);
+      }
+      SelectionResult sel = bank_.at(l, h).select(selection_query, config_.budget);
+      traffic.tokens_selected += static_cast<Index>(sel.indices.size());
+      traffic.tokens_fetched += sel.tokens_fetched;
+      traffic.tokens_cache_hit += sel.tokens_cache_hit;
+      traffic.tokens_prefetch_hit += sel.tokens_prefetch_hit;
+      traffic.tokens_prefetch_issued += sel.tokens_prefetch_issued;
+      pending.selected[static_cast<std::size_t>(l * heads + h)] = std::move(sel.indices);
+    }
+  }
+  total_fetched_ += traffic.tokens_fetched;
+  total_cache_hits_ += traffic.tokens_cache_hit;
+  total_prefetch_hits_ += traffic.tokens_prefetch_hit;
+  total_prefetch_issued_ += traffic.tokens_prefetch_issued;
+  StepResult counts = traffic;
+  pending_ = std::move(pending);
+  return counts;
+}
+
+StepResult DecodeEngine::score_step() {
+  expects(pending_.has_value(),
+          "DecodeEngine::score_step: no selected step is pending");
+  PendingStep pending = std::move(*pending_);
+  pending_.reset();
+
+  StepResult result = std::move(pending.traffic);
   RunningStat step_recall;
   RunningStat step_coverage;
   RunningStat step_error;
@@ -96,38 +160,17 @@ StepResult DecodeEngine::decode_step(Index step) {
     const bool selection_active = l >= config_.full_attention_layers;
     for (Index h = 0; h < heads; ++h) {
       auto& stream = model_.head(l, h);
-
-      // GQA: the query-head group shares one selection per KV head. The
-      // selection query is the group sum — centroid/page scores are linear
-      // in q, so this equals summing the group's scores.
-      std::vector<std::vector<float>> group_queries;
-      group_queries.reserve(static_cast<std::size_t>(group));
-      for (Index sub = 0; sub < group; ++sub) {
-        group_queries.push_back(stream.query(step, sub));
-      }
-      std::vector<float> selection_query = group_queries.front();
-      for (Index sub = 1; sub < group; ++sub) {
-        add_in_place(selection_query, group_queries[static_cast<std::size_t>(sub)]);
-      }
-
+      const auto queries = group_queries(stream, pending.step, group);
       const Index n = stream.size();
-      std::vector<Index> selected;
-      SelectionResult sel;
-      if (selection_active) {
-        sel = bank_.at(l, h).select(selection_query, config_.budget);
-        selected = sel.indices;
-        result.tokens_selected += static_cast<Index>(selected.size());
-        result.tokens_fetched += sel.tokens_fetched;
-        result.tokens_cache_hit += sel.tokens_cache_hit;
-        result.tokens_prefetch_hit += sel.tokens_prefetch_hit;
-        result.tokens_prefetch_issued += sel.tokens_prefetch_issued;
-      } else {
+      std::vector<Index>& selected =
+          pending.selected[static_cast<std::size_t>(l * heads + h)];
+      if (!selection_active) {
         selected.resize(static_cast<std::size_t>(n));
         std::iota(selected.begin(), selected.end(), Index{0});
       }
 
       for (Index sub = 0; sub < group; ++sub) {
-        const auto& query = group_queries[static_cast<std::size_t>(sub)];
+        const auto& query = queries[static_cast<std::size_t>(sub)];
         const auto full_scores = stream.attention_scores(query);
 
         // Exact attention output; its softmax also weighs coverage below.
@@ -213,10 +256,6 @@ StepResult DecodeEngine::decode_step(Index step) {
     result.mean_coverage = 1.0;
     result.mean_output_error = 0.0;
   }
-  total_fetched_ += result.tokens_fetched;
-  total_cache_hits_ += result.tokens_cache_hit;
-  total_prefetch_hits_ += result.tokens_prefetch_hit;
-  total_prefetch_issued_ += result.tokens_prefetch_issued;
   return result;
 }
 

@@ -2,6 +2,17 @@
 // per-head selectors, then each decode step selects tokens per head,
 // computes approximate attention, and scores it against exact attention.
 // This is the measurement harness behind Fig. 9/10/11 and §V-C.
+//
+// A decode step has two halves. The selection half (select_step) appends
+// the generated token, feeds it to the selectors and runs select on every
+// head — the only part that touches a selector's tiered store and the
+// source of the step's traffic counts. The scoring half (score_step) is
+// the exact-attention oracle: exact and approximate attention, recall@B,
+// coverage, output error and the features. It reads only this engine's
+// context model and the selections stashed by the selection half, so a
+// scheduler may run residency changes (enforcement, degraded-mode resets)
+// between the halves and score many sessions' steps concurrently.
+// decode_step is the composition of the two.
 #pragma once
 
 #include <optional>
@@ -49,7 +60,7 @@ class DecodeEngine {
   void run_prefill();
 
   /// Feeds the next at most `max_tokens` prompt rows to every selector —
-  /// the re-entrant chunked-prefill mirror of decode_next(), letting a
+  /// the re-entrant chunked-prefill mirror of select_next(), letting a
   /// scheduler interleave one prompt chunk per tick with other sessions'
   /// decode steps. Chunk-aware selectors (supports_chunked_prefill())
   /// receive each slice as it lands; chunk-oblivious ones get one
@@ -64,13 +75,28 @@ class DecodeEngine {
 
   /// Executes decode step `step` (0-based, strictly increasing): appends
   /// one generated token, selects, computes approximate + exact attention,
-  /// and returns the step's measurements.
+  /// and returns the step's measurements. Equals select_step(step)
+  /// followed by score_step().
   StepResult decode_step(Index step);
 
-  /// Executes the next decode step — the re-entry point for interleaved
+  /// The selection half of decode step `step` (see the file comment).
+  /// Returns the traffic counts; the quality fields stay at their
+  /// defaults. Throws std::invalid_argument while a previous step is
+  /// still unscored.
+  StepResult select_step(Index step);
+
+  /// select_step for the next step — the re-entry point for interleaved
   /// multi-session scheduling, where each session's engine advances
   /// independently one step per scheduler tick.
-  StepResult decode_next() { return decode_step(next_step_); }
+  StepResult select_next() { return select_step(next_step_); }
+
+  /// The scoring half of the pending step (see the file comment), folded
+  /// into the recall / coverage / error statistics. Returns the full step
+  /// result, traffic counts included. With attention_feedback on it also
+  /// feeds the approximate attention back to the selectors
+  /// (observe_attention) before the next selection. Throws
+  /// std::invalid_argument when no step is pending.
+  StepResult score_step();
 
   [[nodiscard]] bool prefilled() const noexcept { return prefilled_; }
   [[nodiscard]] Index steps_completed() const noexcept { return next_step_; }
@@ -98,6 +124,7 @@ class DecodeEngine {
   [[nodiscard]] const RunningStat& output_error_stat() const noexcept {
     return output_error_;
   }
+  /// Traffic totals count every selected step (they update in select_step).
   [[nodiscard]] std::int64_t total_fetched() const noexcept { return total_fetched_; }
   [[nodiscard]] std::int64_t total_cache_hits() const noexcept {
     return total_cache_hits_;
@@ -121,6 +148,15 @@ class DecodeEngine {
   bool prefilled_ = false;
   Index prefill_done_ = 0;
   Index next_step_ = 0;
+  /// What the selection half hands the scoring half.
+  struct PendingStep {
+    Index step = 0;
+    StepResult traffic;  ///< the selection half's counts
+    /// Selected positions per layer-major head; empty on full-attention
+    /// layers, which attend the whole context.
+    std::vector<std::vector<Index>> selected;
+  };
+  std::optional<PendingStep> pending_;
   RunningStat recall_;
   RunningStat coverage_;
   RunningStat output_error_;

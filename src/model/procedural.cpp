@@ -6,10 +6,12 @@
 
 #include "core/kernels.hpp"
 #include "tensor/vec_ops.hpp"
+#include "util/parallel.hpp"
 
 namespace ckv {
 
-HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len)
+HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len,
+                       Index capacity)
     : params_(params),
       topic_rng_(rng.fork("topics")),
       key_rng_(rng.fork("keys")),
@@ -36,6 +38,12 @@ HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len
     outlier_channel_offset_.push_back(static_cast<float>(sign * params.outlier_offset));
   }
 
+  const Index rows = std::max(capacity, prompt_len);
+  topic_assignment_.reserve(static_cast<std::size_t>(rows));
+  keys_ = Matrix(0, params.head_dim);
+  values_ = Matrix(0, params.head_dim);
+  keys_.reserve_rows(rows);
+  values_.reserve_rows(rows);
   for (Index p = 0; p < prompt_len; ++p) {
     append_token(p);
   }
@@ -46,8 +54,11 @@ HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len
   }
 
   expects(params.queries_per_kv >= 1, "HeadStream: queries_per_kv must be >= 1");
-  queries_.resize(static_cast<std::size_t>(params.queries_per_kv));
+  // One query row per generated token.
+  queries_.assign(static_cast<std::size_t>(params.queries_per_kv),
+                  Matrix(0, params.head_dim));
   for (Index sub = 0; sub < params.queries_per_kv; ++sub) {
+    queries_[static_cast<std::size_t>(sub)].reserve_rows(rows - prompt_len);
     sub_query_rngs_.push_back(query_rng_.fork("sub" + std::to_string(sub)));
   }
 }
@@ -239,7 +250,8 @@ std::vector<float> HeadStream::attention_scores(std::span<const float> query,
 
 ProceduralContextModel::ProceduralContextModel(const SimShape& shape,
                                                const ProceduralParams& params,
-                                               std::uint64_t seed, Index prompt_len)
+                                               std::uint64_t seed, Index prompt_len,
+                                               Index capacity)
     : shape_(shape), prompt_len_(prompt_len) {
   expects(shape.num_layers > 0 && shape.num_heads > 0,
           "ProceduralContextModel: shape must be positive");
@@ -248,14 +260,15 @@ ProceduralContextModel::ProceduralContextModel(const SimShape& shape,
   ProceduralParams head_params = params;
   head_params.head_dim = shape.head_dim;
   head_params.queries_per_kv = shape.queries_per_kv;
-  heads_.reserve(static_cast<std::size_t>(shape.total_heads()));
-  for (Index l = 0; l < shape.num_layers; ++l) {
-    for (Index h = 0; h < shape.num_heads; ++h) {
-      const auto tag = "model/l" + std::to_string(l) + "/h" + std::to_string(h);
-      heads_.push_back(std::make_unique<HeadStream>(
-          head_params, Rng(derive_seed(seed, tag)), prompt_len));
-    }
-  }
+  heads_.resize(static_cast<std::size_t>(shape.total_heads()));
+  // Each head writes only its own slot (layer-major).
+  parallel_for(0, shape.total_heads(), [&](Index i) {
+    const Index l = i / shape.num_heads;
+    const Index h = i % shape.num_heads;
+    const auto tag = "model/l" + std::to_string(l) + "/h" + std::to_string(h);
+    heads_[static_cast<std::size_t>(i)] = std::make_unique<HeadStream>(
+        head_params, Rng(derive_seed(seed, tag)), prompt_len, capacity);
+  });
 }
 
 Index ProceduralContextModel::context_len() const { return heads_.front()->size(); }

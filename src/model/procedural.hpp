@@ -54,7 +54,13 @@ struct ProceduralParams {
 /// topic-focus process.
 class HeadStream {
  public:
-  HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len);
+  /// Synthesizes the prompt's keys/values. `capacity` is the context
+  /// length the stream will reach (prompt + generated tokens): keys,
+  /// values and queries reserve it up front so decode appends never
+  /// reallocate. It is a sizing hint only — values never depend on it,
+  /// and a stream may grow past it.
+  HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len,
+             Index capacity = 0);
 
   [[nodiscard]] Index size() const noexcept { return keys_.rows(); }
   [[nodiscard]] Index prompt_len() const noexcept { return prompt_len_; }
@@ -122,8 +128,13 @@ class HeadStream {
 /// advance in lockstep.
 class ProceduralContextModel {
  public:
+  /// Synthesizes every head's prompt. The heads are independent (each
+  /// derives its own seed from `seed` and its layer/head tag), so they are
+  /// built with parallel_for; a call from inside a parallel body builds
+  /// them inline. Bit-identical at every worker count. `capacity` is the
+  /// per-head sizing hint of HeadStream.
   ProceduralContextModel(const SimShape& shape, const ProceduralParams& params,
-                         std::uint64_t seed, Index prompt_len);
+                         std::uint64_t seed, Index prompt_len, Index capacity = 0);
 
   [[nodiscard]] const SimShape& shape() const noexcept { return shape_; }
   [[nodiscard]] Index prompt_len() const noexcept { return prompt_len_; }

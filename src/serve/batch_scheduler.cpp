@@ -218,28 +218,33 @@ bool BatchScheduler::shed_blocked_head() {
 }
 
 void BatchScheduler::admit_arrivals() {
+  // Decisions first, serially and FIFO. They read only request fields (the
+  // byte projections) and the running count, so the requests admitted
+  // earlier in this loop count as running before their sessions exist.
+  std::int64_t reserved = 0;
+  std::int64_t residual = 0;
+  for (const auto& session : running_) {
+    reserved += projected_bytes(session->request());
+    residual += residual_bytes(session->request());
+  }
+  std::vector<ServeRequest> admitted;
   while (queue_.has_arrival(now_ms_)) {
-    if (config_.max_running > 0 &&
-        static_cast<Index>(running_.size()) >= config_.max_running) {
+    const auto running = static_cast<Index>(running_.size() + admitted.size());
+    if (config_.max_running > 0 && running >= config_.max_running) {
       if (shed_blocked_head()) {
         continue;
       }
-      return;
+      break;
     }
+    const ServeRequest& head = queue_.front();
     if (config_.fast_tier_budget_bytes > 0) {
       // Admission reserves every running session's projected peak (up to
       // budget * overcommit) AND keeps the sum of irreducible residuals
       // under the plain budget, so enforcement can always preempt its way
       // back under the cap no matter how aggressive the overcommit is.
-      std::int64_t reserved = 0;
-      std::int64_t residual = 0;
-      for (const auto& session : running_) {
-        reserved += projected_bytes(session->request());
-        residual += residual_bytes(session->request());
-      }
       double cap = static_cast<double>(config_.fast_tier_budget_bytes) *
                    config_.admission_overcommit;
-      if (fault_injector_ != nullptr && !running_.empty()) {
+      if (fault_injector_ != nullptr && running > 0) {
         // Overload burst: the byte cap tightens inside the window, so
         // admission stalls and the queue backs up — the load the shed
         // bound then acts on. Only with a non-empty batch: an idle
@@ -247,16 +252,45 @@ void BatchScheduler::admit_arrivals() {
         // deadlock against a squeezed cap).
         cap *= fault_injector_->admission_factor_at(now_ms_);
       }
-      if (static_cast<double>(reserved + projected_bytes(queue_.front())) > cap ||
-          residual + residual_bytes(queue_.front()) >
-              config_.fast_tier_budget_bytes) {
+      if (static_cast<double>(reserved + projected_bytes(head)) > cap ||
+          residual + residual_bytes(head) > config_.fast_tier_budget_bytes) {
         if (shed_blocked_head()) {
           continue;
         }
-        return;  // FIFO: the head blocks until residency frees up
+        break;  // FIFO: the head blocks until residency frees up
       }
     }
-    auto session = std::make_unique<Session>(queue_.pop(), factory_, session_config_);
+    reserved += projected_bytes(head);
+    residual += residual_bytes(head);
+    admitted.push_back(queue_.pop());
+  }
+  if (admitted.empty()) {
+    return;
+  }
+
+  // Synthesis: each admitted context is a pure function of (request,
+  // config), so the models build on the pool, one request per chunk. The
+  // body touches no serial-phase state (see batch_scheduler.hpp).
+  std::vector<std::unique_ptr<ProceduralContextModel>> models(admitted.size());
+  const auto synthesize = [&](Index begin, Index end) {
+    for (Index i = begin; i < end; ++i) {
+      const auto slot = static_cast<std::size_t>(i);
+      models[slot] = Session::synthesize(admitted[slot], session_config_);
+    }
+  };
+  const auto count = static_cast<Index>(admitted.size());
+  if (config_.parallel_tick) {
+    parallel_for_range(0, count, /*grain=*/1, synthesize);
+  } else {
+    synthesize(0, count);
+  }
+
+  // Sessions, in admission order: the selector factory runs in the same
+  // order as a one-at-a-time admission would call it.
+  auto& tr = obs::tracer();
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    auto session = std::make_unique<Session>(admitted[i], std::move(models[i]),
+                                             factory_, session_config_);
     if (method_.tiered()) {
       session->attach_fast_tier_ledger(&ledger_);
     }
@@ -264,7 +298,6 @@ void BatchScheduler::admit_arrivals() {
     // chunk by chunk in subsequent ticks, interleaved with the running
     // batch's decode steps (vLLM-style chunked prefill).
     session->admit(now_ms_);
-    auto& tr = obs::tracer();
     if (tr.enabled()) {
       const std::int64_t track = session_track(*session);
       tr.set_track_name(track,
@@ -582,7 +615,7 @@ void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
   if (item.prefilling) {
     item.session->prefill_next(item.chunk, completed_ms);
   } else {
-    item.step = item.session->decode_next(completed_ms);
+    item.step = item.session->select_next(completed_ms);
   }
 }
 
@@ -898,6 +931,8 @@ void BatchScheduler::advance_and_commit(TickState& t) {
   // serial order. A one-item wave (contention, or parallel_tick off)
   // advances on the caller and commits at once: the literal serial
   // step+commit interleaving, preserving byte-identity under contention.
+  // A decoder's wave runs only its step's selection half; the score pass
+  // after the last commit runs the rest.
   //
   // Leaf instrumentation (tiered-store fetch events) records against the
   // ambient context: the tick's completion time, the acting session's
@@ -954,6 +989,23 @@ void BatchScheduler::advance_and_commit(TickState& t) {
     }
     begin = end;
   }
+  // Score pass: every decoder's exact-attention oracle. Selection (the
+  // only residency-dependent part of a step) ran in the waves above, and
+  // scoring reads only each session's own context model and stashed
+  // selections, so it fans out at any budget — after every commit, so
+  // enforcement, wire bookkeeping and aborts kept the serial order.
+  const auto score = [&items](Index begin, Index end) {
+    for (Index i = begin; i < end; ++i) {
+      items[static_cast<std::size_t>(i)].session->score_step();
+    }
+  };
+  const auto first_decoder = static_cast<Index>(t.prefill_count);
+  const auto item_count = static_cast<Index>(items.size());
+  if (config_.parallel_tick) {
+    parallel_for_range(first_decoder, item_count, /*grain=*/1, score);
+  } else {
+    score(first_decoder, item_count);
+  }
   // ckv-lint: allow(wall-clock) -- closes the host-side metric above
   const double advance_wall_ms = std::chrono::duration<double, std::milli>(
                                      std::chrono::steady_clock::now() - wall_begin)
@@ -982,9 +1034,10 @@ void BatchScheduler::sample_counters() {
 }
 
 bool BatchScheduler::tick() {
-  // The tick body IS the serial phase; the only escape is the wave
-  // fan-out in advance_and_commit, whose lambda runs advance_item
-  // (unannotated on purpose — see batch_scheduler.hpp) on pool workers.
+  // The tick body IS the serial phase; the only escapes are the pool
+  // bodies (unannotated on purpose — see batch_scheduler.hpp): synthesis
+  // in admit_arrivals, and the waves (advance_item) and the score pass in
+  // advance_and_commit.
   const ExclusiveLock serial(serial_phase_);
   if (running_.empty() && queue_.empty()) {
     return false;

@@ -3,16 +3,21 @@
 // TickState (reads -> writes):
 //   1. open_tick           queue, fault plan -> now_ms_ (idle jump), the
 //                          brownout factor, the wire drained up to now_ms_
-//   2. admit_arrivals      queue, budget, running projections -> running_
-//                          (sheds a hopelessly blocked head under faults)
+//   2. admit_arrivals      queue, budget, running projections -> running_:
+//                          serial FIFO decisions (sheds a hopelessly blocked
+//                          head under faults), the admitted contexts
+//                          synthesized on the pool, then sessions built
+//                          and traced serially in admission order
 //   3. plan_batch          running_, round-robin offset -> AdvanceItems,
 //                          prefill items first, pre-step state captured
 //   4. bill                items, latency model, fault rolls, wire backlog ->
 //                          tick/decode/prefill/repair ms, stall metrics
 //   5. trace_phases        billed phases -> tick span and phase sub-spans
-//   6. advance_and_commit  items -> sessions stepped in guarded waves, then
-//                          committed serially (metrics, wire enqueues, the
-//                          per-item budget enforcement checkpoint)
+//   6. advance_and_commit  items -> prefill chunks and decode selections in
+//                          guarded waves, each committed serially (metrics,
+//                          wire enqueues, the per-item budget enforcement
+//                          checkpoint), then one score pass over the
+//                          decoders' exact-attention oracles on the pool
 //   7. sync_wire           wire queue -> drained to the tick's completion
 //                          (the same pass open_tick runs for an idle jump)
 //   8. retire_finished     finished sessions -> SessionRecords, ledger detach
@@ -69,16 +74,18 @@ struct BatchSchedulerConfig {
   /// model's pcie_gather_gbps; sweeping it down makes contention bite.
   /// Other methods have no modeled wire and reject a nonzero value.
   double link_gbps = 0.0;
-  /// Fan session advancement out to the persistent worker pool. Sessions
-  /// are independent (own engine, own RNG, own stores; the shared ledger
-  /// is commutative atomics), so a tick may step them concurrently —
+  /// Fan session work out to the persistent worker pool. Sessions are
+  /// independent (own engine, own RNG, own stores; the shared ledger is
+  /// commutative atomics), so a tick may work on them concurrently —
   /// *wall* time drops while every billed virtual-time, quality and
-  /// billing column stays byte-identical to the serial scheduler: the
-  /// fan-out only covers waves the headroom guard proves budget
-  /// enforcement cannot interrupt, and order-sensitive work (metrics,
-  /// preemption, enforcement, retirement) runs in a serial commit phase
-  /// in the exact serial order (see docs/SCHEDULING.md). false forces the
-  /// pre-fan-out serial path (determinism A/B runs, debugging).
+  /// billing column stays byte-identical to the serial scheduler. Three
+  /// passes fan out: context synthesis at admission and the decoders'
+  /// score pass (both pure per-session work, at any budget), and the
+  /// advance waves the headroom guard proves budget enforcement cannot
+  /// interrupt. Order-sensitive work (metrics, preemption, enforcement,
+  /// retirement) runs in a serial commit phase in the exact serial order
+  /// (see docs/SCHEDULING.md). false runs all three inline (determinism
+  /// A/B runs, debugging).
   bool parallel_tick = true;
   /// Deterministic fault injection (docs/ROBUSTNESS.md). Disabled by
   /// default: every fault branch in the scheduler is gated on the plan,
@@ -203,7 +210,9 @@ class BatchScheduler {
     Index chunk = 0;  ///< prefill chunk tokens (prefillers only)
     double pre_last_step_ms = -1.0;
     double pre_first_token_ms = -1.0;
-    StepResult step;  ///< decode outcome (decoders only)
+    /// Decoders only: the selection half's traffic counts (the commit
+    /// phase bills from them; quality is scored in the score pass).
+    StepResult step;
   };
 
   /// The state one tick's passes share; every tick builds a fresh one.
@@ -240,15 +249,18 @@ class BatchScheduler {
   // ---- pass helpers ----
 
   void enforce_budget(Session* just_stepped) CKV_REQUIRES(serial_phase_);
-  /// Runs one item's prefill chunk / decode step at `completed_ms`,
-  /// setting the calling thread's tracer context to the session's track
-  /// (safe from pool workers — the ambient context is per-thread).
+  /// Runs one item's prefill chunk / decode-step selection half at
+  /// `completed_ms`, setting the calling thread's tracer context to the
+  /// session's track (safe from pool workers — the ambient context is
+  /// per-thread).
   ///
-  /// Deliberately *not* CKV_REQUIRES(serial_phase_): this is the one
-  /// scheduler method pool workers may run concurrently, and the analysis
-  /// proves it touches no serial-phase state (any new read of a
-  /// CKV_GUARDED_BY(serial_phase_) member here is a clang CI error — the
-  /// compile-time form of "workers stay out of the commit phase").
+  /// Deliberately *not* CKV_REQUIRES(serial_phase_): pool workers run it
+  /// concurrently, and the analysis proves it touches no serial-phase
+  /// state (any new read of a CKV_GUARDED_BY(serial_phase_) member here is
+  /// a clang CI error — the compile-time form of "workers stay out of the
+  /// commit phase"). The synthesis body in admit_arrivals and the score
+  /// body in advance_and_commit are unannotated lambdas under the same
+  /// rule.
   void advance_item(AdvanceItem& item, double completed_ms);
   /// The item's order-sensitive tail, serial-only: trace edges, metrics,
   /// the ledger cross-check and the budget-enforcement checkpoint, in the
@@ -315,11 +327,11 @@ class BatchScheduler {
   void cancel_session_spec(Session& session) CKV_REQUIRES(serial_phase_);
 
   /// The tick's serial phase as a compile-time capability: everything a
-  /// worker must not touch while the wave fan-out is in flight is
+  /// worker must not touch while a fan-out is in flight is
   /// CKV_GUARDED_BY(serial_phase_). tick() claims it for the tick body;
-  /// advance_item (the only code that runs on pool workers) does not, so
-  /// the clang -Wthread-safety leg statically separates the parallel
-  /// advance phase from the serial commit phase. No runtime lock — ticks
+  /// the pool bodies (advance_item, the synthesis and score lambdas) do
+  /// not, so the clang -Wthread-safety leg statically separates the
+  /// parallel passes from the serial commit phase. No runtime lock — ticks
   /// are single-threaded by contract; this makes the contract checkable.
   mutable ExclusiveContext serial_phase_;
 

@@ -1,5 +1,7 @@
 #include "serve/session.hpp"
 
+#include <utility>
+
 namespace ckv {
 
 const char* to_string(SessionState state) noexcept {
@@ -16,15 +18,31 @@ const char* to_string(SessionState state) noexcept {
   return "unknown";
 }
 
-Session::Session(const ServeRequest& request, const SelectorFactory& factory,
-                 const SessionConfig& config)
-    : request_(request), config_(config) {
+std::unique_ptr<ProceduralContextModel> Session::synthesize(const ServeRequest& request,
+                                                           const SessionConfig& config) {
   expects(request.prompt_len > 0, "Session: prompt_len must be positive");
   expects(request.decode_len > 0, "Session: decode_len must be positive");
-  model_ = std::make_unique<ProceduralContextModel>(config.shape, config.params,
-                                                    request.seed, request.prompt_len);
+  return std::make_unique<ProceduralContextModel>(
+      config.shape, config.params, request.seed, request.prompt_len,
+      request.prompt_len + request.decode_len);
+}
+
+Session::Session(const ServeRequest& request,
+                 std::unique_ptr<ProceduralContextModel> model,
+                 const SelectorFactory& factory, const SessionConfig& config)
+    : request_(request), config_(config), model_(std::move(model)) {
+  expects(request.prompt_len > 0, "Session: prompt_len must be positive");
+  expects(request.decode_len > 0, "Session: decode_len must be positive");
+  expects(model_ != nullptr && model_->prompt_len() == request.prompt_len &&
+              model_->context_len() == request.prompt_len,
+          "Session: the context model must be the request's freshly "
+          "synthesized prompt");
   engine_ = std::make_unique<DecodeEngine>(*model_, factory, config.engine);
 }
+
+Session::Session(const ServeRequest& request, const SelectorFactory& factory,
+                 const SessionConfig& config)
+    : Session(request, synthesize(request, config), factory, config) {}
 
 void Session::admit(double now_ms) {
   expects(state_ == SessionState::kQueued, "Session::admit: already admitted");
@@ -54,9 +72,14 @@ void Session::run_prefill(double now_ms) {
 }
 
 StepResult Session::decode_next(double completed_ms) {
+  select_next(completed_ms);
+  return score_step();
+}
+
+StepResult Session::select_next(double completed_ms) {
   expects(state_ == SessionState::kDecoding,
-          "Session::decode_next: session is not decoding");
-  StepResult result = engine_->decode_next();
+          "Session::select_next: session is not decoding");
+  StepResult result = engine_->select_next();
   last_step_ms_ = completed_ms;
   if (first_token_ms_ < 0.0) {
     first_token_ms_ = completed_ms;

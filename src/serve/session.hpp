@@ -53,9 +53,22 @@ struct SessionConfig {
 
 class Session {
  public:
-  /// Builds the session's context model and engine (selector state per
-  /// layer/head comes from the factory). Construction is cheap relative to
-  /// prefill; the heavy work happens chunk by chunk in prefill_next.
+  /// Synthesizes the request's context: the whole prompt's KV for every
+  /// layer and head (ProceduralContextModel, the dominant cost of building
+  /// a session), each stream sized once for prompt_len + decode_len tokens.
+  /// A pure function of (request, config), so a scheduler may build many
+  /// admitted sessions' models concurrently.
+  [[nodiscard]] static std::unique_ptr<ProceduralContextModel> synthesize(
+      const ServeRequest& request, const SessionConfig& config);
+
+  /// Builds the session around a context model from synthesize(request,
+  /// config) and creates its engine (selector state per layer/head comes
+  /// from the factory, called in layer-major order). Selector state is
+  /// built lazily: the prompt reaches it chunk by chunk in prefill_next.
+  Session(const ServeRequest& request, std::unique_ptr<ProceduralContextModel> model,
+          const SelectorFactory& factory, const SessionConfig& config);
+
+  /// Synthesizes the context (see synthesize), then builds the session.
   Session(const ServeRequest& request, const SelectorFactory& factory,
           const SessionConfig& config);
 
@@ -92,8 +105,20 @@ class Session {
   /// Runs one decode step; `completed_ms` is when the token lands on the
   /// virtual clock (the scheduler knows the tick cost, the session does
   /// not). Transitions to kFinished after decode_len steps. Only valid
-  /// once prefill completed.
+  /// once prefill completed. Equals select_next(completed_ms) followed by
+  /// score_step().
   StepResult decode_next(double completed_ms);
+
+  /// The selection half of the next decode step (DecodeEngine::select_step)
+  /// with the step's lifecycle effects: timestamps and the kFinished
+  /// transition. Returns the traffic counts; the step stays pending until
+  /// score_step.
+  StepResult select_next(double completed_ms);
+
+  /// Scores the pending step (DecodeEngine::score_step): reads only this
+  /// session's context model and stashed selections, never its residency,
+  /// and is valid after the session finished or aborted on that step.
+  StepResult score_step() { return engine_->score_step(); }
 
   /// Mid-decode cancellation (fault injection / client disconnect): ends
   /// the session now (kDecoding -> kFinished) with whatever it generated.

@@ -48,6 +48,12 @@ void Matrix::append_row(std::span<const float> values) {
   ++rows_;
 }
 
+void Matrix::reserve_rows(Index rows) {
+  expects(rows >= 0, "Matrix::reserve_rows: rows must be non-negative");
+  expects(cols_ > 0, "Matrix::reserve_rows: width unknown (cols == 0)");
+  data_.reserve(static_cast<std::size_t>(rows * cols_));
+}
+
 void Matrix::fill(float value) noexcept {
   for (float& x : data_) {
     x = value;

@@ -41,6 +41,11 @@ class Matrix {
   /// the incoming width). Used by growable per-head key stores.
   void append_row(std::span<const float> values);
 
+  /// Reserves storage for `rows` rows at the current width (which must be
+  /// known: cols > 0), so appending up to that many rows never reallocates.
+  /// Growable stores whose final length is known size themselves once.
+  void reserve_rows(Index rows);
+
   /// Sets every element to the given value.
   void fill(float value) noexcept;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,7 +117,89 @@ TEST(DecodeEngine, StepsMustBeSequential) {
   EXPECT_THROW(engine.run_prefill(), std::invalid_argument);
 }
 
-// prefill_chunk is the re-entrant mirror of decode_next: consuming the
+TEST(DecodeEngine, ScoreNeedsOneSelectedStep) {
+  ProceduralContextModel model(small_shape(), small_params(), 2, 100);
+  DecodeEngine engine(model, make_full_kv_factory(), DecodeEngineConfig{});
+  engine.run_prefill();
+  EXPECT_THROW(engine.score_step(), std::invalid_argument);  // nothing pending
+  engine.select_step(0);
+  // A second selection before scoring would overwrite the pending one.
+  EXPECT_THROW(engine.select_next(), std::invalid_argument);
+  EXPECT_THROW(engine.decode_step(1), std::invalid_argument);
+  EXPECT_NO_THROW(engine.score_step());
+  EXPECT_THROW(engine.score_step(), std::invalid_argument);  // already scored
+  EXPECT_EQ(engine.steps_completed(), 1);
+  EXPECT_NO_THROW(engine.decode_step(1));
+}
+
+void expect_steps_identical(const StepResult& a, const StepResult& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.mean_recall, b.mean_recall) << label;
+  EXPECT_EQ(a.mean_coverage, b.mean_coverage) << label;
+  EXPECT_EQ(a.mean_output_error, b.mean_output_error) << label;
+  EXPECT_EQ(a.features, b.features) << label;
+  EXPECT_EQ(a.tokens_selected, b.tokens_selected) << label;
+  EXPECT_EQ(a.tokens_fetched, b.tokens_fetched) << label;
+  EXPECT_EQ(a.tokens_cache_hit, b.tokens_cache_hit) << label;
+  EXPECT_EQ(a.tokens_prefetch_hit, b.tokens_prefetch_hit) << label;
+  EXPECT_EQ(a.tokens_prefetch_issued, b.tokens_prefetch_issued) << label;
+}
+
+// The scheduler runs budget enforcement and the degraded-mode reset
+// between a step's two halves. Scoring reads only the context model and
+// the stashed selections, so what happened to the selectors' residency in
+// between must not change a bit of the step's quality or features.
+TEST(DecodeEngine, ResidencyChangesBetweenHalvesLeaveScoresIdentical) {
+  ClusterKVConfig ckv = small_ckv();
+  ckv.prefetch_clusters = 3;
+  for (const Index group : {1, 2}) {
+    SimShape shape = small_shape();
+    shape.queries_per_kv = group;
+    const std::string label = "queries_per_kv " + std::to_string(group);
+    ProceduralContextModel model_a(shape, small_params(), 31, 600);
+    ProceduralContextModel model_b(shape, small_params(), 31, 600);
+    DecodeEngineConfig config;
+    config.budget = 64;
+    DecodeEngine whole(model_a, make_clusterkv_factory(ckv, 4), config);
+    DecodeEngine split(model_b, make_clusterkv_factory(ckv, 4), config);
+    whole.run_prefill();
+    split.run_prefill();
+    Index released = 0;
+    Index canceled = 0;
+    for (Index s = 0; s < 10; ++s) {
+      const StepResult reference = whole.decode_step(s);
+      const StepResult traffic = split.select_step(s);
+      EXPECT_EQ(traffic.tokens_fetched, reference.tokens_fetched) << label;
+      EXPECT_EQ(traffic.tokens_prefetch_issued, reference.tokens_prefetch_issued)
+          << label;
+      // Enforcement on every selector of the split engine, and on the
+      // reference engine after its step, so both select from the same
+      // residency next step.
+      for (DecodeEngine* engine : {&whole, &split}) {
+        auto& bank = engine->selectors();
+        for (Index l = 0; l < bank.num_layers(); ++l) {
+          for (Index h = 0; h < bank.num_heads(); ++h) {
+            const Index c = bank.at(l, h).cancel_prefetches();
+            const Index r = bank.at(l, h).release_fast_tier();
+            bank.at(l, h).set_degraded_step(false);
+            if (engine == &split) {
+              canceled += c;
+              released += r;
+            }
+          }
+        }
+      }
+      expect_steps_identical(reference, split.score_step(),
+                             label + " step " + std::to_string(s));
+    }
+    EXPECT_GT(released, 0) << label;  // the enforcement was not vacuous
+    EXPECT_GT(canceled, 0) << label;
+    EXPECT_EQ(whole.recall_stat().mean(), split.recall_stat().mean()) << label;
+    EXPECT_EQ(whole.recall_steps(), split.recall_steps()) << label;
+  }
+}
+
+// prefill_chunk is the re-entrant mirror of select_next: consuming the
 // prompt in slices must leave every selector with the same context, and
 // for chunk-oblivious methods (full KV defers to one whole-prompt
 // observe_prefill at the final chunk) the selection is bit-identical.

@@ -9,6 +9,8 @@
 #include "tensor/stats.hpp"
 #include "tensor/topk.hpp"
 #include "tensor/vec_ops.hpp"
+#include "util/parallel.hpp"
+#include "worker_guard.hpp"
 
 namespace ckv {
 namespace {
@@ -276,6 +278,82 @@ TEST(ProceduralModel, BoundsChecked) {
   ProceduralContextModel model(shape, p, 79, 10);
   EXPECT_THROW((void)model.head(1, 0), std::invalid_argument);
   EXPECT_THROW((void)model.head(0, 1), std::invalid_argument);
+}
+
+/// Every head's keys, values and first decode queries (every group
+/// member), after `appended` generated tokens, flattened for bitwise
+/// comparison.
+std::vector<float> model_contents(ProceduralContextModel& model, Index appended) {
+  for (Index s = 0; s < appended; ++s) {
+    model.append_generated();
+  }
+  std::vector<float> out;
+  for (Index l = 0; l < model.shape().num_layers; ++l) {
+    for (Index h = 0; h < model.shape().num_heads; ++h) {
+      HeadStream& stream = model.head(l, h);
+      out.insert(out.end(), stream.keys().flat().begin(), stream.keys().flat().end());
+      out.insert(out.end(), stream.values().flat().begin(),
+                 stream.values().flat().end());
+      for (Index step = 0; step < appended; ++step) {
+        for (Index sub = 0; sub < model.shape().queries_per_kv; ++sub) {
+          const auto q = stream.query(step, sub);
+          out.insert(out.end(), q.begin(), q.end());
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The model builds its heads with parallel_for: every worker count, and
+// the capacity hint, must give the same streams bit for bit — multi-layer
+// and GQA shapes included.
+TEST(ProceduralModel, BitIdenticalAcrossWorkerCountsAndCapacity) {
+  WorkerGuard worker_guard;
+  SimShape mha;
+  mha.num_layers = 3;
+  mha.num_heads = 3;
+  mha.head_dim = 32;
+  SimShape gqa = mha;
+  gqa.num_layers = 2;
+  gqa.queries_per_kv = 4;
+  for (const SimShape& shape : {mha, gqa}) {
+    set_parallel_workers(1);
+    ProceduralContextModel reference(shape, default_params(), 91, 150);
+    const auto expected = model_contents(reference, 6);
+    for (const int workers : {1, 2, 8}) {
+      set_parallel_workers(workers);
+      for (const Index capacity : {Index{0}, Index{156}, Index{400}}) {
+        ProceduralContextModel model(shape, default_params(), 91, 150, capacity);
+        EXPECT_EQ(model_contents(model, 6), expected)
+            << "queries_per_kv " << shape.queries_per_kv << ", " << workers
+            << " workers, capacity " << capacity;
+      }
+    }
+  }
+}
+
+// Built from inside a parallel body, the model's own parallel_for runs
+// inline on the worker and still matches.
+TEST(ProceduralModel, NestedConstructionMatches) {
+  WorkerGuard worker_guard;
+  set_parallel_workers(4);
+  SimShape shape;
+  shape.num_layers = 2;
+  shape.num_heads = 2;
+  shape.head_dim = 32;
+  ProceduralContextModel reference(shape, default_params(), 5, 120);
+  const auto expected = model_contents(reference, 2);
+  std::vector<std::vector<float>> built(4);
+  parallel_for_range(0, 4, 1, [&](Index begin, Index end) {
+    for (Index i = begin; i < end; ++i) {
+      ProceduralContextModel model(shape, default_params(), 5, 120, 122);
+      built[static_cast<std::size_t>(i)] = model_contents(model, 2);
+    }
+  });
+  for (const auto& contents : built) {
+    EXPECT_EQ(contents, expected);
+  }
 }
 
 }  // namespace

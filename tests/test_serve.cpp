@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/full_kv.hpp"
@@ -914,14 +915,46 @@ void expect_snapshots_identical(const FleetSnapshot& a, const FleetSnapshot& b,
   EXPECT_EQ(a.wire_failures, b.wire_failures) << label;
 }
 
+/// Drains `trace` with `method` at 1, 2 and 8 pool workers and once with
+/// parallel_tick = false, expects every run's snapshot to equal the
+/// one-worker run's, and returns that snapshot.
+FleetSnapshot expect_fleet_identical(const std::vector<ServeRequest>& trace,
+                                     const ServeMethod& method,
+                                     const SessionConfig& session,
+                                     const BatchSchedulerConfig& config,
+                                     const std::string& label) {
+  const auto drain = [&](const BatchSchedulerConfig& run_config) {
+    BatchScheduler scheduler(trace, method, session, test_latency(), run_config);
+    scheduler.run();
+    // A faulted run may shed queued arrivals under sustained overload;
+    // retired plus shed must still conserve the offered trace.
+    EXPECT_EQ(static_cast<std::int64_t>(scheduler.finished_count()) +
+                  scheduler.metrics().shed_sessions_total(),
+              static_cast<std::int64_t>(trace.size()))
+        << label;
+    return take_snapshot(scheduler.metrics());
+  };
+  set_parallel_workers(1);
+  const FleetSnapshot baseline = drain(config);
+  for (const int workers : {2, 8}) {
+    set_parallel_workers(workers);
+    expect_snapshots_identical(baseline, drain(config),
+                               label + " @ " + std::to_string(workers) + " workers");
+  }
+  BatchSchedulerConfig serial = config;
+  serial.parallel_tick = false;
+  expect_snapshots_identical(baseline, drain(serial), label + " serial tick");
+  return baseline;
+}
+
 /// The tentpole contract: every quality and billing column is bit-identical
-/// whether a tick advances sessions serially or fans them out to 2 or 8
-/// pool workers — across the four scheduling modes the serving bench
-/// compares, with and without a contended budget (the contended sweep
-/// forces the headroom guard into its degenerate one-item serial waves;
-/// the unlimited sweep fans out whole batches). The SelectorFactory
-/// constructor, handed the same knobs through its mirror fields, must
-/// replay every ServeMethod run too.
+/// whether a tick works on sessions serially or fans synthesis, advance
+/// waves and the score pass out to 2 or 8 pool workers — across the
+/// scheduling modes the serving bench compares, with and without a
+/// contended budget (the contended sweep forces the headroom guard into
+/// its degenerate one-item serial waves; the unlimited sweep fans out
+/// whole batches). The SelectorFactory constructor, handed the same knobs
+/// through its mirror fields, must replay every ServeMethod run too.
 TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
@@ -975,15 +1008,6 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   const std::int64_t capped =
       static_cast<std::int64_t>(1.3 * 190.0) * session_token_bytes(session) *
       session.shape.total_heads();
-  const auto drain = [&](BatchScheduler& scheduler) {
-    scheduler.run();
-    // A faulted run may shed queued arrivals under sustained overload;
-    // retired plus shed must still conserve the offered trace.
-    EXPECT_EQ(static_cast<std::int64_t>(scheduler.finished_count()) +
-                  scheduler.metrics().shed_sessions_total(),
-              static_cast<std::int64_t>(trace.size()));
-    return take_snapshot(scheduler.metrics());
-  };
 
   for (const auto& variant : variants) {
     for (const std::int64_t budget : {std::int64_t{0}, capped}) {
@@ -993,19 +1017,8 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
         config.admission_overcommit = 1.5;
       }
       const std::string label = variant.name + (budget > 0 ? "/capped" : "/unlimited");
-      FleetSnapshot baseline;
-      for (const int workers : {1, 2, 8}) {
-        set_parallel_workers(workers);
-        BatchScheduler scheduler(trace, clusterkv_method(variant.ckv, 7), session,
-                                 test_latency(), config);
-        const FleetSnapshot snap = drain(scheduler);
-        if (workers == 1) {
-          baseline = snap;
-        } else {
-          expect_snapshots_identical(
-              baseline, snap, label + " @ " + std::to_string(workers) + " workers");
-        }
-      }
+      const FleetSnapshot baseline = expect_fleet_identical(
+          trace, clusterkv_method(variant.ckv, 7), session, config, label);
       // The SelectorFactory constructor, its mirrors copied from the
       // variant's ClusterKVConfig, must replay the ServeMethod run.
       BatchSchedulerConfig mirrored = config;
@@ -1020,8 +1033,81 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
       mirrored.prefetch_clusters = variant.ckv.prefetch_clusters;
       BatchScheduler adapter(trace, make_clusterkv_factory(variant.ckv, 7), session,
                              test_latency(), mirrored);
-      expect_snapshots_identical(baseline, drain(adapter),
+      adapter.run();
+      expect_snapshots_identical(baseline, take_snapshot(adapter.metrics()),
                                  label + " via SelectorFactory");
+    }
+  }
+}
+
+/// Every arrival at t = 0: the first tick admits several sessions at once,
+/// so their contexts synthesize in one parallel pass, and under the capped
+/// budget enforcement fires between the advance waves and the score pass.
+std::vector<ServeRequest> burst_trace() {
+  auto trace = varied_trace();
+  for (auto& request : trace) {
+    request.arrival_ms = 0.0;
+  }
+  return trace;
+}
+
+TEST(FleetDeterminism, AdmissionBurstIdenticalAcrossWorkerCounts) {
+  WorkerGuard worker_guard;
+  const auto session = small_session_config();
+  const auto trace = burst_trace();
+  ClusterKVConfig ckv = small_ckv_config();
+  // Fine clusters shrink the admission residual, so overcommit piles the
+  // whole burst on and enforcement has to preempt.
+  ckv.tokens_per_cluster = 16;
+  ckv.prefetch_clusters = 3;
+  ckv.prefetch_prior_decay = 0.5;
+  BatchSchedulerConfig config;
+  config.prefill_chunk_tokens = 64;
+  config.link_gbps = 0.5;
+  config.admission_overcommit = 2.0;
+  config.fast_tier_budget_bytes = static_cast<std::int64_t>(1.3 * 190.0) *
+                                  session_token_bytes(session) *
+                                  session.shape.total_heads();
+  {
+    // The leg is not vacuous: the burst tick admits more than one session.
+    BatchScheduler probe(trace, clusterkv_method(ckv, 7), session, test_latency(),
+                         config);
+    probe.tick();
+    EXPECT_GT(probe.running_count(), 1);
+  }
+  const FleetSnapshot capped = expect_fleet_identical(
+      trace, clusterkv_method(ckv, 7), session, config, "burst/capped");
+  EXPECT_GT(capped.preemptions, 0) << "enforcement never preempted";
+  EXPECT_GT(capped.pf_enf, 0.0) << "enforcement never canceled a prefetch";
+  config.fast_tier_budget_bytes = 0;
+  config.admission_overcommit = 1.0;
+  expect_fleet_identical(trace, clusterkv_method(ckv, 7), session, config,
+                         "burst/unlimited");
+}
+
+/// The untiered methods: Quest and Full KV pin whole contexts, so the
+/// capped leg only queues admissions, and both traces run both legs.
+TEST(FleetDeterminism, QuestAndFullKVIdenticalAcrossWorkerCounts) {
+  WorkerGuard worker_guard;
+  const auto session = small_session_config();
+  // The longest varied_trace context is 304 tokens; 400 fits one at a time.
+  const std::int64_t capped =
+      400 * session_token_bytes(session) * session.shape.total_heads();
+  for (const auto method : {LatencyModel::Method::kQuest, LatencyModel::Method::kFullKV}) {
+    const ServeMethod serve{method, small_ckv_config(), 7};
+    const std::string name =
+        method == LatencyModel::Method::kQuest ? "quest" : "full-kv";
+    for (const auto& [trace_name, trace] :
+         {std::pair{std::string("staggered"), varied_trace()},
+          std::pair{std::string("burst"), burst_trace()}}) {
+      for (const std::int64_t budget : {std::int64_t{0}, capped}) {
+        BatchSchedulerConfig config;
+        config.prefill_chunk_tokens = 64;
+        config.fast_tier_budget_bytes = budget;
+        expect_fleet_identical(trace, serve, session, config,
+                               name + "/" + trace_name +
+                                   (budget > 0 ? "/capped" : "/unlimited"));
+      }
     }
   }
 }

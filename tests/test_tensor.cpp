@@ -36,6 +36,23 @@ TEST(Matrix, AppendRowAdoptsWidth) {
   EXPECT_THROW(m.append_row(bad), std::invalid_argument);
 }
 
+TEST(Matrix, ReserveRowsKeepsAppendsInPlace) {
+  Matrix m(0, 3);
+  m.reserve_rows(4);
+  const std::vector<float> row{1.0f, 2.0f, 3.0f};
+  m.append_row(row);
+  const float* first = m.row(0).data();
+  for (int i = 0; i < 3; ++i) {
+    m.append_row(row);
+  }
+  EXPECT_EQ(m.rows(), 4);
+  EXPECT_EQ(m.row(0).data(), first);  // no reallocation within the reserve
+  EXPECT_FLOAT_EQ(m.at(3, 2), 3.0f);
+  Matrix unknown_width;
+  EXPECT_THROW(unknown_width.reserve_rows(4), std::invalid_argument);
+  EXPECT_THROW(m.reserve_rows(-1), std::invalid_argument);
+}
+
 TEST(Matrix, OutOfRangeThrows) {
   Matrix m(2, 2);
   EXPECT_THROW((void)m.row(2), std::invalid_argument);

@@ -420,6 +420,12 @@ int run_serve(int argc, const char* const* argv) {
                                 " gives a fast-tier budget outside the int64 "
                                 "byte range");
   }
+  // A budget below one byte would truncate to 0, which the scheduler reads
+  // as "unlimited".
+  if (budget_bytes < 1.0) {
+    throw std::invalid_argument("--budget-mult " + args.get_string("budget-mult") +
+                                " gives a fast-tier budget below one byte");
+  }
   scheduler_config.fast_tier_budget_bytes = static_cast<std::int64_t>(budget_bytes);
   scheduler_config.prefill_chunk_tokens = args.get_index("prefill-chunk");
   scheduler_config.max_running = args.get_index("max-running");
