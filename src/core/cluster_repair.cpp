@@ -176,7 +176,6 @@ RepairOutcome repair_clusters(CentroidStore& store, const Matrix& keys,
     kconfig.num_clusters = want;
     kconfig.metric = config.metric;
     kconfig.max_iterations = config.refine_iterations;
-    kconfig.channel_partitions = config.channel_partitions;
     const auto refined =
         kmeans_refine(group_keys, group_seeds(store, group, group_keys, want), kconfig);
     out.refine_flops += refined.iterations *

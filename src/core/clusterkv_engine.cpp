@@ -25,6 +25,15 @@ void ClusterKVConfig::validate() const {
   expects(repair_decode_interval >= 0,
           "ClusterKVConfig: repair_decode_interval must be >= 0");
   expects(prefetch_clusters >= 0, "ClusterKVConfig: prefetch_clusters must be >= 0");
+  // An infinite weight scores a never-selected cluster inf * 0 = NaN, which
+  // breaks the prefetcher's ranking order.
+  expects(std::isfinite(prefetch_prior_weight) && prefetch_prior_weight >= 0.0,
+          "ClusterKVConfig: prefetch_prior_weight must be finite and >= 0");
+  expects(prefetch_prior_decay >= 0.0 && prefetch_prior_decay < 1.0,
+          "ClusterKVConfig: prefetch_prior_decay must be in [0, 1)");
+  expects(kmeans_max_iterations >= 0,
+          "ClusterKVConfig: kmeans_max_iterations must be >= 0");
+  expects(fixed_cluster_count >= 0, "ClusterKVConfig: fixed_cluster_count must be >= 0");
 }
 
 PrefillFlush prefill_flush(const ClusterKVConfig& config, Index pending,
@@ -80,7 +89,6 @@ void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count)
   kconfig.num_clusters = std::max<Index>(1, std::min<Index>(cluster_count, end - begin));
   kconfig.metric = config_.cluster_metric;
   kconfig.max_iterations = config_.kmeans_max_iterations;
-  kconfig.channel_partitions = config_.channel_partitions;
   kconfig.init = config_.kmeans_init;
   const auto result = kmeans_cluster(block_keys, kconfig, rng_);
   clustering_flops_ += result.iterations *
@@ -103,7 +111,6 @@ RepairOutcome ClusterKVEngine::repair_now() {
   repair.refine_iterations = std::max<Index>(1, config_.repair_refine_iterations);
   repair.tokens_per_cluster = config_.tokens_per_cluster;
   repair.metric = config_.cluster_metric;
-  repair.channel_partitions = config_.channel_partitions;
 
   std::vector<Index> batch_firsts;
   batch_firsts.reserve(batches_.size());
@@ -132,16 +139,7 @@ RepairOutcome ClusterKVEngine::repair_now() {
 
 void ClusterKVEngine::observe_prefill(const Matrix& keys, const Matrix& values) {
   expects(tiered_.size() == 0, "ClusterKVEngine: observe_prefill must come first");
-  tiered_.append_block(keys, values);
-  const Index n = tiered_.size();
-  sink_count_ = std::min<Index>(config_.sink_tokens, n);
-  const Index clustered = n - sink_count_;
-  if (clustered > 0) {
-    const Index c0 = config_.fixed_cluster_count > 0
-                         ? config_.fixed_cluster_count
-                         : default_cluster_count(clustered, config_.tokens_per_cluster);
-    cluster_range(sink_count_, n, c0);
-  }
+  observe_prefill_chunk(keys, values, /*last_chunk=*/true);
 }
 
 void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& values,
@@ -162,7 +160,9 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
       break;
     case PrefillFlush::kFlush:
       flush_pending_clusters(
-          default_cluster_count(pending_count(), config_.tokens_per_cluster));
+          config_.fixed_cluster_count > 0
+              ? config_.fixed_cluster_count
+              : default_cluster_count(pending_count(), config_.tokens_per_cluster));
       break;
     case PrefillFlush::kFoldTail: {
       // End-of-prompt tail fold: a remainder shorter than a clustering
@@ -268,7 +268,7 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
   const Index cluster_budget = std::max<Index>(0, budget - always_on);
 
   if (centroids_.cluster_count() > 0 && cluster_budget > 0) {
-    const auto scores = centroids_.scores(query, config_.selection_metric);
+    const auto scores = centroids_.scores(query);
     ClusterSelection selection;
     if (degraded_step_) {
       // Degraded (fault) step: the slow tier is unreachable, so selection

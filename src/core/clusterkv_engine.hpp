@@ -28,13 +28,12 @@ struct ClusterKVConfig {
   Index decode_interval = 320;     ///< m: cluster every m generated tokens
   Index decode_clusters = 4;       ///< C+: clusters per decode batch
   Index cache_depth = 1;           ///< R of the cluster cache (§IV-D)
-  DistanceMetric cluster_metric = DistanceMetric::kCosine;       ///< §III-B
-  DistanceMetric selection_metric = DistanceMetric::kInnerProduct;  ///< §III-C
+  DistanceMetric cluster_metric = DistanceMetric::kCosine;  ///< §III-B
   Index kmeans_max_iterations = 20;
   KMeansInit kmeans_init = KMeansInit::kRandomSample;  ///< §III-B default
-  Index channel_partitions = 16;   ///< P of the update kernel (§IV-B)
   Index element_bytes = 2;         ///< fp16-equivalent byte accounting
-  /// Overrides C0 when positive (Fig. 11b ablation); 0 uses L / 80.
+  /// When positive, the cluster count of every prefill flush (Fig. 11b
+  /// ablation); 0 uses pending tokens / tokens_per_cluster.
   Index fixed_cluster_count = 0;
 
   // ---- cross-chunk cluster repair (chunked-prefill recall recovery) ----
@@ -110,8 +109,8 @@ class ClusterKVEngine : public KVSelector {
   /// clusters: an end-of-prompt tail shorter than tokens_per_cluster folds
   /// into the preceding batch's clustering window instead of becoming a
   /// degenerate cluster of its own, and when repair is enabled the final
-  /// chunk runs one cross-chunk repair pass. The fixed_cluster_count
-  /// ablation knob applies only to the whole-prompt observe_prefill path.
+  /// chunk runs one cross-chunk repair pass. observe_prefill is the
+  /// one-chunk case.
   void observe_prefill_chunk(const Matrix& keys, const Matrix& values,
                              bool last_chunk) override;
 
@@ -150,8 +149,8 @@ class ClusterKVEngine : public KVSelector {
   /// and issues no slow-tier traffic at all (no demand fetches, no
   /// speculation). Sinks and pending tokens stay attended — they are
   /// resident by construction — so budget/sink invariants hold exactly.
-  /// The scheduler sets this for the one step whose demand fetch died and
-  /// clears it in the same serial commit.
+  /// A serving session sets this for the one step whose demand fetch died
+  /// and clears it right after that step's selection.
   void set_degraded_step(bool degraded) override { degraded_step_ = degraded; }
 
   /// Drops every in-flight prefetch and frees its reserved bytes; the

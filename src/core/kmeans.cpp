@@ -117,8 +117,8 @@ void run_lloyd(const Matrix& keys, const KMeansConfig& config, KMeansResult& res
     }
     result.labels = std::move(labels);
     Matrix updated;
-    centroid_update(keys, result.labels, result.centroids, config.channel_partitions,
-                    updated, counts);
+    centroid_update(keys, result.labels, result.centroids, kChannelPartitions, updated,
+                    counts);
     result.centroids = std::move(updated);
     reseed_empty_clusters(keys, config, result.labels, result.centroids, counts);
   }

@@ -20,11 +20,14 @@ enum class KMeansInit {
   kPlusPlus,      ///< D^2-weighted seeding (k-means++)
 };
 
+/// P of the centroid-update kernel (§IV-B) every k-means iteration runs
+/// with (bench_kernels sweeps it through centroid_update's argument).
+inline constexpr Index kChannelPartitions = 16;
+
 struct KMeansConfig {
   Index num_clusters = 0;                            ///< C; must be >= 1
   DistanceMetric metric = DistanceMetric::kCosine;   ///< paper default
   Index max_iterations = 20;                         ///< safety cap
-  Index channel_partitions = 16;                     ///< P of the update kernel
   KMeansInit init = KMeansInit::kRandomSample;
 };
 

@@ -145,10 +145,11 @@ class KVSelector {
 
   /// Graceful degradation (fault injection): while set, the next select()
   /// must not issue any slow-tier traffic — it restricts itself to
-  /// fast-resident state and skips speculation. The scheduler sets this
-  /// for exactly one step when a session's demand fetch is declared dead,
-  /// and clears it in the same serial commit. No-op for methods without a
-  /// tiered store (they never fetch, so every step is already resident).
+  /// fast-resident state and skips speculation. A serving session sets
+  /// this for exactly one step when its demand fetch is declared dead, and
+  /// clears it right after that step's selection. No-op for methods
+  /// without a tiered store (they never fetch, so every step is already
+  /// resident).
   virtual void set_degraded_step(bool degraded) { (void)degraded; }
 };
 

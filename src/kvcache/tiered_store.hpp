@@ -216,10 +216,6 @@ class TieredKVStore {
     const ExclusiveLock own(owner_);
     return stats_;
   }
-  void reset_stats() noexcept {
-    const ExclusiveLock own(owner_);
-    stats_ = TransferStats{};
-  }
 
  private:
   /// Where one token's KV currently lives. kInFlight: a slow->fast copy was

@@ -30,14 +30,7 @@ void DecodeEngine::run_prefill() {
   expects(prefill_done_ == 0,
           "DecodeEngine::run_prefill: chunked prefill already started; finish "
           "it with prefill_chunk");
-  for (Index l = 0; l < model_.shape().num_layers; ++l) {
-    for (Index h = 0; h < model_.shape().num_heads; ++h) {
-      const auto& stream = model_.head(l, h);
-      bank_.at(l, h).observe_prefill(stream.keys(), stream.values());
-    }
-  }
-  prefill_done_ = model_.prompt_len();
-  prefilled_ = true;
+  prefill_chunk(model_.prompt_len());
 }
 
 Index DecodeEngine::prefill_chunk(Index max_tokens) {
@@ -243,7 +236,6 @@ StepResult DecodeEngine::score_step() {
     result.mean_output_error = step_error.mean();
     recall_.add(result.mean_recall);
     coverage_.add(result.mean_coverage);
-    output_error_.add(result.mean_output_error);
   } else {
     // No selection was forced anywhere this step (every context fit its
     // budget, or every layer ran full attention): attention was computed

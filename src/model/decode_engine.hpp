@@ -54,9 +54,10 @@ class DecodeEngine {
   DecodeEngine(ProceduralContextModel& model, const SelectorFactory& factory,
                const DecodeEngineConfig& config);
 
-  /// Feeds the whole prompt KV to every selector in one shot. Must be
-  /// called exactly once, before the first decode_step, and must not be
-  /// mixed with prefill_chunk.
+  /// Feeds the whole prompt KV to every selector in one shot: one
+  /// prefill_chunk over the whole prompt. Must be called exactly once,
+  /// before the first decode_step, and must not be mixed with
+  /// prefill_chunk.
   void run_prefill();
 
   /// Feeds the next at most `max_tokens` prompt rows to every selector —
@@ -121,9 +122,6 @@ class DecodeEngine {
     return coverage_.count() > 0 ? coverage_.mean() : 1.0;
   }
   [[nodiscard]] const RunningStat& coverage_stat() const noexcept { return coverage_; }
-  [[nodiscard]] const RunningStat& output_error_stat() const noexcept {
-    return output_error_;
-  }
   /// Traffic totals count every selected step (they update in select_step).
   [[nodiscard]] std::int64_t total_fetched() const noexcept { return total_fetched_; }
   [[nodiscard]] std::int64_t total_cache_hits() const noexcept {
@@ -159,7 +157,6 @@ class DecodeEngine {
   std::optional<PendingStep> pending_;
   RunningStat recall_;
   RunningStat coverage_;
-  RunningStat output_error_;
   std::int64_t total_fetched_ = 0;
   std::int64_t total_cache_hits_ = 0;
   std::int64_t total_prefetch_hits_ = 0;

@@ -416,43 +416,12 @@ void BatchScheduler::retire_finished() {
     tr.set_virtual_now_ms(now_ms_);
     session.cancel_prefetches(obs::FetchCancelReason::kSessionRelease);
     cancel_session_spec(session);
-    SessionRecord record;
-    record.id = session.request().id;
-    record.prompt_len = session.request().prompt_len;
-    // An aborted session's decode_len is what it actually produced:
-    // throughput and inter-token math must count real tokens, not the
-    // request's never-reached target.
-    record.decode_len =
-        session.aborted() ? session.tokens_generated() : session.request().decode_len;
-    record.aborted = session.aborted();
-    record.degraded_steps = session.degraded_steps();
-    record.fault_retries = session.fault_retries();
-    record.fault_retry_ms = session.fault_retry_ms();
-    record.dead_fetches = session.dead_fetches();
-    record.arrival_ms = session.arrival_ms();
-    record.admit_ms = session.admit_ms();
-    record.prefill_done_ms = session.prefill_done_ms();
-    record.first_token_ms = session.first_token_ms();
-    record.finish_ms = session.finish_ms();
-    record.mean_recall = session.mean_recall();
-    record.recall_steps = session.recall_steps();
-    record.mean_coverage = session.mean_coverage();
-    record.cache_hit_rate = session.cache_hit_rate();
-    record.preemptions = session.preemptions();
-    record.prefetch_hit_tokens = session.prefetch_hit_tokens();
-    record.prefetch_issued_tokens = session.prefetch_issued_tokens();
-    record.demand_fetched_tokens = session.demand_fetched_tokens();
-    record.prefetch_canceled_mispredict_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kMisprediction);
-    record.prefetch_canceled_enforce_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kEnforcement);
-    record.prefetch_canceled_release_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kSessionRelease);
-    metrics_.record_session(std::move(record));
+    const SessionRecord record = session.record();
+    metrics_.record_session(record);
     if (tr.enabled()) {
       const std::int64_t track = session_track(session);
-      tr.end_at("decoding", track, session.finish_ms());
-      tr.instant_at("retired", track, session.finish_ms(),
+      tr.end_at("decoding", track, record.finish_ms);
+      tr.instant_at("retired", track, record.finish_ms,
                     {{"tokens", session.tokens_generated()},
                      {"preemptions", session.preemptions()}});
     }
@@ -647,13 +616,8 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
       }
     }
   } else {
-    // Inter-token gap: virtual time between this completion and the
-    // session's previous progress, read from the pre-advance capture so
-    // the fan-out sees exactly what the serial scheduler's sequence point
-    // saw. Only once the first token exists — the gap before it is TTFT's
-    // first-decode-wait, not ITL.
-    if (item.pre_first_token_ms >= 0.0) {
-      metrics_.record_decode_gap(completed_ms - item.pre_last_step_ms);
+    if (session->step_gap_ms() >= 0.0) {  // -1 on the first token (TTFT)
+      metrics_.record_decode_gap(session->step_gap_ms());
     }
     const Index demand = item.step.tokens_fetched - item.step.tokens_prefetch_hit;
     if (demand > 0) {
@@ -676,9 +640,6 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
   }
   enforce_budget(session);
   if (!item.prefilling && fault_injector_ != nullptr) {
-    // Degraded mode is a one-step affair: the bill armed it for this
-    // step, the serial commit disarms it before the next.
-    session->set_degraded_step(false);
     // Mid-decode abort: the client hangs up after this committed token.
     // Only a still-decoding session with at least one token can abort —
     // the session finishes at the tick's completion timestamp and its
@@ -719,8 +680,7 @@ void BatchScheduler::open_tick(TickState& t) {
 void BatchScheduler::plan_batch(TickState& t) {
   // Prefilling sessions each consume one prompt chunk this tick, decoding
   // sessions each run one step — round-robin so retirement churn cannot
-  // starve anyone. Pre-step state is captured up front: commit-phase
-  // accounting must see what the serial scheduler's sequence point saw.
+  // starve anyone.
   const Index batch = static_cast<Index>(running_.size());
   t.items.reserve(running_.size());
   for (Index i = 0; i < batch; ++i) {
@@ -729,9 +689,6 @@ void BatchScheduler::plan_batch(TickState& t) {
     item.prefilling = item.session->state() == SessionState::kPrefilling;
     if (item.prefilling) {
       item.chunk = next_chunk_tokens(*item.session);
-    } else {
-      item.pre_last_step_ms = item.session->last_step_ms();
-      item.pre_first_token_ms = item.session->first_token_ms();
     }
     t.items.push_back(item);
   }
@@ -774,9 +731,9 @@ void BatchScheduler::bill(TickState& t) {
     t.tick_ms += b.total_ms() - b.weights_ms - b.overhead_ms;
     // Fault roll: this decoder's demand-fetch outcome for the step it is
     // about to take. Retries bill their backoff into the tick; a dead
-    // fetch (retries exhausted or deadline blown) flips the session's
-    // selectors into resident-only degraded mode for exactly this step,
-    // and its demand traffic never reaches the wire.
+    // fetch (retries exhausted or deadline blown) degrades the session's
+    // next step to resident-only selection, and its demand traffic never
+    // reaches the wire.
     FaultInjector::FetchOutcome fault;
     if (fault_injector_ != nullptr) {
       fault = fault_injector_->fetch_outcome(decoder.request().id,
@@ -793,7 +750,7 @@ void BatchScheduler::bill(TickState& t) {
         }
         if (fault.dead) {
           decoder.note_dead_fetch();
-          decoder.set_degraded_step(true);
+          decoder.degrade_next_step();
           tr.instant_at("fault-dead-fetch", track, now_ms_,
                         {{"token", decoder.tokens_generated()}});
         }

@@ -1,30 +1,8 @@
 // Continuous-batching scheduler over per-session ClusterKV engines, with
-// vLLM-style chunked prefill. tick() runs an ordered list of passes over one
-// TickState (reads -> writes):
-//   1. open_tick           queue, fault plan -> now_ms_ (idle jump), the
-//                          brownout factor, the wire drained up to now_ms_
-//   2. admit_arrivals      queue, budget, running projections -> running_:
-//                          serial FIFO decisions (sheds a hopelessly blocked
-//                          head under faults), the admitted contexts
-//                          synthesized on the pool, then sessions built
-//                          and traced serially in admission order
-//   3. plan_batch          running_, round-robin offset -> AdvanceItems,
-//                          prefill items first, pre-step state captured
-//   4. bill                items, latency model, fault rolls, wire backlog ->
-//                          tick/decode/prefill/repair ms, stall metrics
-//   5. trace_phases        billed phases -> tick span and phase sub-spans
-//   6. advance_and_commit  items -> prefill chunks and decode selections in
-//                          guarded waves, each committed serially (metrics,
-//                          wire enqueues, the per-item budget enforcement
-//                          checkpoint), then one score pass over the
-//                          decoders' exact-attention oracles on the pool
-//   7. sync_wire           wire queue -> drained to the tick's completion
-//                          (the same pass open_tick runs for an idle jump)
-//   8. retire_finished     finished sessions -> SessionRecords, ledger detach
-//   9. sample_counters     residency, queue, wire -> trace counters, occupancy
-//
-// The full scheduling model (cost accounting, enforcement, knobs) is
-// documented in docs/ARCHITECTURE.md and docs/SCHEDULING.md.
+// vLLM-style chunked prefill. tick() runs nine ordered passes, open_tick
+// through sample_counters, over one TickState; docs/ARCHITECTURE.md's pass
+// table lists what each reads and writes, and docs/SCHEDULING.md documents
+// the scheduling model (cost accounting, enforcement, fan-out, knobs).
 //
 // The virtual clock composes sim/latency_model step costs, so tick
 // durations reflect the full-size model the slice stands in for; residency
@@ -201,15 +179,10 @@ class BatchScheduler {
 
   /// One session's advancement this tick, carried from plan_batch through
   /// the (possibly parallel) advance phase into the serial commit phase.
-  /// Pre-step values are captured before anything advances because
-  /// commit-phase accounting (the inter-token gap) must see the state the
-  /// serial scheduler would have seen at its sequence point.
   struct AdvanceItem {
     Session* session = nullptr;
     bool prefilling = false;
     Index chunk = 0;  ///< prefill chunk tokens (prefillers only)
-    double pre_last_step_ms = -1.0;
-    double pre_first_token_ms = -1.0;
     /// Decoders only: the selection half's traffic counts (the commit
     /// phase bills from them; quality is scored in the score pass).
     StepResult step;
@@ -232,7 +205,7 @@ class BatchScheduler {
     double completed_ms = 0.0;  ///< now_ms_ + tick_ms
   };
 
-  // ---- the tick's passes, in order (see the file comment) ----
+  // ---- the tick's passes, in order (docs/ARCHITECTURE.md's pass table) ----
 
   void open_tick(TickState& t) CKV_REQUIRES(serial_phase_);
   void admit_arrivals() CKV_REQUIRES(serial_phase_);

@@ -4,6 +4,20 @@
 
 namespace ckv {
 
+namespace {
+
+/// Calls `fn` on every per-head selector of `bank`, layer-major.
+template <typename Bank, typename Fn>
+void for_each_selector(Bank& bank, Fn&& fn) {
+  for (Index l = 0; l < bank.num_layers(); ++l) {
+    for (Index h = 0; h < bank.num_heads(); ++h) {
+      fn(bank.at(l, h));
+    }
+  }
+}
+
+}  // namespace
+
 const char* to_string(SessionState state) noexcept {
   switch (state) {
     case SessionState::kQueued:
@@ -80,6 +94,13 @@ StepResult Session::select_next(double completed_ms) {
   expects(state_ == SessionState::kDecoding,
           "Session::select_next: session is not decoding");
   StepResult result = engine_->select_next();
+  if (degraded_armed_) {
+    // Degraded mode is a one-step affair: only this selection reads it.
+    for_each_selector(engine_->selectors(),
+                      [](KVSelector& s) { s.set_degraded_step(false); });
+    degraded_armed_ = false;
+  }
+  step_gap_ms_ = first_token_ms_ < 0.0 ? -1.0 : completed_ms - last_step_ms_;
   last_step_ms_ = completed_ms;
   if (first_token_ms_ < 0.0) {
     first_token_ms_ = completed_ms;
@@ -101,47 +122,67 @@ void Session::abort(double now_ms) {
   aborted_ = true;
 }
 
-void Session::set_degraded_step(bool degraded) {
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      bank.at(l, h).set_degraded_step(degraded);
-    }
-  }
-  if (degraded) {
-    ++degraded_steps_;
-  }
+SessionRecord Session::record() const {
+  SessionRecord r;
+  r.id = request_.id;
+  r.prompt_len = request_.prompt_len;
+  r.decode_len = aborted_ ? tokens_generated() : request_.decode_len;
+  r.arrival_ms = request_.arrival_ms;
+  r.admit_ms = admit_ms_;
+  r.prefill_done_ms = prefill_done_ms_;
+  r.first_token_ms = first_token_ms_;
+  r.finish_ms = finish_ms_;
+  r.mean_recall = engine_->mean_recall();
+  r.recall_steps = engine_->recall_steps();
+  r.mean_coverage = engine_->mean_coverage();
+  const double hits = static_cast<double>(engine_->total_cache_hits());
+  const double lookups = hits + static_cast<double>(engine_->total_fetched());
+  r.cache_hit_rate = lookups <= 0.0 ? 0.0 : hits / lookups;
+  r.preemptions = preemptions_;
+  r.prefetch_hit_tokens = engine_->total_prefetch_hits();
+  r.prefetch_issued_tokens = engine_->total_prefetch_issued();
+  r.demand_fetched_tokens = engine_->total_fetched() - engine_->total_prefetch_hits();
+  using Reason = obs::FetchCancelReason;
+  for_each_selector(engine_->selectors(), [&r](const KVSelector& s) {
+    r.prefetch_canceled_mispredict_tokens +=
+        s.prefetch_canceled_tokens(Reason::kMisprediction);
+    r.prefetch_canceled_enforce_tokens +=
+        s.prefetch_canceled_tokens(Reason::kEnforcement);
+    r.prefetch_canceled_release_tokens +=
+        s.prefetch_canceled_tokens(Reason::kSessionRelease);
+  });
+  r.aborted = aborted_;
+  r.degraded_steps = degraded_steps_;
+  r.fault_retries = fault_retries_;
+  r.fault_retry_ms = fault_retry_ms_;
+  r.dead_fetches = dead_fetches_;
+  return r;
+}
+
+void Session::degrade_next_step() {
+  for_each_selector(engine_->selectors(),
+                    [](KVSelector& s) { s.set_degraded_step(true); });
+  degraded_armed_ = true;
+  ++degraded_steps_;
 }
 
 void Session::attach_fast_tier_ledger(FastTierLedger* ledger) {
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      bank.at(l, h).attach_fast_tier_ledger(ledger);
-    }
-  }
+  for_each_selector(engine_->selectors(),
+                    [ledger](KVSelector& s) { s.attach_fast_tier_ledger(ledger); });
 }
 
 std::int64_t Session::fast_resident_bytes() const {
-  const Index per_token = session_token_bytes(config_);
   std::int64_t tokens = 0;
-  const auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      tokens += bank.at(l, h).fast_resident_tokens();
-    }
-  }
-  return tokens * per_token;
+  for_each_selector(engine_->selectors(), [&tokens](const KVSelector& s) {
+    tokens += s.fast_resident_tokens();
+  });
+  return tokens * session_token_bytes(config_);
 }
 
 Index Session::release_fast_tier() {
   Index moved = 0;
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      moved += bank.at(l, h).release_fast_tier();
-    }
-  }
+  for_each_selector(engine_->selectors(),
+                    [&moved](KVSelector& s) { moved += s.release_fast_tier(); });
   if (moved > 0) {
     ++preemptions_;
   }
@@ -150,55 +191,17 @@ Index Session::release_fast_tier() {
 
 Index Session::cancel_prefetches(obs::FetchCancelReason reason) {
   Index canceled = 0;
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      canceled += bank.at(l, h).cancel_prefetches(reason);
-    }
-  }
+  for_each_selector(engine_->selectors(), [&canceled, reason](KVSelector& s) {
+    canceled += s.cancel_prefetches(reason);
+  });
   return canceled;
-}
-
-std::int64_t Session::prefetch_canceled_tokens(obs::FetchCancelReason reason) const {
-  std::int64_t canceled = 0;
-  const auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      canceled += bank.at(l, h).prefetch_canceled_tokens(reason);
-    }
-  }
-  return canceled;
-}
-
-double Session::mean_recall() const { return engine_->mean_recall(); }
-
-Index Session::recall_steps() const { return engine_->recall_steps(); }
-
-double Session::mean_coverage() const { return engine_->mean_coverage(); }
-
-double Session::cache_hit_rate() const {
-  const double total = static_cast<double>(engine_->total_cache_hits()) +
-                       static_cast<double>(engine_->total_fetched());
-  return total <= 0.0 ? 0.0
-                      : static_cast<double>(engine_->total_cache_hits()) / total;
-}
-
-std::int64_t Session::prefetch_hit_tokens() const {
-  return engine_->total_prefetch_hits();
-}
-
-std::int64_t Session::prefetch_issued_tokens() const {
-  return engine_->total_prefetch_issued();
-}
-
-std::int64_t Session::demand_fetched_tokens() const {
-  return engine_->total_fetched() - engine_->total_prefetch_hits();
 }
 
 double Session::demand_miss_rate() const {
   const double total = static_cast<double>(engine_->total_cache_hits()) +
                        static_cast<double>(engine_->total_fetched());
-  return total <= 0.0 ? 1.0 : static_cast<double>(demand_fetched_tokens()) / total;
+  const std::int64_t demand = engine_->total_fetched() - engine_->total_prefetch_hits();
+  return total <= 0.0 ? 1.0 : static_cast<double>(demand) / total;
 }
 
 }  // namespace ckv

@@ -1,8 +1,9 @@
 // One serving session: a per-request procedural context plus its own
 // DecodeEngine (per-head selector state) and lifecycle. The scheduler owns
-// the virtual clock; the session records the timestamps it is handed and
-// exposes the fast-tier residency hooks the global budget arbitration
-// needs (sum over its per-head stores, release-on-preemption).
+// the virtual clock; the session records the timestamps it is handed,
+// reports its own inter-token gaps and SessionRecord, and exposes the
+// fast-tier residency hooks the global budget arbitration needs (sum over
+// its per-head stores, release-on-preemption).
 //
 // Lifecycle: kQueued -> (admit) kPrefilling -> kDecoding -> kFinished.
 // Prefill is chunked: admit() only transitions the state; prefill_next()
@@ -16,6 +17,7 @@
 #include <memory>
 #include <utility>
 
+#include "metrics/serve_metrics.hpp"
 #include "model/decode_engine.hpp"
 #include "model/procedural.hpp"
 #include "serve/request_queue.hpp"
@@ -110,9 +112,9 @@ class Session {
   StepResult decode_next(double completed_ms);
 
   /// The selection half of the next decode step (DecodeEngine::select_step)
-  /// with the step's lifecycle effects: timestamps and the kFinished
-  /// transition. Returns the traffic counts; the step stays pending until
-  /// score_step.
+  /// with the step's lifecycle effects: the inter-token gap, timestamps,
+  /// the kFinished transition and the disarm of a degraded step. Returns
+  /// the traffic counts; the step stays pending until score_step.
   StepResult select_next(double completed_ms);
 
   /// Scores the pending step (DecodeEngine::score_step): reads only this
@@ -127,8 +129,12 @@ class Session {
   /// the normal path (release, ledger detach, record) afterwards.
   void abort(double now_ms);
 
-  /// True when the session ended via abort() rather than completing.
-  [[nodiscard]] bool aborted() const noexcept { return aborted_; }
+  /// The session's serving record: timestamps (-1 for a lifecycle edge
+  /// not reached yet), selection quality, traffic, waste attribution
+  /// summed over the selector bank, and fault counts. An aborted
+  /// session's decode_len is the tokens it produced, so throughput and
+  /// inter-token math count real tokens, not the never-reached target.
+  [[nodiscard]] SessionRecord record() const;
 
   /// Prompt tokens fed to the engine so far (== prompt_len once decoding).
   [[nodiscard]] Index prefill_tokens_done() const noexcept {
@@ -158,42 +164,23 @@ class Session {
   Index cancel_prefetches(obs::FetchCancelReason reason =
                               obs::FetchCancelReason::kEnforcement);
 
-  /// Speculative fetches canceled for `reason`, summed over all per-head
-  /// selectors (waste attribution; see obs::FetchCancelReason).
-  [[nodiscard]] std::int64_t prefetch_canceled_tokens(
-      obs::FetchCancelReason reason) const;
-
   /// Times release_fast_tier actually moved tokens (preemption count).
   [[nodiscard]] Index preemptions() const noexcept { return preemptions_; }
 
   // ---- fault injection (all zero / no-ops on the fault-free path) ----
 
-  /// Marks (or clears) the next decode step as degraded: every per-head
-  /// selector falls back to resident-only selection and issues no
-  /// slow-tier traffic. Setting it also counts one degraded step.
-  void set_degraded_step(bool degraded);
-
-  /// Decode steps this session served in degraded (resident-only) mode.
-  [[nodiscard]] Index degraded_steps() const noexcept { return degraded_steps_; }
+  /// Degrades the next decode step and counts it: every per-head selector
+  /// falls back to resident-only selection and issues no slow-tier
+  /// traffic for that one step. select_next disarms them again.
+  void degrade_next_step();
 
   /// Accumulates billed fetch-retry attempts and their backoff stall.
   void note_fault_retries(Index retries, double penalty_ms) {
     fault_retries_ += retries;
     fault_retry_ms_ += penalty_ms;
   }
-  /// Retry attempts billed against this session's demand fetches.
-  [[nodiscard]] Index fault_retries() const noexcept { return fault_retries_; }
-  /// Total backoff stall billed for those retries (virtual ms).
-  [[nodiscard]] double fault_retry_ms() const noexcept { return fault_retry_ms_; }
   /// Counts one demand fetch declared dead (retries/deadline exhausted).
   void note_dead_fetch() { ++dead_fetches_; }
-  [[nodiscard]] Index dead_fetches() const noexcept { return dead_fetches_; }
-
-  /// Bytes of `tokens` context tokens held fast across all heads/layers —
-  /// the admission projection for methods that pin the whole context.
-  [[nodiscard]] std::int64_t context_bytes(Index tokens) const noexcept {
-    return session_context_bytes(config_, tokens);
-  }
 
   // ---- scheduler bookkeeping (held here so it retires with the session) ----
 
@@ -217,49 +204,27 @@ class Session {
 
   /// When the request entered the queue (copied from the request).
   [[nodiscard]] double arrival_ms() const noexcept { return request_.arrival_ms; }
-  /// When the scheduler admitted the session (-1 while queued).
-  [[nodiscard]] double admit_ms() const noexcept { return admit_ms_; }
-  /// When the final prefill chunk completed (-1 while prefilling).
-  [[nodiscard]] double prefill_done_ms() const noexcept { return prefill_done_ms_; }
-  /// When the first generated token landed (-1 before it).
-  [[nodiscard]] double first_token_ms() const noexcept { return first_token_ms_; }
-  /// When the last generated token landed (-1 until finished).
-  [[nodiscard]] double finish_ms() const noexcept { return finish_ms_; }
   /// Last time this session made progress (decode step or prefill chunk);
   /// the scheduler's coldness key for preemption victim choice.
   [[nodiscard]] double last_step_ms() const noexcept { return last_step_ms_; }
+  /// The latest decode step's inter-token gap: virtual ms from the
+  /// session's previous progress (decode step or prefill chunk; a
+  /// preemption is not progress) to the step's completion. -1 before the
+  /// first step and on the step that yields the first token, whose wait
+  /// is TTFT's first-decode wait, not ITL.
+  [[nodiscard]] double step_gap_ms() const noexcept { return step_gap_ms_; }
 
-  // ---- quality / traffic ----
+  // ---- traffic ----
 
-  [[nodiscard]] double mean_recall() const;
-  /// Meaningful (selection-forced) decode steps behind mean_recall — the
-  /// aggregation weight that keeps cross-run recall comparisons on an
-  /// identical denominator (see DecodeEngine::recall_stat).
-  [[nodiscard]] Index recall_steps() const;
-  [[nodiscard]] double mean_coverage() const;
-  /// Lifetime cluster-cache hit rate (hits / (hits + fetches); 0 when the
-  /// method never fetches).
-  [[nodiscard]] double cache_hit_rate() const;
-
-  // ---- async prefetch traffic (0 everywhere when prefetch is off) ----
-
-  /// Fetched tokens whose copy was issued speculatively (prefetch hits).
-  [[nodiscard]] std::int64_t prefetch_hit_tokens() const;
-  /// Speculative fetches issued in total (hits + waste).
-  [[nodiscard]] std::int64_t prefetch_issued_tokens() const;
-  /// Fetched tokens the prediction missed (fetched - prefetch hits).
-  [[nodiscard]] std::int64_t demand_fetched_tokens() const;
   /// Share of selected-token traffic fetched synchronously: the rate the
-  /// scheduler projects demand wire bytes with (equals 1 - cache_hit_rate
-  /// with prefetch off). 1.0 before any selection, mirroring
-  /// cache_hit_rate's pessimism.
+  /// scheduler projects demand wire bytes with (equals 1 - the record's
+  /// cache_hit_rate with prefetch off). 1.0 before any selection, mirroring
+  /// that hit rate's pessimism.
   [[nodiscard]] double demand_miss_rate() const;
 
   /// The per-session decode engine (selector state; testing/metrics hook).
   [[nodiscard]] DecodeEngine& engine() noexcept { return *engine_; }
   [[nodiscard]] const DecodeEngine& engine() const noexcept { return *engine_; }
-  /// The configuration this session was built with.
-  [[nodiscard]] const SessionConfig& config() const noexcept { return config_; }
 
  private:
   ServeRequest request_;
@@ -272,10 +237,12 @@ class Session {
   double first_token_ms_ = -1.0;
   double finish_ms_ = -1.0;
   double last_step_ms_ = -1.0;
+  double step_gap_ms_ = -1.0;
   Index preemptions_ = 0;
   Index resumed_preemptions_ = 0;
   std::uint64_t spec_transfer_id_ = 0;
   bool aborted_ = false;
+  bool degraded_armed_ = false;  ///< the next select_next disarms the bank
   Index degraded_steps_ = 0;
   Index fault_retries_ = 0;
   double fault_retry_ms_ = 0.0;

@@ -23,17 +23,7 @@ double LatencyModel::common_overhead_ms() const noexcept {
 }
 
 double LatencyModel::prefill_ms(Index prompt_len) const {
-  expects(prompt_len > 0, "LatencyModel::prefill_ms: prompt must be positive");
-  // GEMM flops: 2 * params * tokens; attention flops: 4 * L^2 * hidden per
-  // layer (QK^T and PV, causal halves folded into the constant).
-  const double gemm_flops =
-      2.0 * static_cast<double>(model_.param_count) * static_cast<double>(prompt_len);
-  const double attn_flops = 4.0 * static_cast<double>(prompt_len) *
-                            static_cast<double>(prompt_len) *
-                            static_cast<double>(model_.hidden_dim) *
-                            static_cast<double>(model_.num_layers) * 0.5;
-  const double tflops = hw_.compute_tflops * hw_.prefill_flops_efficiency;
-  return (gemm_flops + attn_flops) / (tflops * 1e9);  // flops / (Tflop/s) -> ms
+  return prefill_chunk_ms(0, prompt_len);
 }
 
 double LatencyModel::prefill_chunk_ms(Index chunk_begin, Index chunk_tokens) const {
@@ -42,14 +32,14 @@ double LatencyModel::prefill_chunk_ms(Index chunk_begin, Index chunk_tokens) con
   const double c = static_cast<double>(chunk_tokens);
   const double b = static_cast<double>(chunk_begin);
   const double gemm_flops = 2.0 * static_cast<double>(model_.param_count) * c;
-  // Causal attention of the chunk's queries: query i attends b + i keys,
-  // so the chunk totals c*b + c^2/2 score/value positions (same constant
-  // as prefill_ms; summing chunks of one prompt reproduces it exactly).
+  // Causal attention (QK^T and PV) of the chunk's queries: query i attends
+  // b + i keys, so the chunk totals c*b + c^2/2 score/value positions and
+  // the chunks of one prompt sum to its whole-prompt cost.
   const double attn_flops = 4.0 * (c * b + 0.5 * c * c) *
                             static_cast<double>(model_.hidden_dim) *
                             static_cast<double>(model_.num_layers);
   const double tflops = hw_.compute_tflops * hw_.prefill_flops_efficiency;
-  return (gemm_flops + attn_flops) / (tflops * 1e9);
+  return (gemm_flops + attn_flops) / (tflops * 1e9);  // flops / (Tflop/s) -> ms
 }
 
 double LatencyModel::clustering_cost_ms(Index prompt_len, Index iterations,

@@ -84,7 +84,8 @@ class LatencyModel {
 
   // ---- prefill ----
 
-  /// Prefill compute time (GEMMs + quadratic attention).
+  /// Prefill compute time (GEMMs + quadratic attention): the whole prompt
+  /// as one chunk, prefill_chunk_ms(0, prompt_len).
   [[nodiscard]] double prefill_ms(Index prompt_len) const;
 
   /// Compute time of prefilling `chunk_tokens` prompt tokens whose causal

@@ -134,6 +134,45 @@ TEST(ClusterKVEngine, FixedClusterCountOverride) {
   EXPECT_EQ(f.engine.centroid_store().cluster_count(), 7);
 }
 
+// Whole-prompt prefill is the one-chunk case of chunked prefill: both
+// entry points register the same clusters and select the same tokens,
+// with the paper's C0 rule and with the fixed_cluster_count override.
+TEST(ClusterKVEngine, WholePromptPrefillIsOneLastChunk) {
+  for (const Index fixed : {0, 7}) {
+    ClusterKVConfig config = small_config();
+    config.fixed_cluster_count = fixed;
+    const ProceduralParams params = Fixture::make_params();
+    HeadStream stream(params, Rng(derive_seed(5, "head")), 500);
+    ClusterKVEngine whole(params.head_dim, config, Rng(derive_seed(5, "engine")));
+    ClusterKVEngine chunk(params.head_dim, config, Rng(derive_seed(5, "engine")));
+    whole.observe_prefill(stream.keys(), stream.values());
+    chunk.observe_prefill_chunk(stream.keys(), stream.values(), /*last_chunk=*/true);
+
+    const CentroidStore& a = whole.centroid_store();
+    const CentroidStore& b = chunk.centroid_store();
+    ASSERT_EQ(a.cluster_count(), b.cluster_count()) << fixed;
+    // (500 - 8 sinks) / 40 tokens per cluster, or the override.
+    EXPECT_EQ(a.cluster_count(), fixed > 0 ? fixed : 12) << fixed;
+    EXPECT_EQ(whole.sink_count(), chunk.sink_count()) << fixed;
+    const auto sizes_a = a.cluster_sizes();
+    const auto sizes_b = b.cluster_sizes();
+    EXPECT_TRUE(
+        std::equal(sizes_a.begin(), sizes_a.end(), sizes_b.begin(), sizes_b.end()));
+    for (Index c = 0; c < a.cluster_count(); ++c) {
+      const auto ra = a.centroids().row(c);
+      const auto rb = b.centroids().row(c);
+      EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end())) << c;
+      const auto ta = a.tokens_of(c);
+      const auto tb = b.tokens_of(c);
+      EXPECT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end())) << c;
+    }
+    for (Index s = 0; s < 4; ++s) {
+      const auto q = stream.query(s);
+      EXPECT_EQ(whole.select(q, 120).indices, chunk.select(q, 120).indices) << s;
+    }
+  }
+}
+
 TEST(ClusterKVEngine, SelectionRecallsBetterThanRandom) {
   Fixture f(1600, small_config());
   // Decode a few steps so the focus process moves around.

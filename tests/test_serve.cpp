@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -135,18 +136,147 @@ TEST(Session, LifecycleAndTimestamps) {
 
   session.run_prefill(20.0);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
-  EXPECT_DOUBLE_EQ(session.admit_ms(), 20.0);
+  EXPECT_DOUBLE_EQ(session.record().admit_ms, 20.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, -1.0);
 
   session.decode_next(30.0);
-  EXPECT_DOUBLE_EQ(session.first_token_ms(), 30.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, 30.0);
   session.decode_next(40.0);
   session.decode_next(50.0);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
+  EXPECT_DOUBLE_EQ(session.record().finish_ms, -1.0);
   session.decode_next(60.0);
   EXPECT_TRUE(session.finished());
   EXPECT_EQ(session.tokens_generated(), 4);
-  EXPECT_DOUBLE_EQ(session.finish_ms(), 60.0);
+  EXPECT_DOUBLE_EQ(session.record().finish_ms, 60.0);
   EXPECT_THROW(session.decode_next(70.0), std::invalid_argument);
+}
+
+// Session::record() builds the SessionRecord the scheduler retires. A
+// session aborted mid-decode reports the tokens it produced as decode_len,
+// its waste attribution is the selector bank's per-reason cancel totals,
+// and its timestamps tile TTFT. The session is driven the way the
+// scheduler drives it under a fault plan: fetch outcomes before each step,
+// an enforcement cancel mid-decode, the abort roll after each step and the
+// release cancel at retirement.
+TEST(Session, RecordOfSessionAbortedUnderFaultPlan) {
+  const auto config = small_session_config();
+  ClusterKVConfig ckv = small_ckv_config();
+  ckv.prefetch_clusters = 3;
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 7;
+  plan.fetch_failure_rate = 0.5;
+  plan.fetch_max_retries = 1;
+  plan.abort_rate = 0.1;
+  const FaultInjector faults(plan);
+  const ServeRequest request{3, 5.0, 300, 40, 17};
+  Session session(request, make_clusterkv_factory(ckv, 9), config);
+  session.admit(10.0);
+  session.prefill_next(128, 12.0);
+  session.prefill_next(0, 14.0);
+  double now_ms = 20.0;
+  bool enforced = false;
+  while (!session.finished()) {
+    const auto fetch = faults.fetch_outcome(request.id, session.tokens_generated());
+    session.note_fault_retries(fetch.retries, fetch.penalty_ms);
+    if (fetch.dead) {
+      session.note_dead_fetch();
+      session.degrade_next_step();
+    }
+    const StepResult step = session.decode_next(now_ms);
+    if (!enforced && step.tokens_prefetch_issued > 0) {
+      enforced = session.cancel_prefetches(obs::FetchCancelReason::kEnforcement) > 0;
+    }
+    if (!session.finished() &&
+        faults.abort_fires(request.id, session.tokens_generated())) {
+      session.abort(now_ms);
+    }
+    now_ms += 10.0;
+  }
+  session.cancel_prefetches(obs::FetchCancelReason::kSessionRelease);
+
+  const SessionRecord record = session.record();
+  ASSERT_TRUE(record.aborted);
+  EXPECT_EQ(record.decode_len, session.tokens_generated());
+  EXPECT_LT(record.decode_len, request.decode_len);
+  EXPECT_GT(record.dead_fetches, 0);
+  EXPECT_EQ(record.degraded_steps, record.dead_fetches);
+  EXPECT_GT(record.fault_retries, 0);
+
+  using Reason = obs::FetchCancelReason;
+  const auto canceled = [&session](Reason reason) {
+    std::int64_t total = 0;
+    auto& bank = session.engine().selectors();
+    for (Index l = 0; l < bank.num_layers(); ++l) {
+      for (Index h = 0; h < bank.num_heads(); ++h) {
+        total += bank.at(l, h).prefetch_canceled_tokens(reason);
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(record.prefetch_canceled_mispredict_tokens,
+            canceled(Reason::kMisprediction));
+  EXPECT_EQ(record.prefetch_canceled_enforce_tokens, canceled(Reason::kEnforcement));
+  EXPECT_EQ(record.prefetch_canceled_release_tokens, canceled(Reason::kSessionRelease));
+  EXPECT_GT(record.prefetch_canceled_enforce_tokens, 0);
+  EXPECT_GT(record.prefetch_canceled_release_tokens, 0);
+  // Every issued fetch resolved: it landed as a hit or was canceled.
+  EXPECT_EQ(record.prefetch_canceled_mispredict_tokens +
+                record.prefetch_canceled_enforce_tokens +
+                record.prefetch_canceled_release_tokens,
+            record.prefetch_issued_tokens - record.prefetch_hit_tokens);
+
+  EXPECT_DOUBLE_EQ(record.arrival_ms, 5.0);
+  EXPECT_DOUBLE_EQ(record.admit_ms, 10.0);
+  EXPECT_DOUBLE_EQ(record.prefill_done_ms, 14.0);
+  EXPECT_DOUBLE_EQ(record.first_token_ms, 20.0);
+  EXPECT_DOUBLE_EQ(record.finish_ms,
+                   20.0 + 10.0 * static_cast<double>(record.decode_len - 1));
+  EXPECT_DOUBLE_EQ(record.ttft_ms(), record.queue_wait_ms() + record.prefill_ms() +
+                                         record.first_decode_wait_ms());
+  ServeMetrics metrics;
+  EXPECT_NO_THROW(metrics.record_session(record));  // the ordering checks pass
+}
+
+// A decode step's inter-token gap runs from the session's previous
+// progress to the step's completion. The first token's wait is TTFT, so
+// that step reports -1; a preemption in between is not progress.
+TEST(Session, StepGapMeasuresFromPreviousProgress) {
+  const auto config = small_session_config();
+  Session session(ServeRequest{0, 0.0, 300, 6, 11},
+                  make_clusterkv_factory(small_ckv_config(), 1), config);
+  EXPECT_DOUBLE_EQ(session.step_gap_ms(), -1.0);
+  session.admit(1.0);
+  session.prefill_next(0, 4.0);
+  session.decode_next(10.0);
+  EXPECT_DOUBLE_EQ(session.step_gap_ms(), -1.0);
+  session.decode_next(13.5);
+  EXPECT_DOUBLE_EQ(session.step_gap_ms(), 3.5);
+  ASSERT_GT(session.release_fast_tier(), 0);
+  session.decode_next(20.0);
+  EXPECT_DOUBLE_EQ(session.step_gap_ms(), 6.5);
+}
+
+// degrade_next_step serves exactly one resident-only step and counts it
+// once; the session disarms its selectors after that step's selection, so
+// the next step demand-fetches again without any caller clearing the flag.
+TEST(Session, DegradedStepIsOneResidentOnlyStep) {
+  const auto config = small_session_config();
+  Session session(ServeRequest{0, 0.0, 400, 6, 12},
+                  make_clusterkv_factory(small_ckv_config(), 2), config);
+  session.run_prefill(0.0);
+  session.decode_next(1.0);
+  ASSERT_GT(session.release_fast_tier(), 0);  // every clustered token is slow
+  session.degrade_next_step();
+  const StepResult degraded = session.decode_next(2.0);
+  EXPECT_EQ(degraded.tokens_fetched, 0);
+  EXPECT_EQ(degraded.tokens_prefetch_issued, 0);
+  EXPECT_EQ(session.record().degraded_steps, 1);
+  session.release_fast_tier();  // a cleared window again
+  const StepResult next = session.decode_next(3.0);
+  EXPECT_GT(next.tokens_fetched, 0);
+  EXPECT_EQ(session.record().degraded_steps, 1);
 }
 
 TEST(Session, FastResidencyIsBoundedAndReleasable) {
@@ -180,11 +310,11 @@ TEST(Session, FullKVPinsWholeContext) {
   ServeRequest request{0, 0.0, 150, 3, 13};
   Session session(request, make_full_kv_factory(), config);
   session.run_prefill(0.0);
-  EXPECT_EQ(session.fast_resident_bytes(), session.context_bytes(150));
+  EXPECT_EQ(session.fast_resident_bytes(), session_context_bytes(config, 150));
   EXPECT_EQ(session.release_fast_tier(), 0);  // nothing reclaimable
   EXPECT_EQ(session.preemptions(), 0);
   session.decode_next(1.0);
-  EXPECT_EQ(session.fast_resident_bytes(), session.context_bytes(151));
+  EXPECT_EQ(session.fast_resident_bytes(), session_context_bytes(config, 151));
 }
 
 // The two scheduler acceptance invariants: the global fast-tier residency
@@ -344,21 +474,44 @@ TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
 
 // The ClusterKV knobs feed the admission floors and the fan-out growth
 // bound as well as the engines, so ClusterKVConfig::validate() checks each
-// at construction, whatever the method (negative counts, or a zero flush
-// cadence / cluster size, are typed errors). A ClusterKV element width
-// that differs from the session's would split the ledger's byte math from
-// the scheduler's, and a method without a serving selector has no factory.
+// at construction, whatever the method (negative counts, a zero flush
+// cadence / cluster size, or a prefetch prior weight or decay outside its
+// finite range, are typed errors). A ClusterKV element width that differs
+// from the session's would split the ledger's byte math from the
+// scheduler's, and a method without a serving selector has no factory.
 TEST(ServeMethod, RejectsOutOfRangeClusterKVConfig) {
   using Method = LatencyModel::Method;
   const auto session_config = small_session_config();
-  const auto build = [&](Method method, Index ClusterKVConfig::*field, Index value) {
+  const auto build = [&](Method method, auto field, auto value) {
     ClusterKVConfig ckv = small_ckv_config();
     ckv.*field = value;
     BatchScheduler(fixed_trace(1, 100, 4, 0.0), ServeMethod{method, ckv, 8},
                    session_config, test_latency(), BatchSchedulerConfig{});
   };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (const auto method : {Method::kClusterKV, Method::kQuest, Method::kFullKV}) {
     EXPECT_NO_THROW(build(method, &ClusterKVConfig::sink_tokens, 0));
+    EXPECT_NO_THROW(build(method, &ClusterKVConfig::prefetch_prior_weight, 0.0));
+    EXPECT_NO_THROW(build(method, &ClusterKVConfig::prefetch_prior_decay, 0.0));
+    EXPECT_NO_THROW(build(method, &ClusterKVConfig::kmeans_max_iterations, 0));
+    // A never-selected cluster's prefetch score would be inf * 0 = NaN.
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_weight, kInf),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_weight, kNaN),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_weight, -0.5),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_decay, 1.0),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_decay, kNaN),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::prefetch_prior_decay, -0.1),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::kmeans_max_iterations, -1),
+                 std::invalid_argument);
+    EXPECT_THROW(build(method, &ClusterKVConfig::fixed_cluster_count, -1),
+                 std::invalid_argument);
     EXPECT_THROW(build(method, &ClusterKVConfig::sink_tokens, -1), std::invalid_argument);
     EXPECT_THROW(build(method, &ClusterKVConfig::cache_depth, -1), std::invalid_argument);
     EXPECT_THROW(build(method, &ClusterKVConfig::repair_refine_iterations, -1),
@@ -486,12 +639,12 @@ TEST(Session, ResumeAfterPreemptionMidPrefill) {
   // preempted clusters from the slow tier.
   EXPECT_EQ(session.prefill_next(300, 2.0), 300);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
-  EXPECT_DOUBLE_EQ(session.prefill_done_ms(), 2.0);
+  EXPECT_DOUBLE_EQ(session.record().prefill_done_ms, 2.0);
   // Prefill is over; further chunk calls are a state-machine violation.
   EXPECT_THROW(session.prefill_next(1, 3.0), std::invalid_argument);
   const auto step = session.decode_next(4.0);
   EXPECT_GT(step.tokens_fetched, 0);
-  EXPECT_DOUBLE_EQ(session.first_token_ms(), 4.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, 4.0);
 }
 
 TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
@@ -1036,6 +1189,53 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
       adapter.run();
       expect_snapshots_identical(baseline, take_snapshot(adapter.metrics()),
                                  label + " via SelectorFactory");
+    }
+  }
+}
+
+// The scheduler records one gap per decode step after a session's first,
+// so a fleet's gaps telescope: their count is the tokens past each
+// session's first, and their sum is each session's first-to-last token
+// span. Holds with preemptions (a tight, overcommitted budget) and with
+// aborts and degraded steps (a fault plan).
+TEST(BatchScheduler, DecodeGapsTelescopeToEachSessionsDecodeSpan) {
+  const auto session = small_session_config();
+  ClusterKVConfig ckv = small_ckv_config();
+  ckv.tokens_per_cluster = 16;  // a small residual floor admits more sessions
+  ckv.prefetch_clusters = 3;
+  const Index floor_tokens =
+      ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session.engine.budget;
+  for (const bool faulted : {false, true}) {
+    BatchSchedulerConfig config;
+    config.prefill_chunk_tokens = 64;
+    config.fast_tier_budget_bytes =
+        2 * floor_tokens * session_token_bytes(session) * session.shape.total_heads();
+    config.admission_overcommit = 2.0;
+    if (faulted) {
+      config.fault_plan.enabled = true;
+      config.fault_plan.seed = 3;
+      config.fault_plan.fetch_failure_rate = 0.5;
+      config.fault_plan.fetch_max_retries = 1;
+      config.fault_plan.abort_rate = 0.05;
+    }
+    BatchScheduler scheduler(fixed_trace(6, 300, 12, 1.0), clusterkv_method(ckv, 5),
+                             session, test_latency(), config);
+    scheduler.run();
+    const ServeMetrics& metrics = scheduler.metrics();
+    EXPECT_GT(metrics.total_preemptions(), 0) << faulted;
+    std::int64_t gaps = 0;
+    double span_ms = 0.0;
+    for (const SessionRecord& record : metrics.records()) {
+      gaps += record.decode_len - 1;
+      span_ms += record.finish_ms - record.first_token_ms;
+    }
+    const obs::Histogram& hist =
+        metrics.registry().histograms().at("serve.inter_token_ms");
+    EXPECT_EQ(hist.count(), gaps) << faulted;
+    EXPECT_NEAR(hist.sum(), span_ms, 1e-9 * span_ms) << faulted;
+    if (faulted) {
+      EXPECT_GT(metrics.fault_aborts_total(), 0);
+      EXPECT_GT(metrics.degraded_steps_total(), 0);
     }
   }
 }
