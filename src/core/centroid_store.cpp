@@ -50,19 +50,6 @@ void CentroidStore::add_clusters(const Matrix& centroids,
   }
 }
 
-void CentroidStore::truncate(Index keep) {
-  expects(keep >= 0 && keep <= cluster_count(),
-          "CentroidStore::truncate: keep out of range");
-  if (keep == cluster_count()) {
-    return;
-  }
-  centroids_ = centroids_.row_slice(0, keep);
-  cluster_sizes_.resize(static_cast<std::size_t>(keep));
-  cluster_offsets_.resize(static_cast<std::size_t>(keep) + 1);
-  sorted_indices_.resize(
-      static_cast<std::size_t>(cluster_offsets_[static_cast<std::size_t>(keep)]));
-}
-
 void CentroidStore::rebuild(const Matrix& centroids, std::span<const Index> labels,
                             Index position_offset) {
   centroids_ = Matrix();

@@ -1,10 +1,8 @@
 // Cluster representations and the indexing metadata of Fig. 8: centroids,
 // cluster sizes, prefix-sum offsets and token indices grouped (sorted) by
 // cluster label. Clusters are immutable once added; decode-side clustering
-// (§III-B) appends new clusters for each batch of generated tokens. Two
-// rebuild paths exist for cross-chunk repair: truncate() pops the most
-// recently added clusters (end-of-prompt tail fold) and rebuild() replaces
-// the whole store (post-repair re-registration).
+// (§III-B) appends new clusters for each batch of generated tokens, and
+// cross-chunk repair replaces the whole store with rebuild().
 #pragma once
 
 #include <span>
@@ -28,16 +26,10 @@ class CentroidStore {
   void add_clusters(const Matrix& centroids, std::span<const Index> labels,
                     Index position_offset);
 
-  /// Drops every cluster with id >= keep. Only valid when the dropped
-  /// clusters are the most recently added ones and no earlier cluster
-  /// holds tokens added after them (true for the engine's append-only
-  /// batches): their tokens are exactly the tail of the token index.
-  void truncate(Index keep);
-
   /// Replaces the whole store content in one shot — equivalent to a fresh
   /// store followed by one add_clusters(centroids, labels, position_offset)
-  /// call. The cluster-repair pass uses this to re-register the merged and
-  /// refined clusters without touching KV placement.
+  /// call. The cluster-repair pass uses this to re-register the refined
+  /// clusters without touching KV placement.
   void rebuild(const Matrix& centroids, std::span<const Index> labels,
                Index position_offset);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/cluster_repair.hpp"
 #include "core/kernels.hpp"
 #include "core/kmeans.hpp"
 #include "core/selector_index.hpp"
@@ -16,10 +17,6 @@ void ClusterKVConfig::validate() const {
   expects(decode_interval > 0, "ClusterKVConfig: decode_interval must be > 0");
   expects(decode_clusters > 0, "ClusterKVConfig: decode_clusters must be > 0");
   expects(cache_depth >= 0, "ClusterKVConfig: cache_depth must be >= 0");
-  // A NaN threshold fails every similarity comparison: repair would
-  // silently never merge.
-  expects(std::isfinite(repair_merge_threshold),
-          "ClusterKVConfig: repair_merge_threshold must be finite");
   expects(repair_refine_iterations >= 0,
           "ClusterKVConfig: repair_refine_iterations must be >= 0");
   expects(repair_decode_interval >= 0,
@@ -36,19 +33,14 @@ void ClusterKVConfig::validate() const {
   expects(fixed_cluster_count >= 0, "ClusterKVConfig: fixed_cluster_count must be >= 0");
 }
 
-PrefillFlush prefill_flush(const ClusterKVConfig& config, Index pending,
-                           bool last_chunk, bool has_batch) noexcept {
-  if (pending == 0 || (!last_chunk && pending < config.tokens_per_cluster)) {
-    return PrefillFlush::kWait;
-  }
-  return last_chunk && pending < config.tokens_per_cluster && has_batch
-             ? PrefillFlush::kFoldTail
-             : PrefillFlush::kFlush;
+bool prefill_flush(const ClusterKVConfig& config, Index pending,
+                   bool last_chunk) noexcept {
+  return pending > 0 && (last_chunk || pending >= config.tokens_per_cluster);
 }
 
-PrefillFlushPlan prefill_flush_plan(const ClusterKVConfig& config, Index prompt_len,
-                                    Index chunk_tokens) {
-  PrefillFlushPlan plan;
+Index prefill_flush_plan(const ClusterKVConfig& config, Index prompt_len,
+                         Index chunk_tokens) {
+  Index batches = 0;
   const Index chunk = chunk_tokens > 0 ? chunk_tokens : prompt_len;
   Index pending = 0;
   for (Index done = 0; done < prompt_len;) {
@@ -56,15 +48,12 @@ PrefillFlushPlan prefill_flush_plan(const ClusterKVConfig& config, Index prompt_
     // Sinks never pend: the sink prefix spans [0, min(sink_tokens, end)).
     pending += end - std::max<Index>(done, std::min<Index>(config.sink_tokens, end));
     done = end;
-    const PrefillFlush flush =
-        prefill_flush(config, pending, done == prompt_len, plan.batches > 0);
-    if (flush != PrefillFlush::kWait) {
-      plan.batches += flush == PrefillFlush::kFlush ? 1 : 0;
-      plan.tail_folds |= flush == PrefillFlush::kFoldTail;
+    if (prefill_flush(config, pending, done == prompt_len)) {
+      ++batches;
       pending = 0;
     }
   }
-  return plan;
+  return batches;
 }
 
 ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
@@ -98,43 +87,34 @@ void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count)
   // kmeans_cluster compacts degenerate empty clusters away itself, so the
   // result registers directly: every cluster is non-empty and the
   // size/offset indexing invariants hold.
-  batches_.push_back({centroids_.cluster_count(), begin});
   centroids_.add_clusters(result.centroids, result.labels, begin);
+  ++batches_since_repair_;
   // Clustered tokens move to the slow tier (Fig. 5: offload K & V); they
   // come back through the cluster cache on demand.
   tiered_.offload_to_slow(begin, end);
 }
 
-RepairOutcome ClusterKVEngine::repair_now() {
+bool ClusterKVEngine::repair_now() {
+  if (batches_since_repair_ < 2) {
+    return false;
+  }
   ClusterRepairConfig repair;
-  repair.merge_threshold = config_.repair_merge_threshold;
   repair.refine_iterations = std::max<Index>(1, config_.repair_refine_iterations);
   repair.tokens_per_cluster = config_.tokens_per_cluster;
   repair.metric = config_.cluster_metric;
-
-  std::vector<Index> batch_firsts;
-  batch_firsts.reserve(batches_.size());
-  for (const ClusterBatch& batch : batches_) {
-    batch_firsts.push_back(batch.first_cluster);
-  }
-  const auto outcome = repair_clusters(centroids_, tiered_.store().keys(),
-                                       batch_firsts, sink_count_, repair);
-  repair_flops_ += outcome.scoring_flops + outcome.refine_flops;
-  obs::tracer().instant(
-      outcome.changed ? "repair-pass" : "repair-noop",
-      {{"flops", outcome.scoring_flops + outcome.refine_flops},
-       {"clusters", centroids_.cluster_count()}});
-  if (outcome.changed) {
-    ++repair_passes_;
-    // In-flight prefetches survive the rebuild (they are addressed by
-    // position), but the prediction prior is keyed by the dead cluster ids.
-    prefetcher_.on_rebuild(centroids_.cluster_count());
-    // The repaired clusters form one joint batch: a later pass (periodic
-    // decode repair) merges new decode batches against it, never re-pairs
-    // inside it.
-    batches_.assign(1, {0, sink_count_});
-  }
-  return outcome;
+  const std::int64_t flops =
+      repair_clusters(centroids_, tiered_.store().keys(), sink_count_, repair);
+  repair_flops_ += flops;
+  ++repair_passes_;
+  // The repaired clusters form one batch: a later pass (periodic decode
+  // repair) runs once a decode flush has registered another.
+  batches_since_repair_ = 1;
+  obs::tracer().instant("repair-pass",
+                        {{"flops", flops}, {"clusters", centroids_.cluster_count()}});
+  // In-flight prefetches survive the rebuild (they are addressed by
+  // position), but the prediction prior is keyed by the dead cluster ids.
+  prefetcher_.on_rebuild(centroids_.cluster_count());
+  return true;
 }
 
 void ClusterKVEngine::observe_prefill(const Matrix& keys, const Matrix& values) {
@@ -155,43 +135,11 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
   for (Index p = std::max<Index>(begin, sink_count_); p < end; ++p) {
     pending_positions_.push_back(p);
   }
-  switch (prefill_flush(config_, pending_count(), last_chunk, !batches_.empty())) {
-    case PrefillFlush::kWait:
-      break;
-    case PrefillFlush::kFlush:
-      flush_pending_clusters(
-          config_.fixed_cluster_count > 0
-              ? config_.fixed_cluster_count
-              : default_cluster_count(pending_count(), config_.tokens_per_cluster));
-      break;
-    case PrefillFlush::kFoldTail: {
-      // End-of-prompt tail fold: a remainder shorter than a clustering
-      // window would become a degenerate tail cluster that repair then has
-      // to clean up. Re-cluster the preceding batch together with the tail
-      // instead — the batch's clusters are the most recently registered,
-      // so the store can simply pop them before the joint pass.
-      const ClusterBatch tail_into = batches_.back();
-      centroids_.truncate(tail_into.first_cluster);
-      batches_.pop_back();
-      // The joint pass offloads the batch's tokens again, so a window (and
-      // any prefetches) built by selections between chunks would no longer
-      // match the store: forget both (prefill-time windows are empty in
-      // serving, where selection starts after the final chunk). The dropped
-      // speculation is a misprediction: the rebuild made it obsolete, no
-      // budget pressure was involved.
-      cancel_prefetches(obs::FetchCancelReason::kMisprediction);
-      cache_.clear_window();
-      pending_positions_.clear();
-      const Index prompt_end = end;
-      cluster_range(tail_into.begin_pos, prompt_end,
-                    default_cluster_count(prompt_end - tail_into.begin_pos,
-                                          config_.tokens_per_cluster));
-      // Like a repair rebuild, the fold reassigned cluster ids from
-      // tail_into.first_cluster on; a prior warmed by inter-chunk
-      // selections would now boost unrelated clusters.
-      prefetcher_.on_rebuild(centroids_.cluster_count());
-      break;
-    }
+  if (prefill_flush(config_, pending_count(), last_chunk)) {
+    flush_pending_clusters(
+        config_.fixed_cluster_count > 0
+            ? config_.fixed_cluster_count
+            : default_cluster_count(pending_count(), config_.tokens_per_cluster));
   }
   if (last_chunk && repair_enabled()) {
     repair_now();

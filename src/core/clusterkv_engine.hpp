@@ -11,7 +11,6 @@
 #include "core/cluster_cache.hpp"
 #include "core/centroid_store.hpp"
 #include "core/cluster_prefetch.hpp"
-#include "core/cluster_repair.hpp"
 #include "core/distance.hpp"
 #include "core/kmeans.hpp"
 #include "core/kv_selector.hpp"
@@ -39,13 +38,10 @@ struct ClusterKVConfig {
   // ---- cross-chunk cluster repair (chunked-prefill recall recovery) ----
   // Chunked prefill clusters each prompt chunk locally, which costs
   // selection recall vs. one-shot clustering (docs/SCHEDULING.md). A
-  // bounded repair pass after the final prompt chunk merges adjacent-batch
-  // clusters whose centroids agree and re-clusters the merged groups —
-  // metadata only, never touching KV placement, sinks or pending tokens.
-  /// Minimum centroid similarity (cluster_metric) for an adjacent-batch
-  /// merge; -1 merges every adjacent pair (exhaustive repair).
-  double repair_merge_threshold = 0.8;
-  /// Refinement iterations per merged group; 0 disables repair entirely.
+  // repair pass after the final prompt chunk re-clusters every clustered
+  // token jointly with a few warm-started k-means iterations — metadata
+  // only, never touching KV placement, sinks or pending tokens.
+  /// Refinement iterations of one pass; 0 disables repair entirely.
   Index repair_refine_iterations = 4;
   /// Also repair every this many generated tokens, folding decode-side
   /// cluster batches back into the prompt's semantic groups (0 = repair
@@ -71,24 +67,19 @@ struct ClusterKVConfig {
   void validate() const;
 };
 
-/// What chunked prefill does with its pending prompt tokens once a chunk
-/// lands: they cluster when tokens_per_cluster of them are buffered or the
-/// prompt ends, and an end-of-prompt tail shorter than that folds into the
-/// preceding batch when there is one.
-enum class PrefillFlush : std::uint8_t { kWait, kFlush, kFoldTail };
-[[nodiscard]] PrefillFlush prefill_flush(const ClusterKVConfig& config, Index pending,
-                                         bool last_chunk, bool has_batch) noexcept;
+/// Whether chunked prefill clusters its `pending` prompt tokens once a
+/// chunk lands: when tokens_per_cluster of them are buffered or the prompt
+/// ends. A short end-of-prompt tail becomes a batch of its own, which the
+/// post-prefill repair pass absorbs.
+[[nodiscard]] bool prefill_flush(const ClusterKVConfig& config, Index pending,
+                                 bool last_chunk) noexcept;
 
 /// The clustering batches a prompt registers when prefilled in
 /// `chunk_tokens`-token chunks (0 = one whole-prompt chunk): the engine's
 /// prefill_flush decisions replayed over token counts alone. The serving
-/// scheduler bills the post-prefill repair pass and the tail fold from it.
-struct PrefillFlushPlan {
-  Index batches = 0;        ///< clustering batches registered by prefill
-  bool tail_folds = false;  ///< final tail re-clusters with the last batch
-};
-[[nodiscard]] PrefillFlushPlan prefill_flush_plan(const ClusterKVConfig& config,
-                                                  Index prompt_len, Index chunk_tokens);
+/// scheduler bills the post-prefill repair pass from it.
+[[nodiscard]] Index prefill_flush_plan(const ClusterKVConfig& config, Index prompt_len,
+                                       Index chunk_tokens);
 
 class ClusterKVEngine : public KVSelector {
  public:
@@ -105,12 +96,9 @@ class ClusterKVEngine : public KVSelector {
   /// as pending tokens that cluster at prompt granularity whenever at
   /// least tokens_per_cluster of them are buffered (prefill_flush; the
   /// last chunk flushes the remainder, so decode starts fully clustered).
-  /// Chunk boundaries are scheduler artifacts and never force undersized
-  /// clusters: an end-of-prompt tail shorter than tokens_per_cluster folds
-  /// into the preceding batch's clustering window instead of becoming a
-  /// degenerate cluster of its own, and when repair is enabled the final
-  /// chunk runs one cross-chunk repair pass. observe_prefill is the
-  /// one-chunk case.
+  /// When repair is enabled the final chunk runs one cross-chunk repair
+  /// pass, which also absorbs an end-of-prompt tail shorter than
+  /// tokens_per_cluster. observe_prefill is the one-chunk case.
   void observe_prefill_chunk(const Matrix& keys, const Matrix& values,
                              bool last_chunk) override;
 
@@ -156,11 +144,10 @@ class ClusterKVEngine : public KVSelector {
   /// Drops every in-flight prefetch and frees its reserved bytes; the
   /// issued traffic counts as wasted, attributed to `reason`. Called by
   /// budget enforcement before any real preemption (kEnforcement), by
-  /// release_fast_tier itself, by retirement (kSessionRelease), and by the
-  /// end-of-prompt tail fold, which passes kMisprediction since the
-  /// speculation is simply obsolete. A repair rebuild leaves fetches in
-  /// flight: they are addressed by position, so new cluster ids do not
-  /// touch them. Returns fetches dropped.
+  /// release_fast_tier itself and by retirement (kSessionRelease). A
+  /// repair rebuild leaves fetches in flight: they are addressed by
+  /// position, so new cluster ids do not touch them. Returns fetches
+  /// dropped.
   Index cancel_prefetches(obs::FetchCancelReason reason =
                               obs::FetchCancelReason::kEnforcement) override {
     return tiered_.cancel_all_fetches(reason);
@@ -204,16 +191,19 @@ class ClusterKVEngine : public KVSelector {
 
   /// Runs one repair pass right now (the engine also triggers this itself
   /// after the final prompt chunk and every repair_decode_interval decode
-  /// tokens). Rewrites centroid/label metadata only: fast-tier residency,
-  /// sinks and pending tokens are untouched, so scheduler invariants hold
-  /// mid-repair. A no-op with fewer than two clustering batches.
-  RepairOutcome repair_now();
+  /// tokens): one joint k-means refinement over every clustered token.
+  /// Rewrites centroid/label metadata only: fast-tier residency, sinks and
+  /// pending tokens are untouched, so scheduler invariants hold
+  /// mid-repair. Skipped, returning false, unless at least two clustering
+  /// batches were registered since the last pass (the repaired clusters
+  /// count as one).
+  bool repair_now();
 
-  /// Repair passes that actually changed the clustering.
+  /// Repair passes that ran.
   [[nodiscard]] Index repair_passes() const noexcept { return repair_passes_; }
 
-  /// Total repair work so far (pair scoring + refinement MACs), mirrored
-  /// analytically by LatencyModel::repair_ms.
+  /// Total repair work so far (k-means assignment MACs), billed by the
+  /// serving scheduler as LatencyModel::clustering_cost_ms per pass.
   [[nodiscard]] std::int64_t repair_flops() const noexcept { return repair_flops_; }
 
  private:
@@ -223,14 +213,6 @@ class ClusterKVEngine : public KVSelector {
   /// prefill path, which differ only in the cluster count they request).
   void flush_pending_clusters(Index cluster_count);
 
-  /// One registered clustering batch (a flushed pending window): repair
-  /// treats consecutive batches as adjacent chunks, and the end-of-prompt
-  /// tail fold re-clusters the last batch together with a short tail.
-  struct ClusterBatch {
-    Index first_cluster = 0;  ///< id of the batch's first cluster
-    Index begin_pos = 0;      ///< first token position of the batch
-  };
-
   ClusterKVConfig config_;
   Rng rng_;
   TieredKVStore tiered_;
@@ -239,7 +221,7 @@ class ClusterKVEngine : public KVSelector {
   ClusterPrefetcher prefetcher_;
   Index sink_count_ = 0;
   std::vector<Index> pending_positions_;  ///< generated, not yet clustered
-  std::vector<ClusterBatch> batches_;     ///< registration-order flush batches
+  Index batches_since_repair_ = 0;        ///< clustering batches since the last pass
   Index decode_steps_ = 0;                ///< observe_decode calls so far
   bool degraded_step_ = false;            ///< resident-only selection mode
   Index repair_passes_ = 0;

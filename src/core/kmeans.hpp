@@ -51,8 +51,8 @@ KMeansResult kmeans_cluster(const Matrix& keys, const KMeansConfig& config, Rng&
 /// ignored — the seed matrix defines k, clamped to keys.rows() so tiny
 /// inputs can never end up with more clusters than keys). Deterministic
 /// (no sampling); same empty-cluster guarantees as kmeans_cluster. This is
-/// the cluster-repair entry point: merged groups re-cluster seeded from
-/// their surviving centroids instead of from scratch.
+/// the cluster-repair entry point: the clustered tokens re-cluster seeded
+/// from their surviving centroids instead of from scratch.
 KMeansResult kmeans_refine(const Matrix& keys, const Matrix& seeds,
                            const KMeansConfig& config);
 

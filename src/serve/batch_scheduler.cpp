@@ -710,6 +710,12 @@ void BatchScheduler::bill(TickState& t) {
   auto& tr = obs::tracer();
   const ClusterKVConfig& ckv = method_.clusterkv;
   const bool repair_billed = method_.tiered() && ckv.repair_refine_iterations > 0;
+  // A repair pass is one warm-started k-means over the clustered context,
+  // billed as §IV-B clustering is; overlappable compute like it.
+  const auto repair_pass_ms = [&](Index context) {
+    return latency_.clustering_cost_ms(context, ckv.repair_refine_iterations,
+                                       ckv.tokens_per_cluster);
+  };
   // ClusterKV demand billing: the wire serves one contended queue, so
   // a decoder's stall is the completion time of the backlog plus every
   // demand request at or ahead of its position — later decoders wait
@@ -769,19 +775,18 @@ void BatchScheduler::bill(TickState& t) {
     if (repair_billed && ckv.repair_decode_interval > 0 &&
         generated % ckv.repair_decode_interval == 0) {
       // Periodic decode-side repair pass (mirrors the engine's trigger in
-      // observe_decode); overlappable compute like prefill clustering. A
-      // pass can only do work once a decode flush has registered a new
-      // clustering batch since the last pass (repair collapses batches
-      // to one), so billing is capped at one pass per decode-interval
-      // flush — a repair interval finer than the flush cadence must not
-      // charge phantom passes for the engine's immediate no-op returns.
+      // observe_decode). The engine runs it only with two clustering
+      // batches since the last pass: the prompt's (one after its own pass)
+      // and a decode flush inside this repair interval, so a repair
+      // interval finer than the flush cadence bills no phantom passes. A
+      // prompt of sinks alone registered no batch, so its first decode
+      // flush is the first batch.
+      const Index flushes = generated / ckv.decode_interval;
       const bool flushed_since_last_pass =
-          generated / ckv.decode_interval >
-          (generated - ckv.repair_decode_interval) / ckv.decode_interval;
-      if (flushed_since_last_pass) {
-        t.repair_ms += latency_.repair_ms(decoder.request().prompt_len + generated,
-                                          ckv.repair_refine_iterations,
-                                          ckv.tokens_per_cluster);
+          flushes > (generated - ckv.repair_decode_interval) / ckv.decode_interval;
+      const bool prompt_batch = decoder.request().prompt_len > ckv.sink_tokens;
+      if (flushed_since_last_pass && (prompt_batch || flushes >= 2)) {
+        t.repair_ms += repair_pass_ms(decoder.request().prompt_len + generated);
       }
     }
   }
@@ -792,27 +797,12 @@ void BatchScheduler::bill(TickState& t) {
     const Index chunk = t.items[i].chunk;
     t.tick_ms += prefill_chunk_cost_ms(prefiller, chunk);
     const Index prompt_len = prefiller.request().prompt_len;
-    const bool final_chunk = prefiller.prefill_tokens_done() + chunk == prompt_len;
-    if (method_.tiered() && final_chunk) {
-      const PrefillFlushPlan plan =
-          prefill_flush_plan(ckv, prompt_len, config_.prefill_chunk_tokens);
-      if (plan.tail_folds) {
-        // End-of-prompt tail fold: the engine re-clusters the preceding
-        // batch together with the short tail; bill that window's k-means
-        // again (the per-chunk clustering bill above only covered the
-        // tail's own tokens).
-        t.tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
-            prompt_len,
-            std::max(config_.prefill_chunk_tokens, ckv.tokens_per_cluster) + chunk));
-      }
-      if (repair_billed && plan.batches >= 2) {
-        // The post-prefill repair pass only does work when prefill
-        // registered at least two clustering batches (a single batch —
-        // inline prefill, short prompts, or a folded tail — makes the
-        // engine's pass a no-op; bill nothing then).
-        t.repair_ms += latency_.repair_ms(prompt_len, ckv.repair_refine_iterations,
-                                          ckv.tokens_per_cluster);
-      }
+    // The post-prefill repair pass runs only when prefill registered at
+    // least two clustering batches (inline prefill and short prompts
+    // register one; the engine skips the pass then).
+    if (repair_billed && prefiller.prefill_tokens_done() + chunk == prompt_len &&
+        prefill_flush_plan(ckv, prompt_len, config_.prefill_chunk_tokens) >= 2) {
+      t.repair_ms += repair_pass_ms(prompt_len);
     }
   }
   t.prefill_ms = t.tick_ms - t.decode_ms;

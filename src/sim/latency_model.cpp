@@ -67,28 +67,6 @@ double LatencyModel::clustering_visible_overhead_ms(Index prompt_len) const {
   return kVisibleShare * clustering_cost_ms(prompt_len);
 }
 
-double LatencyModel::repair_ms(Index context_len, Index refine_iterations,
-                               Index tokens_per_cluster) const {
-  if (refine_iterations <= 0 || context_len <= 0) {
-    return 0.0;
-  }
-  const double clusters = std::max<double>(
-      1.0, static_cast<double>(context_len) / static_cast<double>(
-                                                  std::max<Index>(1, tokens_per_cluster)));
-  // Bounded average width of a merged repair group (clusters a re-assigned
-  // token is scored against); matches the adjacent-batch merge policy,
-  // which chains groups but keeps per-token refinement work narrow.
-  constexpr double kRepairGroupClusters = 4.0;
-  const double per_head =
-      2.0 * clusters * static_cast<double>(model_.head_dim) +  // pair scoring
-      2.0 * static_cast<double>(refine_iterations) * static_cast<double>(context_len) *
-          kRepairGroupClusters * static_cast<double>(model_.head_dim);
-  const double flops = per_head * static_cast<double>(model_.num_kv_heads) *
-                       static_cast<double>(model_.num_layers);
-  const double tflops = hw_.compute_tflops * hw_.clustering_flops_efficiency;
-  return flops / (tflops * 1e9);
-}
-
 StepBreakdown LatencyModel::full_kv_step(Index context_len) const {
   StepBreakdown b;
   b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),

@@ -96,25 +96,15 @@ class LatencyModel {
   [[nodiscard]] double prefill_chunk_ms(Index chunk_begin, Index chunk_tokens) const;
 
   /// Clustering cost during prefill before overlap (§IV-B): n_i k-means
-  /// iterations over C0 = L/80 centroids for every KV head.
+  /// iterations over C0 = L/80 centroids for every KV head. The serving
+  /// scheduler bills each cross-chunk repair pass with it too: the pass is
+  /// that k-means over the clustered context, warm-started.
   [[nodiscard]] double clustering_cost_ms(Index prompt_len, Index iterations = 10,
                                           Index tokens_per_cluster = 80) const;
 
   /// Visible clustering overhead after overlapping with attention/FFN of
   /// the same and next layer (Fig. 6); the paper measures 6-8% of prefill.
   [[nodiscard]] double clustering_visible_overhead_ms(Index prompt_len) const;
-
-  /// Cost of one cross-chunk cluster-repair pass over a `context_len`
-  /// context: adjacent-batch centroid-pair scoring plus per-group k-means
-  /// refinement (each refine iteration re-assigns at most every clustered
-  /// token against its merged group's centroids, whose average width a
-  /// small constant bounds). Like §IV-B clustering it is overlappable
-  /// compute, billed at the clustering efficiency. An analytic upper
-  /// bound: it bills the refinement term even when the merge threshold
-  /// finds no pairs (ClusterKVEngine::repair_flops exposes the measured
-  /// work for calibration). 0 when repair is off (refine_iterations <= 0).
-  [[nodiscard]] double repair_ms(Index context_len, Index refine_iterations,
-                                 Index tokens_per_cluster = 80) const;
 
   // ---- per-step decode costs ----
 

@@ -99,29 +99,6 @@ TEST(CentroidStore, SizesMatchPrefixSums) {
   EXPECT_EQ(static_cast<Index>(seen.size()), store.token_count());
 }
 
-TEST(CentroidStore, TruncateDropsMostRecentBatch) {
-  CentroidStore store(4);
-  store.add_clusters(unit_rows(2, 4, 30), std::vector<Index>{0, 1, 0}, 0);
-  const auto kept_centroid =
-      std::vector<float>(store.centroids().row(1).begin(), store.centroids().row(1).end());
-  store.add_clusters(unit_rows(2, 4, 31), std::vector<Index>{1, 0}, 3);
-  ASSERT_EQ(store.cluster_count(), 4);
-
-  store.truncate(2);  // pop the second batch (end-of-prompt tail fold path)
-  EXPECT_EQ(store.cluster_count(), 2);
-  EXPECT_EQ(store.token_count(), 3);
-  const auto c0 = store.tokens_of(0);
-  EXPECT_EQ(std::vector<Index>(c0.begin(), c0.end()), (std::vector<Index>{0, 2}));
-  EXPECT_EQ(std::vector<float>(store.centroids().row(1).begin(),
-                               store.centroids().row(1).end()),
-            kept_centroid);
-  EXPECT_THROW(store.truncate(3), std::invalid_argument);
-  // Truncated ids are gone for good; re-adding continues from the new end.
-  store.add_clusters(unit_rows(1, 4, 32), std::vector<Index>{0, 0}, 3);
-  EXPECT_EQ(store.cluster_count(), 3);
-  EXPECT_EQ(store.size_of(2), 2);
-}
-
 TEST(CentroidStore, RebuildReplacesEverything) {
   CentroidStore store(4);
   store.add_clusters(unit_rows(3, 4, 33), std::vector<Index>{0, 1, 2, 0}, 0);

@@ -754,18 +754,15 @@ TEST(ClusterKVEngine, SelectLandsSelectedInFlightTokensAndCancelsTheRest) {
 // it takes as hits.
 TEST(ClusterKVEngine, RepairBetweenIssueAndCompletionKeepsInFlightConsistent) {
   const Index dim = 16;
-  auto config = prefetch_engine_config();
-  config.repair_merge_threshold = -1.0;  // exhaustive: repair always changes
-  ClusterKVEngine engine(dim, config, Rng(5));
+  ClusterKVEngine engine(dim, prefetch_engine_config(), Rng(5));
   FastTierLedger ledger;
   engine.attach_fast_tier_ledger(&ledger);
 
   Rng data(17);
   engine.observe_prefill(random_block(data, 64, dim), random_block(data, 64, dim));
   // A decode-side clustering flush registers a second batch, so the
-  // explicit repair pass below has an adjacent pair to merge (the engine's
-  // own post-prefill pass already collapsed the prompt to one batch).
-  for (Index step = 0; step < config.decode_interval; ++step) {
+  // explicit repair pass below runs (a whole-prompt prefill is one batch).
+  for (Index step = 0; step < prefetch_engine_config().decode_interval; ++step) {
     const auto kv = random_query(data, dim);
     engine.observe_decode(kv, kv);
   }
@@ -778,8 +775,7 @@ TEST(ClusterKVEngine, RepairBetweenIssueAndCompletionKeepsInFlightConsistent) {
   ASSERT_FALSE(flying.empty());
   const auto reserved_before = ledger.reserved_bytes();
 
-  const auto outcome = engine.repair_now();
-  ASSERT_TRUE(outcome.changed);
+  ASSERT_TRUE(engine.repair_now());
   // The rebuild moved no KV and dropped no fetches: the same tokens are in
   // flight, the reservation is untouched.
   EXPECT_EQ(in_flight_positions(store), flying);
@@ -801,16 +797,13 @@ TEST(ClusterKVEngine, RepairBetweenIssueAndCompletionKeepsInFlightConsistent) {
   EXPECT_EQ(ledger.bytes(), store.fast_resident_bytes());
 }
 
-// Inter-chunk selections can leave tokens fast-resident but outside the
-// cleared window after the end-of-prompt tail fold; later decode steps
-// must keep the window fast-resident and the ledger equal to the store,
-// and the fold resets the prediction prior because it reassigned cluster
-// ids.
-TEST(ClusterKVEngine, TailFoldKeepsWindowFastResidentAndResetsPrior) {
+// A selection between prefill chunks pulls clustered tokens fast and warms
+// the prediction prior; the final chunk's repair pass then reassigns every
+// cluster id. The pass resets the prior, and later decode steps keep the
+// window fast-resident and the ledger equal to the store.
+TEST(ClusterKVEngine, FinalChunkRepairKeepsWindowFastResidentAndResetsPrior) {
   const Index dim = 16;
-  auto config = prefetch_engine_config();
-  config.repair_refine_iterations = 0;  // isolate the fold from repair
-  ClusterKVEngine engine(dim, config, Rng(31));
+  ClusterKVEngine engine(dim, prefetch_engine_config(), Rng(31));
   FastTierLedger ledger;
   engine.attach_fast_tier_ledger(&ledger);
   Rng data(41);
@@ -820,12 +813,14 @@ TEST(ClusterKVEngine, TailFoldKeepsWindowFastResidentAndResetsPrior) {
   engine.observe_prefill_chunk(random_block(data, 24, dim),
                                random_block(data, 24, dim), false);
   engine.select(random_query(data, dim), 12);
-  // Short final tail (< tokens_per_cluster): folds into the prior batch,
-  // truncating and re-registering its cluster ids.
+  ASSERT_EQ(engine.repair_passes(), 0);
+  // Short final tail (< tokens_per_cluster): its own batch, then the
+  // repair pass re-clusters both batches jointly.
   engine.observe_prefill_chunk(random_block(data, 4, dim),
                                random_block(data, 4, dim), true);
+  ASSERT_EQ(engine.repair_passes(), 1);
   for (const double p : engine.prefetcher().prior()) {
-    EXPECT_DOUBLE_EQ(p, 0.0) << "stale prior survived the tail fold";
+    EXPECT_DOUBLE_EQ(p, 0.0) << "stale prior survived the repair pass";
   }
 
   // Decode selections issue prefetches while some clustered tokens are

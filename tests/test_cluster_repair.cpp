@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/cluster_repair.hpp"
 #include "core/clusterkv_engine.hpp"
+#include "core/kernels.hpp"
 #include "core/kmeans.hpp"
 #include "model/procedural.hpp"
 #include "tensor/rng.hpp"
@@ -42,10 +45,8 @@ Matrix planted_keys(Index n, Index dim, Index topics, std::uint64_t seed,
 
 /// Registers `keys` into the store as `batches` equal position ranges,
 /// each clustered independently (the chunk-local regression in vitro).
-std::vector<Index> register_batches(CentroidStore& store, const Matrix& keys,
-                                    Index batches, Index clusters_per_batch,
-                                    std::uint64_t seed) {
-  std::vector<Index> batch_firsts;
+void register_batches(CentroidStore& store, const Matrix& keys, Index batches,
+                      Index clusters_per_batch, std::uint64_t seed) {
   Rng rng(seed);
   const Index per_batch = keys.rows() / batches;
   for (Index b = 0; b < batches; ++b) {
@@ -55,33 +56,29 @@ std::vector<Index> register_batches(CentroidStore& store, const Matrix& keys,
     config.num_clusters = clusters_per_batch;
     config.max_iterations = 50;
     const auto result = kmeans_cluster(keys.row_slice(begin, end), config, rng);
-    batch_firsts.push_back(store.cluster_count());
     store.add_clusters(result.centroids, result.labels, begin);
   }
-  return batch_firsts;
 }
 
 TEST(ClusterRepair, MergesAdjacentBatchesAndKeepsEveryToken) {
   const Index n = 240;
   const auto keys = planted_keys(n, 16, 4, 21);
   CentroidStore store(16);
-  const auto batch_firsts = register_batches(store, keys, 4, 3, 5);
-  const Index before = store.cluster_count();
+  register_batches(store, keys, 4, 3, 5);
   ASSERT_EQ(store.token_count(), n);
 
   ClusterRepairConfig config;
-  config.merge_threshold = -1.0;  // exhaustive: every adjacent pair merges
   config.refine_iterations = 50;
   config.tokens_per_cluster = 60;
-  const auto outcome =
-      repair_clusters(store, keys, batch_firsts, 0, config);
+  const std::int64_t flops = repair_clusters(store, keys, 0, config);
 
-  EXPECT_TRUE(outcome.changed);
-  EXPECT_EQ(outcome.clusters_before, before);
-  EXPECT_EQ(outcome.groups_repaired, 1);  // one transitive chain
-  EXPECT_EQ(outcome.clusters_after, store.cluster_count());
-  EXPECT_GT(outcome.scoring_flops, 0);
-  EXPECT_GT(outcome.refine_flops, 0);
+  // 240 tokens at 60 per cluster: the joint pass re-clusters to 4, and
+  // its work is whole refinement iterations over that problem.
+  EXPECT_EQ(store.cluster_count(), 4);
+  const std::int64_t per_iteration = assignment_flops(n, 4, 16);
+  EXPECT_GT(flops, 0);
+  EXPECT_EQ(flops % per_iteration, 0);
+  EXPECT_LE(flops / per_iteration, config.refine_iterations);
   // Rebuild preserves the token universe exactly: every position once.
   EXPECT_EQ(store.token_count(), n);
   std::set<Index> seen;
@@ -92,21 +89,18 @@ TEST(ClusterRepair, MergesAdjacentBatchesAndKeepsEveryToken) {
     }
   }
   EXPECT_EQ(static_cast<Index>(seen.size()), n);
-  // 240 tokens at 60 per cluster: the merged group re-clusters to 4.
-  EXPECT_EQ(store.cluster_count(), 4);
 }
 
 TEST(ClusterRepair, RepairedClustersRecoverPlantedTopics) {
   std::vector<Index> truth;
   const auto keys = planted_keys(300, 24, 5, 22, &truth);
   CentroidStore store(24);
-  const auto batch_firsts = register_batches(store, keys, 5, 2, 6);
+  register_batches(store, keys, 5, 2, 6);
 
   ClusterRepairConfig config;
-  config.merge_threshold = -1.0;
   config.refine_iterations = 60;
   config.tokens_per_cluster = 60;
-  ASSERT_TRUE(repair_clusters(store, keys, batch_firsts, 0, config).changed);
+  ASSERT_GT(repair_clusters(store, keys, 0, config), 0);
   ASSERT_EQ(store.cluster_count(), 5);
 
   // After repair, clusters align with the planted topics: pairwise label
@@ -128,34 +122,6 @@ TEST(ClusterRepair, RepairedClustersRecoverPlantedTopics) {
     }
   }
   EXPECT_GT(static_cast<double>(agree) / static_cast<double>(total), 0.97);
-}
-
-TEST(ClusterRepair, HighThresholdIsNoOp) {
-  const auto keys = planted_keys(200, 16, 8, 23);
-  CentroidStore store(16);
-  const auto batch_firsts = register_batches(store, keys, 4, 4, 7);
-  const Index before = store.cluster_count();
-
-  ClusterRepairConfig config;
-  config.merge_threshold = 0.999999;  // nothing this similar exists
-  config.refine_iterations = 10;
-  const auto outcome =
-      repair_clusters(store, keys, batch_firsts, 0, config);
-  EXPECT_FALSE(outcome.changed);
-  EXPECT_EQ(outcome.groups_repaired, 0);
-  EXPECT_EQ(outcome.refine_flops, 0);
-  EXPECT_GT(outcome.scoring_flops, 0);  // pairs were scored, none crossed
-  EXPECT_EQ(store.cluster_count(), before);
-}
-
-TEST(ClusterRepair, SingleBatchIsNoOp) {
-  const auto keys = planted_keys(100, 16, 4, 24);
-  CentroidStore store(16);
-  const auto batch_firsts = register_batches(store, keys, 1, 4, 8);
-  ClusterRepairConfig config;
-  config.merge_threshold = -1.0;
-  config.refine_iterations = 10;
-  EXPECT_FALSE(repair_clusters(store, keys, batch_firsts, 0, config).changed);
 }
 
 // ---- engine-level repair ----
@@ -198,9 +164,9 @@ double jaccard(const std::vector<Index>& a, const std::vector<Index>& b) {
   return either == 0 ? 1.0 : static_cast<double>(both) / static_cast<double>(either);
 }
 
-/// Repair equivalence: chunked prefill + exhaustive repair (merge every
-/// adjacent pair, refine to convergence) selects the one-shot clustering's
-/// top-B tokens on identical prompts. k-means converges to init-dependent
+/// Repair equivalence: chunked prefill + exhaustive repair (the joint
+/// pass refined to convergence) selects the one-shot clustering's top-B
+/// tokens on identical prompts. k-means converges to init-dependent
 /// local optima, so the equivalence is stated as the strongest robust
 /// form: identical cluster counts, near-identical selected sets (and
 /// strictly closer than the unrepaired run), and recall recovered to
@@ -217,7 +183,6 @@ TEST(ClusterRepairEngine, ChunkedPlusExhaustiveRepairMatchesOneShot) {
   one_shot.observe_prefill(stream.keys(), stream.values());
 
   auto repaired_config = repair_engine_config();
-  repaired_config.repair_merge_threshold = -1.0;   // exhaustive merge
   repaired_config.repair_refine_iterations = 100;  // refine to convergence
   ClusterKVEngine repaired(params.head_dim, repaired_config,
                            Rng(derive_seed(77, "repaired")));
@@ -287,8 +252,7 @@ TEST(ClusterRepairEngine, ChunkedPlusExhaustiveRepairMatchesOneShot) {
 TEST(ClusterRepairEngine, RepairNeverTouchesResidencyOrSinks) {
   const auto params = planted_params();
   auto config = repair_engine_config();
-  config.repair_merge_threshold = -1.0;  // merge everything when asked...
-  config.repair_refine_iterations = 0;   // ...but never trigger implicitly
+  config.repair_refine_iterations = 0;  // repair only when asked below
   HeadStream stream(params, Rng(derive_seed(78, "head")), 300);
   ClusterKVEngine engine(params.head_dim, config, Rng(derive_seed(78, "engine")));
   for (Index begin = 0; begin < 300; begin += 64) {
@@ -313,8 +277,7 @@ TEST(ClusterRepairEngine, RepairNeverTouchesResidencyOrSinks) {
   ASSERT_GT(static_cast<Index>(fast_before.size()),
             engine.sink_count() + pending_before);  // cached tokens are fast
 
-  const auto outcome = engine.repair_now();
-  EXPECT_TRUE(outcome.changed);
+  EXPECT_TRUE(engine.repair_now());
 
   EXPECT_EQ(engine.tiered_store().fast_positions(), fast_before);
   EXPECT_EQ(engine.tiered_store().stats().tokens_fetched, fetched_before);
@@ -325,42 +288,107 @@ TEST(ClusterRepairEngine, RepairNeverTouchesResidencyOrSinks) {
   }
 }
 
-/// Satellite: an end-of-prompt tail shorter than tokens_per_cluster folds
-/// into the preceding batch's clustering window instead of becoming a
-/// degenerate cluster of its own.
-TEST(ClusterRepairEngine, EndOfPromptTailFoldsIntoPrecedingWindow) {
+/// An end-of-prompt tail shorter than tokens_per_cluster registers a
+/// clustering batch of its own; with repair on, the post-prefill pass
+/// absorbs it, leaving the paper rule's cluster count over every
+/// clustered token.
+TEST(ClusterRepairEngine, ShortFinalTailIsItsOwnBatchUntilRepair) {
   const auto params = planted_params();
-  auto config = repair_engine_config();  // 8 sinks, 40 tokens/cluster
-  config.repair_refine_iterations = 0;   // isolate the fold from repair
-  const Index prompt = 105;              // 97 clustered: 92 flushed + 5 tail
+  const Index prompt = 105;  // 8 sinks, then 92 flushed + a 5-token tail
   HeadStream stream(params, Rng(derive_seed(79, "head")), prompt);
-  ClusterKVEngine engine(params.head_dim, config, Rng(derive_seed(79, "engine")));
+  const auto prefill = [&](ClusterKVEngine& engine) {
+    engine.observe_prefill_chunk(stream.keys().row_slice(0, 100),
+                                 stream.values().row_slice(0, 100), false);
+    EXPECT_EQ(engine.centroid_store().cluster_count(), 2);  // 92 / 40
+    engine.observe_prefill_chunk(stream.keys().row_slice(100, prompt),
+                                 stream.values().row_slice(100, prompt), true);
+    EXPECT_EQ(engine.pending_count(), 0);
+    EXPECT_EQ(engine.centroid_store().token_count() + engine.sink_count(),
+              engine.context_size());
+  };
 
-  engine.observe_prefill_chunk(stream.keys().row_slice(0, 100),
-                               stream.values().row_slice(0, 100), false);
-  EXPECT_EQ(engine.centroid_store().cluster_count(), 2);  // 92 / 40
-  engine.observe_prefill_chunk(stream.keys().row_slice(100, prompt),
-                               stream.values().row_slice(100, prompt), true);
+  auto no_repair = repair_engine_config();
+  no_repair.repair_refine_iterations = 0;
+  ClusterKVEngine tail_batch(params.head_dim, no_repair, Rng(derive_seed(79, "engine")));
+  prefill(tail_batch);
+  // The tail is one cluster of exactly its 5 tokens.
+  ASSERT_EQ(tail_batch.centroid_store().cluster_count(), 3);
+  const auto tail = tail_batch.centroid_store().tokens_of(2);
+  EXPECT_EQ(std::vector<Index>(tail.begin(), tail.end()),
+            (std::vector<Index>{100, 101, 102, 103, 104}));
 
-  // Folded: the 5-token tail re-clusters with the preceding 92-token batch
-  // as one 97-token window — cluster count follows the paper rule for the
-  // joint window, with no extra degenerate tail cluster.
-  EXPECT_EQ(engine.pending_count(), 0);
-  EXPECT_EQ(engine.centroid_store().cluster_count(),
-            default_cluster_count(97, config.tokens_per_cluster));
-  EXPECT_EQ(engine.centroid_store().token_count(), 97);
-  EXPECT_EQ(engine.centroid_store().token_count() + engine.sink_count(),
-            engine.context_size());
-  Index smallest = prompt;
-  for (Index c = 0; c < engine.centroid_store().cluster_count(); ++c) {
-    smallest = std::min<Index>(smallest, engine.centroid_store().size_of(c));
+  ClusterKVEngine repaired(params.head_dim, repair_engine_config(),
+                           Rng(derive_seed(79, "engine")));
+  prefill(repaired);
+  EXPECT_EQ(repaired.repair_passes(), 1);
+  const auto& store = repaired.centroid_store();
+  EXPECT_EQ(store.cluster_count(), default_cluster_count(97, 40));
+  // The repaired clusters tile the clustered range [8, 105) exactly once.
+  std::vector<Index> tiled;
+  for (Index c = 0; c < store.cluster_count(); ++c) {
+    EXPECT_GT(store.size_of(c), 0);
+    const auto tokens = store.tokens_of(c);
+    tiled.insert(tiled.end(), tokens.begin(), tokens.end());
   }
-  // No cluster degenerated to the bare 5-token tail.
-  EXPECT_GT(smallest, 5);
+  std::sort(tiled.begin(), tiled.end());
+  std::vector<Index> clustered(97);
+  std::iota(clustered.begin(), clustered.end(), Index{8});
+  EXPECT_EQ(tiled, clustered);
 }
 
-/// A whole prompt shorter than one clustering window has nothing to fold
-/// into; it still flushes as a single (small) cluster.
+/// The engine owns the two-batch rule: a prompt prefilled as one batch
+/// (and no decode flush since) leaves nothing to repair across, so the
+/// pass is skipped and charges nothing.
+TEST(ClusterRepairEngine, SingleBatchIsNoOp) {
+  const auto params = planted_params();
+  HeadStream stream(params, Rng(derive_seed(82, "head")), 200);
+  ClusterKVEngine engine(params.head_dim, repair_engine_config(),
+                         Rng(derive_seed(82, "engine")));
+  engine.observe_prefill(stream.keys(), stream.values());
+  const Matrix centroids = engine.centroid_store().centroids();
+  EXPECT_FALSE(engine.repair_now());
+  EXPECT_EQ(engine.repair_passes(), 0);
+  EXPECT_EQ(engine.repair_flops(), 0);
+  EXPECT_EQ(engine.centroid_store().centroids().flat().size(), centroids.flat().size());
+  EXPECT_TRUE(std::ranges::equal(engine.centroid_store().centroids().flat(),
+                                 centroids.flat()));
+}
+
+/// One pass bills its iterations of the joint problem: n clustered tokens
+/// against max(1, n / tokens_per_cluster) centroids. Refinement is
+/// deterministic, so a cap of c runs min(c, K) iterations, where K is the
+/// iteration at which the labels settle (at least 2: the first
+/// assignment always changes them).
+TEST(ClusterRepairEngine, PassFlopsAreIterationsOfTheJointProblem) {
+  const auto params = planted_params();
+  const Index prompt = 248;  // 8 sinks + 240 clustered tokens, 60-token chunks
+  HeadStream stream(params, Rng(derive_seed(83, "head")), prompt);
+  const Index n = prompt - 8;
+  const std::int64_t per_iteration =
+      assignment_flops(n, std::max<Index>(1, n / 40), params.head_dim);
+  const auto pass_flops = [&](Index cap) {
+    auto config = repair_engine_config();
+    config.repair_refine_iterations = cap;
+    ClusterKVEngine engine(params.head_dim, config, Rng(derive_seed(83, "engine")));
+    for (Index begin = 0; begin < prompt; begin += 60) {
+      const Index end = std::min<Index>(prompt, begin + 60);
+      engine.observe_prefill_chunk(stream.keys().row_slice(begin, end),
+                                   stream.values().row_slice(begin, end), end == prompt);
+    }
+    EXPECT_EQ(engine.repair_passes(), 1);
+    return engine.repair_flops();
+  };
+  const std::int64_t uncapped = pass_flops(100);
+  ASSERT_EQ(uncapped % per_iteration, 0);
+  const Index settled = uncapped / per_iteration;
+  ASSERT_GE(settled, 2);
+  for (Index cap = 1; cap <= settled + 1; ++cap) {
+    EXPECT_EQ(pass_flops(cap), std::min(cap, settled) * per_iteration) << "cap " << cap;
+  }
+}
+
+/// A whole prompt shorter than one clustering window still flushes as a
+/// single (small) cluster.
 TEST(ClusterRepairEngine, ShortPromptTailStillClusters) {
   const auto params = planted_params();
   auto config = repair_engine_config();
@@ -379,7 +407,6 @@ TEST(ClusterRepairEngine, ShortPromptTailStillClusters) {
 TEST(ClusterRepairEngine, PeriodicDecodeRepairRuns) {
   const auto params = planted_params();
   auto config = repair_engine_config();
-  config.repair_merge_threshold = 0.5;
   config.repair_refine_iterations = 10;
   config.repair_decode_interval = 16;  // one repair per decode flush
   HeadStream stream(params, Rng(derive_seed(81, "head")), 400);

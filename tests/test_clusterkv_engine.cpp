@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <set>
 
 #include "core/clusterkv_engine.hpp"
@@ -303,14 +302,6 @@ TEST(ClusterKVEngine, SinkPrefixSpansChunks) {
   for (Index s = 0; s < 16; ++s) {
     EXPECT_TRUE(engine.tiered_store().is_fast_resident(s));
   }
-}
-
-TEST(ClusterKVEngine, NonFiniteRepairThresholdRejected) {
-  auto config = small_config();
-  config.repair_merge_threshold = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(ClusterKVEngine(32, config, Rng(1)), std::invalid_argument);
-  config.repair_merge_threshold = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(ClusterKVEngine(32, config, Rng(1)), std::invalid_argument);
 }
 
 TEST(ClusterKVEngine, PrefillTwiceRejected) {

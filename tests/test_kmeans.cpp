@@ -151,8 +151,8 @@ TEST(KMeans, DuplicateKeysWithExcessClustersNeverReturnHollowClusters) {
 }
 
 TEST(KMeansRefine, ClampsEffectiveKToKeyCount) {
-  // Regression for the repair path: a tiny merged group can be handed more
-  // seed centroids than it has keys; the effective k must clamp so the
+  // Regression for the repair path: a tiny input can be handed more seed
+  // centroids than it has keys; the effective k must clamp so the
   // reseed path never runs out of keys and leaves stale duplicates behind.
   Rng rng(17);
   Matrix keys(3, 8);

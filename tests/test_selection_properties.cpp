@@ -264,8 +264,9 @@ TEST_P(PrefillFlushPlanFuzz, RepairWorkMatchesPlannedBatches) {
       engine.observe_prefill_chunk(keys.row_slice(begin, end),
                                    values.row_slice(begin, end), end == prompt_len);
     }
-    const PrefillFlushPlan plan = prefill_flush_plan(config, prompt_len, chunk);
-    EXPECT_EQ(engine.repair_flops() > 0, plan.batches >= 2)
+    const Index batches = prefill_flush_plan(config, prompt_len, chunk);
+    EXPECT_EQ(engine.repair_passes(), batches >= 2 ? 1 : 0);
+    EXPECT_EQ(engine.repair_flops() > 0, batches >= 2)
         << "L " << prompt_len << ", chunk " << chunk << ", tokens_per_cluster "
         << config.tokens_per_cluster << ", sinks " << config.sink_tokens;
   }
@@ -315,7 +316,6 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
     ckv.decode_interval = rng.uniform_int(4, 16);
     ckv.decode_clusters = 2;
     ckv.cache_depth = rng.uniform_int(0, 2);
-    ckv.repair_merge_threshold = rng.uniform(-1.0, 0.9);
     ckv.repair_refine_iterations = rng.uniform_int(0, 4);
     ckv.repair_decode_interval = rng.uniform_int(0, 5);
     ckv.prefetch_clusters = rng.uniform_int(0, 4);

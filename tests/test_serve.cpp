@@ -10,6 +10,7 @@
 
 #include "baselines/full_kv.hpp"
 #include "core/clusterkv_engine.hpp"
+#include "obs/trace.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/session.hpp"
@@ -329,7 +330,6 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   ckv.tokens_per_cluster = 16;
   // Aggressive periodic repair so passes land *between* the invariant
   // checks below: budget and sink invariants must hold mid-repair too.
-  ckv.repair_merge_threshold = 0.3;
   ckv.repair_decode_interval = 2;
   BatchSchedulerConfig config;
   // Tight budget + overcommit so admission piles sessions on and
@@ -679,9 +679,9 @@ TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
   EXPECT_NEAR(full.metrics().mean_recall(), 1.0, 1e-9);
 }
 
-// The repair/tail-fold bills key off prefill_flush_plan, a replay of the
-// engine's own prefill_flush decisions over token counts; it must agree
-// with batch registration in the corner cases (short prompts, folded
+// The post-prefill repair bill keys off prefill_flush_plan, a replay of
+// the engine's own prefill_flush decisions over token counts; it must
+// agree with batch registration in the corner cases (short prompts, short
 // tails, chunks smaller than the clustering window) or the virtual clock
 // charges work that never ran.
 TEST(BatchScheduler, PrefillFlushPlanMirrorsEngineBatches) {
@@ -689,28 +689,87 @@ TEST(BatchScheduler, PrefillFlushPlanMirrorsEngineBatches) {
   ckv.tokens_per_cluster = 20;
   ckv.sink_tokens = 16;
 
-  // Single-batch prompts: no fold (nothing precedes the tail), no repair.
-  auto plan = prefill_flush_plan(ckv, 18, 256);
-  EXPECT_EQ(plan.batches, 1);
-  EXPECT_FALSE(plan.tail_folds);
-  // Multi-chunk prompt whose tail folds: still one batch — repair no-op.
-  plan = prefill_flush_plan(ckv, 270, 256);
-  EXPECT_EQ(plan.batches, 1);
-  EXPECT_TRUE(plan.tail_folds);
-  // Tail long enough to flush: two batches, repair does real work.
-  plan = prefill_flush_plan(ckv, 276 + 16, 256);
-  EXPECT_EQ(plan.batches, 2);
-  EXPECT_FALSE(plan.tail_folds);
+  // Single-batch prompt: no repair.
+  EXPECT_EQ(prefill_flush_plan(ckv, 18, 256), 1);
+  // Multi-chunk prompt with a short tail: the tail is a batch of its own,
+  // so repair does real work.
+  EXPECT_EQ(prefill_flush_plan(ckv, 270, 256), 2);
+  EXPECT_EQ(prefill_flush_plan(ckv, 276 + 16, 256), 2);
+  // A prompt of sinks alone registers nothing.
+  EXPECT_EQ(prefill_flush_plan(ckv, 16, 256), 0);
 
   // Chunks smaller than the clustering window: pending accumulates across
-  // chunks, so a short final chunk is not a fold when the accumulated
-  // pending still reaches tokens_per_cluster (with no sinks, 56 = 16 + 16
-  // flushes 32, then 16 + 8 flushes 24).
+  // chunks (with no sinks, 56 = 16 + 16 flushes 32, then 16 + 8 flushes
+  // 24).
   ClusterKVConfig no_sinks = ckv;
   no_sinks.sink_tokens = 0;
-  plan = prefill_flush_plan(no_sinks, 56, 16);
-  EXPECT_EQ(plan.batches, 2);
-  EXPECT_FALSE(plan.tail_folds);
+  EXPECT_EQ(prefill_flush_plan(no_sinks, 56, 16), 2);
+}
+
+// The repair bill must charge exactly the passes the engines run. For one
+// session at a time, a tick bills a repair pass exactly when every head
+// of the session emitted a repair-pass instant during it: after the final
+// prompt chunk of a multi-batch prompt, and at repair-interval tokens
+// once a decode flush has registered a batch since the last pass —
+// whether the repair interval is shorter or longer than the flush
+// cadence, after a one-batch prompt, or after a prompt of sinks alone.
+TEST(BatchScheduler, RepairBillMatchesEnginePasses) {
+  struct TracerOff {
+    ~TracerOff() { obs::tracer().disable(); }
+  } tracer_off;
+  struct Case {
+    Index decode_interval;
+    Index repair_decode_interval;
+    Index prompt_len;
+    Index chunk;  ///< 0 = inline prefill (a one-batch prompt)
+  };
+  const Case cases[] = {
+      {8, 3, 300, 64},   // repair interval shorter than the flush cadence
+      {8, 8, 300, 64},   // equal to it
+      {8, 20, 300, 64},  // longer, and not a multiple
+      {6, 4, 300, 0},    // one-batch prompt: no post-prefill pass
+      {8, 3, 6, 64},     // sinks alone: the first decode flush is batch one
+      {8, 0, 300, 64},   // post-prefill pass only
+  };
+  const auto session_config = small_session_config();
+  const Index heads = session_config.shape.total_heads();
+  for (const Case& c : cases) {
+    SCOPED_TRACE("decode_interval " + std::to_string(c.decode_interval) +
+                 ", repair interval " + std::to_string(c.repair_decode_interval) +
+                 ", prompt " + std::to_string(c.prompt_len) + ", chunk " +
+                 std::to_string(c.chunk));
+    auto ckv = small_ckv_config();
+    ckv.decode_interval = c.decode_interval;
+    ckv.repair_decode_interval = c.repair_decode_interval;
+    BatchSchedulerConfig config;
+    config.prefill_chunk_tokens = c.chunk;
+    auto& tr = obs::tracer();
+    tr.enable();
+    BatchScheduler scheduler(fixed_trace(1, c.prompt_len, 40, 0.0),
+                             clusterkv_method(ckv, 9), session_config,
+                             test_latency(), config);
+    const auto passes_so_far = [&tr] {
+      Index passes = 0;
+      for (const auto& event : tr.events()) {
+        passes += tr.name_of(event.name) == "repair-pass" ? 1 : 0;
+      }
+      return passes;
+    };
+    Index passes = 0;
+    Index billed = 0;
+    while (scheduler.tick()) {
+      const Index new_passes = passes_so_far() - passes;
+      const Index new_billed = scheduler.metrics().repair_ticks() - billed;
+      EXPECT_EQ(new_passes, heads * new_billed) << "tick at " << scheduler.now_ms();
+      passes += new_passes;
+      billed += new_billed;
+    }
+    EXPECT_EQ(tr.dropped(), 0u);
+    tr.disable();
+    EXPECT_EQ(scheduler.finished_count(), 1);
+    EXPECT_GT(billed, 0);
+    EXPECT_EQ(passes, heads * billed);
+  }
 }
 
 // The recall@B comparison between scheduling modes is only meaningful on

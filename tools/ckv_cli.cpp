@@ -283,13 +283,9 @@ int run_serve(int argc, const char* const* argv) {
   args.add_option("prefill-chunk", "256",
                   "prompt tokens prefilled per tick (chunked prefill; 0 = "
                   "whole prompt in one tick)");
-  args.add_option("repair-threshold", "0.8",
-                  "cross-chunk repair: min centroid similarity for an "
-                  "adjacent-batch merge (clusterkv only; -1 merges every "
-                  "adjacent pair)");
   args.add_option("repair-refine", "4",
-                  "cross-chunk repair: k-means refinement iterations per "
-                  "merged group (0 disables repair)");
+                  "cross-chunk repair: k-means iterations of the joint "
+                  "refinement over every clustered token (0 disables repair)");
   args.add_option("repair-interval", "0",
                   "also repair every N generated tokens (0 = post-prefill "
                   "repair only)");
@@ -359,7 +355,6 @@ int run_serve(int argc, const char* const* argv) {
   ckv.tokens_per_cluster = 20;
   ckv.decode_interval = 32;
   ckv.decode_clusters = 2;
-  ckv.repair_merge_threshold = args.get_double_in("repair-threshold", -1.0, 1.0);
   ckv.repair_refine_iterations = args.get_index("repair-refine");
   ckv.repair_decode_interval = args.get_index("repair-interval");
   ckv.prefetch_clusters = args.get_index("prefetch-clusters");
