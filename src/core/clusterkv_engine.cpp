@@ -60,7 +60,7 @@ ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
                                  Rng rng)
     : config_(config),
       rng_(std::move(rng)),
-      tiered_(head_dim, config.element_bytes),
+      tiered_(head_dim),
       centroids_(head_dim),
       cache_(config.cache_depth),
       prefetcher_(ClusterPrefetchConfig{config.prefetch_clusters,

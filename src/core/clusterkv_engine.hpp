@@ -30,7 +30,6 @@ struct ClusterKVConfig {
   DistanceMetric cluster_metric = DistanceMetric::kCosine;  ///< §III-B
   Index kmeans_max_iterations = 20;
   KMeansInit kmeans_init = KMeansInit::kRandomSample;  ///< §III-B default
-  Index element_bytes = 2;         ///< fp16-equivalent byte accounting
   /// When positive, the cluster count of every prefill flush (Fig. 11b
   /// ablation); 0 uses pending tokens / tokens_per_cluster.
   Index fixed_cluster_count = 0;

@@ -36,10 +36,7 @@ const char* cancel_event_name(obs::FetchCancelReason reason) noexcept {
 
 }  // namespace
 
-TieredKVStore::TieredKVStore(Index head_dim, Index element_bytes)
-    : store_(head_dim), element_bytes_(element_bytes) {
-  expects(element_bytes > 0, "TieredKVStore: element_bytes must be positive");
-}
+TieredKVStore::TieredKVStore(Index head_dim) : store_(head_dim) {}
 
 TieredKVStore::Placement TieredKVStore::placement_of(Index position) const {
   return position >= 0 && position < static_cast<Index>(placement_.size())
@@ -304,7 +301,7 @@ std::vector<Index> TieredKVStore::fast_positions() const {
 }
 
 Index TieredKVStore::token_bytes() const noexcept {
-  return 2 * store_.head_dim() * element_bytes_;
+  return 2 * store_.head_dim() * kKVElementBytes;
 }
 
 std::int64_t TieredKVStore::fast_resident_bytes() const noexcept {

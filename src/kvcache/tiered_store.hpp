@@ -23,6 +23,10 @@
 
 namespace ckv {
 
+/// Bytes of one stored K or V element: fp16, as in the paper. The tiered
+/// stores, the ledger and the scheduler's byte math all count at it.
+inline constexpr Index kKVElementBytes = 2;
+
 /// Byte-accurate transfer counters for one head's traffic.
 struct TransferStats {
   std::int64_t bytes_to_fast = 0;    ///< slow -> fast (PCIe H2D in the paper)
@@ -114,8 +118,7 @@ class FastTierLedger {
 /// reservation accounting.
 class TieredKVStore {
  public:
-  /// element_bytes = 2 models fp16 storage as in the paper.
-  TieredKVStore(Index head_dim, Index element_bytes = 2);
+  explicit TieredKVStore(Index head_dim);
 
   /// Appends a token on the fast tier (where it is produced) without
   /// counting transfer bytes; call offload_to_slow to move it out.
@@ -196,7 +199,7 @@ class TieredKVStore {
   /// ordered walk of the placement array.
   [[nodiscard]] std::vector<Index> fast_positions() const;
 
-  /// Bytes of one token's KV entry (key + value) at the configured width.
+  /// Bytes of one token's KV entry (key + value) at kKVElementBytes.
   [[nodiscard]] Index token_bytes() const noexcept;
 
   /// Bytes currently held on the fast tier.
@@ -241,7 +244,6 @@ class TieredKVStore {
                           obs::FetchCancelReason reason) CKV_REQUIRES(owner_);
 
   KVStore store_;
-  Index element_bytes_;
   /// Static stand-in for the owning session (see the class comment).
   mutable ExclusiveContext owner_;
   /// One entry per stored token (always store_.size() long).

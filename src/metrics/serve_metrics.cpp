@@ -418,24 +418,12 @@ double ServeMetrics::advance_wall_ms_total() const noexcept {
   return advance_wall_ms_->value();
 }
 
-std::int64_t ServeMetrics::fanout_sessions_total() const noexcept {
-  return fanout_sessions_->as_int();
-}
-
-std::int64_t ServeMetrics::advanced_sessions_total() const noexcept {
-  return advanced_sessions_->as_int();
-}
-
 double ServeMetrics::fanout_fraction() const noexcept {
   const std::int64_t advanced = advanced_sessions_->as_int();
   return advanced > 0
              ? static_cast<double>(fanout_sessions_->as_int()) /
                    static_cast<double>(advanced)
              : 0.0;
-}
-
-const RunningStat& ServeMetrics::occupancy_bytes() const noexcept {
-  return occupancy_->stat();
 }
 
 std::int64_t ServeMetrics::peak_occupancy_bytes() const noexcept {

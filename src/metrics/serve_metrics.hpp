@@ -131,10 +131,10 @@ class ServeMetrics {
   /// Records the *wall* time of one tick's advance phase (host
   /// milliseconds spent stepping sessions, parallel fan-out included) and
   /// how the batch was executed: `fanned_out` of the `advanced` sessions
-  /// ran as pool tasks, the rest on the exact serial path. Wall time is
-  /// the only non-deterministic quantity the scheduler records — billed
-  /// virtual time stays the serial per-session composition — so these
-  /// counters never feed a quality or billing column.
+  /// ran in multi-item waves on the pool, the rest in one-item waves on the
+  /// tick thread. Wall time is the only non-deterministic quantity the
+  /// scheduler records — billed virtual time is fixed before any session
+  /// advances — so these counters never feed a quality or billing column.
   void record_advance_wall(double wall_ms, Index fanned_out, Index advanced);
 
   /// Records the bytes one session demand-fetched in one decode step
@@ -304,16 +304,12 @@ class ServeMetrics {
 
   /// Total host milliseconds spent in tick advance phases.
   [[nodiscard]] double advance_wall_ms_total() const noexcept;
-  /// Session advancements executed as parallel pool tasks / in total.
-  [[nodiscard]] std::int64_t fanout_sessions_total() const noexcept;
-  [[nodiscard]] std::int64_t advanced_sessions_total() const noexcept;
-  /// Share of session advancements that ran on the pool (0 when none ran
-  /// at all): how often the headroom guard let the tick fan out.
+  /// Share of session advancements that ran in multi-item waves on the
+  /// pool (0 when none ran at all). Under a tiered budget only prefill
+  /// chunks share waves.
   [[nodiscard]] double fanout_fraction() const noexcept;
 
-  /// Per-tick samples of global fast-tier occupancy (bytes).
-  [[nodiscard]] const RunningStat& occupancy_bytes() const noexcept;
-  /// Largest occupancy sample seen (0 before any sample).
+  /// Largest fast-tier occupancy sample seen (0 before any sample).
   [[nodiscard]] std::int64_t peak_occupancy_bytes() const noexcept;
   /// Per-tick samples of the active batch size.
   [[nodiscard]] const RunningStat& concurrency() const noexcept;

@@ -17,12 +17,18 @@ std::int64_t session_track(const Session& session) noexcept {
   return 1 + session.request().id;
 }
 
+/// The calling pool worker's trace track, named when tracing is on.
+std::int64_t worker_track(obs::Tracer& tr) {
+  const int slot = parallel_worker_slot();
+  const std::int64_t track = obs::kWorkerTrackBase + slot;
+  if (tr.enabled()) {
+    tr.set_track_name(track, "worker " + std::to_string(slot));
+  }
+  return track;
+}
+
 /// The ServeMethod the SelectorFactory constructor's mirror fields state.
-/// The factory's own element width is not visible here, so the session's
-/// stands in; a factory at another width is caught by the tiered-ledger
-/// check once a session finishes prefill.
-ServeMethod mirrored_method(const BatchSchedulerConfig& config,
-                            const SessionConfig& session) {
+ServeMethod mirrored_method(const BatchSchedulerConfig& config) {
   const bool clusterkv = config.method == LatencyModel::Method::kClusterKV;
   expects(config.tiered_residency == clusterkv,
           "BatchScheduler: tiered_residency must be set exactly when method is "
@@ -38,7 +44,6 @@ ServeMethod mirrored_method(const BatchSchedulerConfig& config,
   method.clusterkv.repair_refine_iterations = config.repair_refine_iterations;
   method.clusterkv.repair_decode_interval = config.repair_decode_interval;
   method.clusterkv.prefetch_clusters = config.prefetch_clusters;
-  method.clusterkv.element_bytes = session.element_bytes;
   return method;
 }
 
@@ -54,9 +59,8 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
                                SelectorFactory factory,
                                SessionConfig session_config, LatencyModel latency,
                                BatchSchedulerConfig config)
-    : BatchScheduler(std::move(trace), mirrored_method(config, session_config),
-                     std::move(factory), session_config, std::move(latency),
-                     config) {}
+    : BatchScheduler(std::move(trace), mirrored_method(config), std::move(factory),
+                     session_config, std::move(latency), config) {}
 
 BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
                                SelectorFactory factory,
@@ -68,12 +72,6 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace, ServeMethod meth
       latency_(std::move(latency)),
       config_(config) {
   method_.validate();
-  // The tiered stores feed the ledger at the engine's width while the
-  // admission and enforcement byte math uses the session's.
-  expects(!method_.tiered() ||
-              method_.clusterkv.element_bytes == session_config_.element_bytes,
-          "BatchScheduler: ClusterKVConfig::element_bytes must equal "
-          "SessionConfig::element_bytes");
   expects(config.fast_tier_budget_bytes >= 0,
           "BatchScheduler: budget must be >= 0");
   expects(config.prefill_chunk_tokens >= 0,
@@ -278,12 +276,7 @@ void BatchScheduler::admit_arrivals() {
       models[slot] = Session::synthesize(admitted[slot], session_config_);
     }
   };
-  const auto count = static_cast<Index>(admitted.size());
-  if (config_.parallel_tick) {
-    parallel_for_range(0, count, /*grain=*/1, synthesize);
-  } else {
-    synthesize(0, count);
-  }
+  parallel_for_range(0, static_cast<Index>(admitted.size()), /*grain=*/1, synthesize);
 
   // Sessions, in admission order: the selector factory runs in the same
   // order as a one-at-a-time admission would call it.
@@ -548,31 +541,6 @@ void BatchScheduler::sync_wire(double until_ms) {
   }
 }
 
-std::int64_t BatchScheduler::advance_growth_bound_bytes(
-    const AdvanceItem& item) const {
-  if (item.prefilling) {
-    // A prefill chunk materializes at most its own tokens fast (pending
-    // grows by the chunk; flushed clusters offload eagerly, repair moves
-    // metadata only).
-    return session_context_bytes(session_config_, item.chunk);
-  }
-  if (!method_.tiered()) {
-    // Untiered residency pins the whole context, which grows by exactly
-    // the generated token.
-    return session_context_bytes(session_config_, 1);
-  }
-  // A tiered decode step can pin at most the selection budget in fresh
-  // demand fetches, adds one pending token, and may reserve one
-  // speculative fetch round (prefetch resolution only converts or frees
-  // existing reservations; flushes and window evictions only release).
-  const Index context =
-      item.session->request().prompt_len + item.session->tokens_generated() + 1;
-  const Index tokens =
-      std::min<Index>(session_config_.engine.budget, context) + 1 +
-      method_.clusterkv.prefetch_clusters * method_.clusterkv.tokens_per_cluster;
-  return session_context_bytes(session_config_, tokens);
-}
-
 void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
   // Thread-local tracer context: on a pool worker this scopes the step's
   // leaf instants (demand-fetch, fetch-issue, repair-pass, ...) to this
@@ -582,6 +550,7 @@ void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
   tr.set_track(session_track(*item.session));
   tr.set_virtual_now_ms(completed_ms);
   if (item.prefilling) {
+    item.fast_bytes_before = item.session->fast_resident_bytes();
     item.session->prefill_next(item.chunk, completed_ms);
   } else {
     item.step = item.session->select_next(completed_ms);
@@ -599,11 +568,11 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
       tr.end("prefilling");
       tr.begin("decoding");
       // Factory mismatch guard for the SelectorFactory constructor: with a
-      // tiered method, every selector must feed the shared ledger at the
-      // session's width — an untiered factory would leave it at zero and
-      // silently void budget enforcement. Checked when a session finishes
-      // prefill, when chunk-oblivious selectors have materialized their
-      // whole-prompt state.
+      // tiered method, every selector must feed the shared ledger — an
+      // untiered factory would leave it at zero and silently void budget
+      // enforcement. Checked when a session finishes prefill, when
+      // chunk-oblivious selectors have materialized their whole-prompt
+      // state.
       if (method_.tiered()) {
         std::int64_t summed = 0;
         for (const auto& running : running_) {
@@ -849,16 +818,18 @@ void BatchScheduler::trace_phases(const TickState& t) {
 
 std::size_t BatchScheduler::wave_end(const std::vector<AdvanceItem>& items,
                                      std::size_t begin) const {
-  if (!config_.parallel_tick) {
-    return begin + 1;
+  if (!enforceable()) {
+    return items.size();  // no checkpoint can act: the whole tick is one wave
   }
-  if (config_.fast_tier_budget_bytes == 0) {
-    return items.size();  // unlimited budget: one wave, no guard
-  }
+  // A prefill chunk adds at most its own tokens to the fast tier (pending
+  // grows by the chunk; flushed clusters offload eagerly, repair moves
+  // metadata only), so prefill items whose chunks fit the headroom share a
+  // wave. A decode step's growth has no such bound: each decoder is a wave
+  // of its own.
   std::int64_t headroom = config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
   std::size_t end = begin;
-  while (end < items.size()) {
-    const std::int64_t bound = advance_growth_bound_bytes(items[end]);
+  while (end < items.size() && items[end].prefilling) {
+    const std::int64_t bound = session_context_bytes(session_config_, items[end].chunk);
     if (bound > headroom) {
       break;
     }
@@ -868,18 +839,30 @@ std::size_t BatchScheduler::wave_end(const std::vector<AdvanceItem>& items,
   return std::max(end, begin + 1);
 }
 
+void BatchScheduler::check_wave_growth(const AdvanceItem& item) const {
+  // A prefilling session has nothing in flight, so its resident bytes are
+  // all it holds on the ledger.
+  const std::int64_t growth =
+      item.session->fast_resident_bytes() - item.fast_bytes_before;
+  const std::int64_t bound = session_context_bytes(session_config_, item.chunk);
+  if (growth > bound) {
+    ensures(false, "BatchScheduler: session " +
+                       std::to_string(item.session->request().id) + " grew " +
+                       std::to_string(growth) + " fast-tier bytes in a wave at tick " +
+                       std::to_string(ticks_) + ", over its chunk's bound of " +
+                       std::to_string(bound));
+  }
+}
+
 void BatchScheduler::advance_and_commit(TickState& t) {
-  // Wave fan-out: repeatedly take the longest run of un-advanced items
-  // whose summed worst-case byte growth provably fits the budget
-  // headroom. Inside such a wave every per-session enforcement checkpoint
-  // is silent, so session order cannot matter — the wave runs
-  // concurrently on the worker pool, then its commit phase (trace edges,
-  // metrics, the enforcement checkpoints themselves) replays in the exact
-  // serial order. A one-item wave (contention, or parallel_tick off)
-  // advances on the caller and commits at once: the literal serial
-  // step+commit interleaving, preserving byte-identity under contention.
-  // A decoder's wave runs only its step's selection half; the score pass
-  // after the last commit runs the rest.
+  // Wave fan-out: repeatedly take the next wave (wave_end) — items whose
+  // enforcement checkpoints cannot act, so session order cannot matter.
+  // The wave runs concurrently on the worker pool, then its commit phase
+  // (trace edges, metrics, the enforcement checkpoints themselves)
+  // replays in item order. A one-item wave advances on the caller and
+  // commits at once: the step+commit interleaving that keeps enforcement
+  // exact under a tiered budget. A decoder's wave runs only its step's
+  // selection half; the score pass after the last commit runs the rest.
   //
   // Leaf instrumentation (tiered-store fetch events) records against the
   // ambient context: the tick's completion time, the acting session's
@@ -892,7 +875,7 @@ void BatchScheduler::advance_and_commit(TickState& t) {
   // contract), so this read cannot leak into any deterministic output.
   // ckv-lint: allow(wall-clock) -- advance_wall_ms is a host-side metric
   const auto wall_begin = std::chrono::steady_clock::now();
-  // The fan-out lambda must not touch serial-phase state (clang enforces
+  // The fan-out lambdas must not touch serial-phase state (clang enforces
   // it); the tick's window crosses the boundary by value.
   const double tick_begin_ms = now_ms_;
   const double completed_ms = t.completed_ms;
@@ -912,21 +895,21 @@ void BatchScheduler::advance_and_commit(TickState& t) {
             // engine parallel_for calls self-serialize instead of
             // re-entering the pool.
             auto& wtr = obs::tracer();
-            const int slot = parallel_worker_slot();
-            const std::int64_t worker_track = obs::kWorkerTrackBase + slot;
+            const std::int64_t track = worker_track(wtr);
             for (Index i = chunk_begin; i < chunk_end; ++i) {
-              if (wtr.enabled()) {
-                wtr.set_track_name(worker_track, "worker " + std::to_string(slot));
-                wtr.begin_at("advance", worker_track, tick_begin_ms,
-                             {{"session", items[i].session->request().id}});
-              }
+              wtr.begin_at("advance", track, tick_begin_ms,
+                           {{"session", items[i].session->request().id}});
               advance_item(items[i], completed_ms);
-              if (wtr.enabled()) {
-                wtr.end_at("advance", worker_track, completed_ms);
-              }
+              wtr.end_at("advance", track, completed_ms);
             }
           });
       fanned_out += static_cast<Index>(end - begin);
+      if (enforceable()) {
+        // The wave's premise, checked: no item outgrew its chunk.
+        for (std::size_t i = begin; i < end; ++i) {
+          check_wave_growth(items[i]);
+        }
+      }
     }
     // The caller advanced at least one item and its thread-local tracer
     // context now points at the last session it stepped — restore it.
@@ -940,19 +923,20 @@ void BatchScheduler::advance_and_commit(TickState& t) {
   // only residency-dependent part of a step) ran in the waves above, and
   // scoring reads only each session's own context model and stashed
   // selections, so it fans out at any budget — after every commit, so
-  // enforcement, wire bookkeeping and aborts kept the serial order.
-  const auto score = [&items](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      items[static_cast<std::size_t>(i)].session->score_step();
-    }
-  };
-  const auto first_decoder = static_cast<Index>(t.prefill_count);
-  const auto item_count = static_cast<Index>(items.size());
-  if (config_.parallel_tick) {
-    parallel_for_range(first_decoder, item_count, /*grain=*/1, score);
-  } else {
-    score(first_decoder, item_count);
-  }
+  // enforcement, wire bookkeeping and aborts kept the serial order. Each
+  // score leaves an instant on the worker track that ran it.
+  parallel_for_range(
+      static_cast<Index>(t.prefill_count), static_cast<Index>(items.size()),
+      /*grain=*/1, [&items, completed_ms](Index begin, Index end) {
+        auto& wtr = obs::tracer();
+        const std::int64_t track = worker_track(wtr);
+        for (Index i = begin; i < end; ++i) {
+          Session& session = *items[static_cast<std::size_t>(i)].session;
+          session.score_step();
+          wtr.instant_at("score", track, completed_ms,
+                         {{"session", session.request().id}});
+        }
+      });
   // ckv-lint: allow(wall-clock) -- closes the host-side metric above
   const double advance_wall_ms = std::chrono::duration<double, std::milli>(
                                      std::chrono::steady_clock::now() - wall_begin)

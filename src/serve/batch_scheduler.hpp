@@ -52,19 +52,6 @@ struct BatchSchedulerConfig {
   /// model's pcie_gather_gbps; sweeping it down makes contention bite.
   /// Other methods have no modeled wire and reject a nonzero value.
   double link_gbps = 0.0;
-  /// Fan session work out to the persistent worker pool. Sessions are
-  /// independent (own engine, own RNG, own stores; the shared ledger is
-  /// commutative atomics), so a tick may work on them concurrently —
-  /// *wall* time drops while every billed virtual-time, quality and
-  /// billing column stays byte-identical to the serial scheduler. Three
-  /// passes fan out: context synthesis at admission and the decoders'
-  /// score pass (both pure per-session work, at any budget), and the
-  /// advance waves the headroom guard proves budget enforcement cannot
-  /// interrupt. Order-sensitive work (metrics, preemption, enforcement,
-  /// retirement) runs in a serial commit phase in the exact serial order
-  /// (see docs/SCHEDULING.md). false runs all three inline (determinism
-  /// A/B runs, debugging).
-  bool parallel_tick = true;
   /// Deterministic fault injection (docs/ROBUSTNESS.md). Disabled by
   /// default: every fault branch in the scheduler is gated on the plan,
   /// so a disabled plan reproduces the fault-free schedule byte for
@@ -94,9 +81,8 @@ class BatchScheduler {
   /// Serves `trace` with `method`: every session's selectors come from
   /// method.factory(), and every ClusterKV knob the scheduler bills or
   /// projects with is read from method.clusterkv. Throws
-  /// std::invalid_argument for an invalid method or config, a ClusterKV
-  /// element width that differs from session_config.element_bytes, or a
-  /// request that could never be admitted.
+  /// std::invalid_argument for an invalid method or config, or a request
+  /// that could never be admitted.
   BatchScheduler(std::vector<ServeRequest> trace, ServeMethod method,
                  SessionConfig session_config, LatencyModel latency,
                  BatchSchedulerConfig config);
@@ -186,6 +172,9 @@ class BatchScheduler {
     /// Decoders only: the selection half's traffic counts (the commit
     /// phase bills from them; quality is scored in the score pass).
     StepResult step;
+    /// Prefillers only: the session's fast-tier bytes before its chunk (the
+    /// baseline of check_wave_growth).
+    std::int64_t fast_bytes_before = 0;
   };
 
   /// The state one tick's passes share; every tick builds a fresh one.
@@ -236,27 +225,31 @@ class BatchScheduler {
   /// rule.
   void advance_item(AdvanceItem& item, double completed_ms);
   /// The item's order-sensitive tail, serial-only: trace edges, metrics,
-  /// the ledger cross-check and the budget-enforcement checkpoint, in the
-  /// exact order the serial scheduler interleaves them between steps.
+  /// the ledger cross-check and the budget-enforcement checkpoint, in item
+  /// order.
   void commit_item(AdvanceItem& item, double completed_ms)
       CKV_REQUIRES(serial_phase_);
   /// fast_tier_bytes() for callers already inside the serial phase.
   [[nodiscard]] std::int64_t fast_tier_bytes_locked() const
       CKV_REQUIRES(serial_phase_);
-  /// Conservative upper bound on the fast-tier bytes this advancement can
-  /// add (nothing subtracted for releases). The fan-out guard admits a
-  /// wave only while the summed bounds fit the budget headroom, which
-  /// proves every per-session enforcement checkpoint inside the wave
-  /// would have been silent — the wave is then order-free and safe to
-  /// run concurrently without changing a single observable byte.
-  [[nodiscard]] std::int64_t advance_growth_bound_bytes(
-      const AdvanceItem& item) const;
-  /// One past the last item of the wave that starts at `begin`: the
-  /// longest run whose summed growth bounds fit the budget headroom, and
+  /// Whether budget enforcement can act: a budget is set and the method
+  /// is tiered. Admission reserves every untiered context whole, at
+  /// overcommit 1, so its checkpoints never fire.
+  [[nodiscard]] bool enforceable() const noexcept {
+    return config_.fast_tier_budget_bytes > 0 && method_.tiered();
+  }
+  /// One past the last item of the wave that starts at `begin`: the whole
+  /// tick when enforcement cannot act; otherwise the longest run of
+  /// prefill items whose summed chunk bytes fit the budget headroom, and
   /// never fewer than one item.
   [[nodiscard]] std::size_t wave_end(const std::vector<AdvanceItem>& items,
                                      std::size_t begin) const
       CKV_REQUIRES(serial_phase_);
+  /// Fails `ensures`, naming the session, tick, growth and bound, when an
+  /// item of a multi-item wave under an enforceable budget grew its
+  /// session's fast-tier bytes by more than its chunk's bytes: the premise
+  /// that kept every checkpoint in the wave silent.
+  void check_wave_growth(const AdvanceItem& item) const CKV_REQUIRES(serial_phase_);
   /// Sheds the blocked queue head when the fault plan's shed bound says
   /// its wait is hopeless; returns true when a request was dropped (the
   /// admission loop then re-examines the new head).

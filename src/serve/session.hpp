@@ -17,6 +17,7 @@
 #include <memory>
 #include <utility>
 
+#include "kvcache/tiered_store.hpp"
 #include "metrics/serve_metrics.hpp"
 #include "model/decode_engine.hpp"
 #include "model/procedural.hpp"
@@ -33,17 +34,13 @@ struct SessionConfig {
   SimShape shape;            ///< simulation slice every session runs
   ProceduralParams params;   ///< procedural context statistics
   DecodeEngineConfig engine; ///< budget etc. for the per-session engine
-  /// fp16-equivalent residency accounting. BatchScheduler rejects a
-  /// ClusterKV ServeMethod whose ClusterKVConfig::element_bytes differs:
-  /// the tiered stores' ledger counts at the engine's width.
-  Index element_bytes = 2;
 };
 
-/// Bytes of one token's KV entry (key + value) for one head at the
-/// config's accounting width — the single source for all serving byte
+/// Bytes of one token's KV entry (key + value) for one head at the tiered
+/// stores' width, kKVElementBytes — the single source for all serving byte
 /// math (sessions, scheduler projections, bench budget sizing).
 [[nodiscard]] inline Index session_token_bytes(const SessionConfig& config) noexcept {
-  return 2 * config.shape.head_dim * config.element_bytes;
+  return 2 * config.shape.head_dim * kKVElementBytes;
 }
 
 /// Bytes of `tokens` context tokens held fast across every layer and head.
@@ -148,7 +145,7 @@ class Session {
   void attach_fast_tier_ledger(FastTierLedger* ledger);
 
   /// Fast-tier bytes this session currently holds, summed over all
-  /// per-head selectors at the configured element width.
+  /// per-head selectors.
   [[nodiscard]] std::int64_t fast_resident_bytes() const;
 
   /// Preemption: every per-head selector releases its reclaimable fast KV

@@ -101,7 +101,7 @@ TEST(TieredStore, AppendIsFastResident) {
 }
 
 TEST(TieredStore, OffloadAccountsBytes) {
-  TieredKVStore store(8, 2);
+  TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
   for (int i = 0; i < 3; ++i) {
     store.append(x, x);
@@ -168,7 +168,7 @@ TEST(TieredStore, RepeatedEvictRefetchCyclesStaySymmetric) {
   // Offload/fetch churn (the serving preemption pattern) must keep the
   // transfer ledger exact: every byte that went out is matched by the byte
   // that came back, with token counters agreeing at token_bytes() scale.
-  TieredKVStore store(8, 2);
+  TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
   for (int i = 0; i < 16; ++i) {
     store.append(x, x);
@@ -193,7 +193,7 @@ TEST(TieredStore, RepeatedEvictRefetchCyclesStaySymmetric) {
 }
 
 TEST(TieredStore, OffloadPositionsCountsOnlyResident) {
-  TieredKVStore store(4, 2);
+  TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
   for (int i = 0; i < 4; ++i) {
     store.append(x, x);
@@ -241,7 +241,7 @@ TEST(TieredStore, TransferStatsMergeAllFields) {
 
 TEST(TieredStore, LedgerTracksEveryResidencyMutation) {
   FastTierLedger ledger;
-  TieredKVStore store(8, 2);
+  TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
   store.append(x, x);  // resident before attach
   store.attach_ledger(&ledger);
@@ -269,8 +269,8 @@ TEST(TieredStore, LedgerTracksEveryResidencyMutation) {
 
 TEST(TieredStore, LedgerSharedAcrossStores) {
   FastTierLedger ledger;
-  TieredKVStore a(4, 2);
-  TieredKVStore b(4, 2);
+  TieredKVStore a(4);
+  TieredKVStore b(4);
   a.attach_ledger(&ledger);
   b.attach_ledger(&ledger);
   const std::vector<float> x(4, 1.0f);

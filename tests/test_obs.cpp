@@ -345,9 +345,10 @@ TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
 /// fanned-out wave, leaf events of different sessions (fetch-issue,
 /// demand-fetch, repair-pass, ...) interleave in the ring in wall-clock
 /// order, but each session's own track is written by one thread at a
-/// time. Worker occupancy spans (tracks >= kWorkerTrackBase) are the one
-/// deliberate exception — which pool slot advances which session is a
-/// wall-schedule fact — so they are compared as a track-agnostic multiset.
+/// time. Worker-track events (advance spans and score instants, tracks >=
+/// kWorkerTrackBase) are the one deliberate exception — which pool slot
+/// runs which session is a wall-schedule fact — so they are compared as a
+/// track-agnostic multiset.
 TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
@@ -473,6 +474,64 @@ TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
     EXPECT_GT(resumes, 0) << workers << " workers";
     tr.disable();
   }
+}
+
+/// Under a binding ClusterKV budget only prefill chunks share a wave: a
+/// chunk adds at most its own tokens to the fast tier, while a decode
+/// step's growth has no bound the scheduler could check, so each decoder
+/// advances and commits on its own. Every advance span on a worker track
+/// must therefore end where its session's track records a prefill chunk.
+/// A burst of twelve sessions under a 450-token budget preempts, yet often
+/// leaves headroom for several decoders' 48-token selections plus their
+/// prefetch rounds, so decoders let into waves would show up here. The
+/// score pass still fans every decoder out: each decode step leaves one
+/// `score` instant on a worker track.
+TEST(WaveFanOut, OnlyPrefillChunksShareAWaveUnderAClusterKVBudget) {
+  WorkerGuard worker_guard;
+  TracerGuard tracer_guard;
+  const auto session = obs_session_config();
+  const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
+  BatchSchedulerConfig config = obs_scheduler_config(session);
+  config.fast_tier_budget_bytes = session_context_bytes(session, 450);
+  auto trace = obs_trace(12);
+  for (auto& request : trace) {
+    request.arrival_ms = 0.0;
+  }
+  set_parallel_workers(4);
+  auto& tr = obs::tracer();
+  tr.enable();
+  BatchScheduler scheduler(trace, obs_method(), session, latency, config);
+  run_obs_fleet(scheduler);
+  EXPECT_GT(scheduler.metrics().total_preemptions(), 0) << "the budget never bound";
+
+  // Commit instants and ended worker advances, keyed (session track, virtual us).
+  std::map<std::pair<std::int64_t, double>, std::string> commits;
+  std::vector<std::pair<std::int64_t, double>> advances;
+  std::map<std::int64_t, std::int64_t> open_advance;  // worker track -> session
+  Index decode_steps = 0;
+  Index worker_scores = 0;
+  for (const auto& event : tr.events()) {
+    const std::string name(tr.name_of(event.name));
+    decode_steps += name == "decode-step" ? 1 : 0;
+    worker_scores += name == "score" && event.track >= obs::kWorkerTrackBase ? 1 : 0;
+    if (name == "prefill-chunk" || name == "decode-step") {
+      commits[{event.track, event.virtual_us}] = name;
+    } else if (name == "advance" && event.phase == obs::TraceEvent::Phase::kBegin) {
+      open_advance[event.track] = event.args[0];
+    } else if (name == "advance" && event.phase == obs::TraceEvent::Phase::kEnd) {
+      advances.emplace_back(1 + open_advance.at(event.track), event.virtual_us);
+    }
+  }
+  ASSERT_FALSE(advances.empty()) << "no prefill chunks shared a wave";
+  Index decoders = 0;
+  for (const auto& key : advances) {
+    const auto it = commits.find(key);
+    ASSERT_NE(it, commits.end()) << "advance without a commit on track " << key.first;
+    decoders += it->second == "decode-step" ? 1 : 0;
+  }
+  EXPECT_EQ(decoders, 0) << "of " << advances.size() << " worker-track advances";
+  EXPECT_GT(decode_steps, 0);
+  EXPECT_EQ(worker_scores, decode_steps);
 }
 
 /// Per-worker utilization: the serial path bills slot 0; total indices

@@ -476,9 +476,8 @@ TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
 // bound as well as the engines, so ClusterKVConfig::validate() checks each
 // at construction, whatever the method (negative counts, a zero flush
 // cadence / cluster size, or a prefetch prior weight or decay outside its
-// finite range, are typed errors). A ClusterKV element width that differs
-// from the session's would split the ledger's byte math from the
-// scheduler's, and a method without a serving selector has no factory.
+// finite range, are typed errors), and a method without a serving selector
+// has no factory.
 TEST(ServeMethod, RejectsOutOfRangeClusterKVConfig) {
   using Method = LatencyModel::Method;
   const auto session_config = small_session_config();
@@ -525,8 +524,6 @@ TEST(ServeMethod, RejectsOutOfRangeClusterKVConfig) {
     EXPECT_THROW(build(method, &ClusterKVConfig::tokens_per_cluster, 0),
                  std::invalid_argument);
   }
-  EXPECT_THROW(build(Method::kClusterKV, &ClusterKVConfig::element_bytes, 4),
-               std::invalid_argument);
   EXPECT_THROW(build(Method::kInfiniGen, &ClusterKVConfig::sink_tokens, 0),
                std::invalid_argument);
 }
@@ -1127,9 +1124,8 @@ void expect_snapshots_identical(const FleetSnapshot& a, const FleetSnapshot& b,
   EXPECT_EQ(a.wire_failures, b.wire_failures) << label;
 }
 
-/// Drains `trace` with `method` at 1, 2 and 8 pool workers and once with
-/// parallel_tick = false, expects every run's snapshot to equal the
-/// one-worker run's, and returns that snapshot.
+/// Drains `trace` with `method` at 1, 2 and 8 pool workers, expects every
+/// run's snapshot to equal the one-worker run's, and returns that snapshot.
 FleetSnapshot expect_fleet_identical(const std::vector<ServeRequest>& trace,
                                      const ServeMethod& method,
                                      const SessionConfig& session,
@@ -1153,20 +1149,17 @@ FleetSnapshot expect_fleet_identical(const std::vector<ServeRequest>& trace,
     expect_snapshots_identical(baseline, drain(config),
                                label + " @ " + std::to_string(workers) + " workers");
   }
-  BatchSchedulerConfig serial = config;
-  serial.parallel_tick = false;
-  expect_snapshots_identical(baseline, drain(serial), label + " serial tick");
   return baseline;
 }
 
 /// The tentpole contract: every quality and billing column is bit-identical
-/// whether a tick works on sessions serially or fans synthesis, advance
-/// waves and the score pass out to 2 or 8 pool workers — across the
-/// scheduling modes the serving bench compares, with and without a
-/// contended budget (the contended sweep forces the headroom guard into
-/// its degenerate one-item serial waves; the unlimited sweep fans out
-/// whole batches). The SelectorFactory constructor, handed the same knobs
-/// through its mirror fields, must replay every ServeMethod run too.
+/// whether a tick's synthesis, advance waves and score pass run on 1, 2 or
+/// 8 pool workers — across the scheduling modes the serving bench
+/// compares, with and without a contended budget (under the contended
+/// budget only prefill chunks share a wave and each decoder is a wave of
+/// its own; the unlimited sweep fans out whole batches). The
+/// SelectorFactory constructor, handed the same knobs through its mirror
+/// fields, must replay every ServeMethod run too.
 TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
@@ -1373,8 +1366,9 @@ TEST(FleetDeterminism, QuestAndFullKVIdenticalAcrossWorkerCounts) {
 
 /// Fairness regression at max_running saturation: the round-robin rotation
 /// must give every running session exactly one advancement per tick,
-/// serial and parallel schedulers must agree on per-session progress at
-/// every tick boundary, and no session may stall while it is running.
+/// schedulers ticking in lockstep at 1 and 8 pool workers must agree on
+/// per-session progress at every tick boundary, and no session may stall
+/// while it is running.
 TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
@@ -1384,13 +1378,9 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   config.max_running = 3;  // saturated: half the fleet queues behind the cap
 
   const auto trace = varied_trace();
-  set_parallel_workers(8);
-  BatchSchedulerConfig serial_config = config;
-  serial_config.parallel_tick = false;
-  BatchScheduler serial(trace, clusterkv_method(ckv, 7), session,
-                        test_latency(), serial_config);
-  BatchScheduler parallel(trace, clusterkv_method(ckv, 7), session,
-                          test_latency(), config);
+  BatchScheduler serial(trace, clusterkv_method(ckv, 7), session, test_latency(), config);
+  BatchScheduler parallel(trace, clusterkv_method(ckv, 7), session, test_latency(),
+                          config);
 
   // Per-session progress (prompt tokens prefilled + tokens generated) of
   // the running set, keyed by request id.
@@ -1408,7 +1398,9 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   bool parallel_more = true;
   Index ticks = 0;
   while (serial_more || parallel_more) {
+    set_parallel_workers(1);
     serial_more = serial.tick();
+    set_parallel_workers(8);
     parallel_more = parallel.tick();
     EXPECT_EQ(serial_more, parallel_more) << "tick " << ticks;
     EXPECT_EQ(serial.now_ms(), parallel.now_ms()) << "tick " << ticks;
@@ -1433,7 +1425,7 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   EXPECT_EQ(parallel.finished_count(), static_cast<Index>(trace.size()));
   expect_snapshots_identical(take_snapshot(serial.metrics()),
                              take_snapshot(parallel.metrics()),
-                             "serial vs parallel fleet");
+                             "1 vs 8 workers");
 }
 
 // ---- transfer-engine serving behavior --------------------------------------

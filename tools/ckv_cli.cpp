@@ -313,12 +313,6 @@ int run_serve(int argc, const char* const* argv) {
   args.add_option("fault-seed", "7777",
                   "seed of the --fault-plan chaos schedule (replayable: the "
                   "same seed gives a byte-identical run at any CKV_THREADS)");
-  args.add_switch("serial-tick",
-                  "advance sessions one at a time on the scheduler thread "
-                  "instead of fanning a tick out to the worker pool (results "
-                  "are byte-identical either way — this knob trades wall "
-                  "time for a single-threaded schedule, e.g. for debugging; "
-                  "worker count itself comes from CKV_THREADS)");
   args.add_option("seed", "2025", "experiment seed");
   args.add_option("trace", "",
                   "write a Chrome trace-event JSON of the run (virtual-clock "
@@ -424,7 +418,6 @@ int run_serve(int argc, const char* const* argv) {
   scheduler_config.fast_tier_budget_bytes = static_cast<std::int64_t>(budget_bytes);
   scheduler_config.prefill_chunk_tokens = args.get_index("prefill-chunk");
   scheduler_config.max_running = args.get_index("max-running");
-  scheduler_config.parallel_tick = !args.get_switch("serial-tick");
 
   const std::string trace_path = args.get_string("trace");
   const std::string metrics_path = args.get_string("metrics-out");
