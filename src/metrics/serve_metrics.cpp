@@ -69,19 +69,14 @@ void ServeMetrics::record_fault_fetch(Index retries, double penalty_ms,
   if (retries == 0 && !dead) {
     return;  // the fetch never faulted
   }
-  ++fault_fetch_faults_;
   registry_.counter("serve.fault_fetch_faults").add(std::int64_t{1});
   if (retries > 0) {
-    fault_retries_ += retries;
-    fault_retry_ms_ += penalty_ms;
     registry_.counter("serve.retry_attempts").add(retries);
     registry_.counter("serve.retry_ms_total").add(penalty_ms);
   }
   if (dead) {
-    ++dead_fetches_;
     registry_.counter("serve.fault_dead_fetches").add(std::int64_t{1});
   } else {
-    ++fault_retried_ok_;
     registry_.counter("serve.retry_recovered").add(std::int64_t{1});
   }
 }
@@ -89,19 +84,22 @@ void ServeMetrics::record_fault_fetch(Index retries, double penalty_ms,
 void ServeMetrics::record_wire_retries(Index retries) {
   expects(retries >= 0, "ServeMetrics::record_wire_retries: negative count");
   if (retries > 0) {
-    wire_retries_ += retries;
     registry_.counter("serve.fault_wire_retries").add(retries);
   }
 }
 
 void ServeMetrics::record_wire_failure() {
-  ++wire_failures_;
   registry_.counter("serve.fault_wire_failures").add(std::int64_t{1});
 }
 
 void ServeMetrics::record_shed_session() {
-  ++shed_sessions_;
   registry_.counter("serve.shed_sessions").add(std::int64_t{1});
+}
+
+double ServeMetrics::counter_value(const std::string& name) const {
+  const auto& counters = registry_.counters();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0.0 : it->second.value();
 }
 
 Index ServeMetrics::degraded_steps_total() const noexcept {

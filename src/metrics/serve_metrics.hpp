@@ -10,6 +10,7 @@
 // itself is exported by `ckv serve --metrics-out` as flat JSON/CSV.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
@@ -131,10 +132,11 @@ class ServeMetrics {
   /// Records the *wall* time of one tick's advance phase (host
   /// milliseconds spent stepping sessions, parallel fan-out included) and
   /// how the batch was executed: `fanned_out` of the `advanced` sessions
-  /// ran in multi-item waves on the pool, the rest in one-item waves on the
-  /// tick thread. Wall time is the only non-deterministic quantity the
-  /// scheduler records — billed virtual time is fixed before any session
-  /// advances — so these counters never feed a quality or billing column.
+  /// ran in the tick's fan-out wave on the pool, the rest (decoders under
+  /// a tiered budget) one at a time on the tick thread. Wall time is the
+  /// only non-deterministic quantity the scheduler records — billed virtual
+  /// time is fixed before any session advances — so these counters never
+  /// feed a quality or billing column.
   void record_advance_wall(double wall_ms, Index fanned_out, Index advanced);
 
   /// Records the bytes one session demand-fetched in one decode step
@@ -175,37 +177,37 @@ class ServeMetrics {
   /// Records one queued arrival shed after waiting past the plan's bound.
   void record_shed_session();
 
-  /// Fleet fault aggregates (plain mirrors — reading them never creates
-  /// registry instruments, so exports stay untouched by queries).
+  /// Fleet fault aggregates. Each reads its registry counter, 0 while no
+  /// record has registered it, so a query never creates an instrument.
   [[nodiscard]] Index degraded_steps_total() const noexcept;
   [[nodiscard]] Index fault_aborts_total() const noexcept;
-  [[nodiscard]] Index shed_sessions_total() const noexcept {
-    return shed_sessions_;
+  [[nodiscard]] Index shed_sessions_total() const {
+    return static_cast<Index>(counter_value("serve.shed_sessions"));
   }
-  [[nodiscard]] Index fault_retries_total() const noexcept {
-    return fault_retries_;
+  [[nodiscard]] Index fault_retries_total() const {
+    return static_cast<Index>(counter_value("serve.retry_attempts"));
   }
-  [[nodiscard]] double fault_retry_ms_total() const noexcept {
-    return fault_retry_ms_;
+  [[nodiscard]] double fault_retry_ms_total() const {
+    return counter_value("serve.retry_ms_total");
   }
   /// Demand fetches that hit at least one transient fault...
-  [[nodiscard]] Index fault_fetch_faults_total() const noexcept {
-    return fault_fetch_faults_;
+  [[nodiscard]] Index fault_fetch_faults_total() const {
+    return static_cast<Index>(counter_value("serve.fault_fetch_faults"));
   }
   /// ...of which this many recovered via retry...
-  [[nodiscard]] Index fault_retried_ok_total() const noexcept {
-    return fault_retried_ok_;
+  [[nodiscard]] Index fault_retried_ok_total() const {
+    return static_cast<Index>(counter_value("serve.retry_recovered"));
   }
   /// ...and this many were declared dead (== degraded steps, each dead
   /// fetch degrades exactly one step).
-  [[nodiscard]] Index dead_fetches_total() const noexcept {
-    return dead_fetches_;
+  [[nodiscard]] Index dead_fetches_total() const {
+    return static_cast<Index>(counter_value("serve.fault_dead_fetches"));
   }
-  [[nodiscard]] Index wire_retries_total() const noexcept {
-    return wire_retries_;
+  [[nodiscard]] Index wire_retries_total() const {
+    return static_cast<Index>(counter_value("serve.fault_wire_retries"));
   }
-  [[nodiscard]] Index wire_failures_total() const noexcept {
-    return wire_failures_;
+  [[nodiscard]] Index wire_failures_total() const {
+    return static_cast<Index>(counter_value("serve.fault_wire_failures"));
   }
 
   /// All retired sessions, retirement order.
@@ -304,9 +306,9 @@ class ServeMetrics {
 
   /// Total host milliseconds spent in tick advance phases.
   [[nodiscard]] double advance_wall_ms_total() const noexcept;
-  /// Share of session advancements that ran in multi-item waves on the
-  /// pool (0 when none ran at all). Under a tiered budget only prefill
-  /// chunks share waves.
+  /// Share of session advancements that ran in the tick's fan-out wave on
+  /// the pool (0 when none ran at all). Under a tiered budget the wave
+  /// holds only the prefill chunks.
   [[nodiscard]] double fanout_fraction() const noexcept;
 
   /// Largest fast-tier occupancy sample seen (0 before any sample).
@@ -324,6 +326,8 @@ class ServeMetrics {
  private:
   [[nodiscard]] std::vector<double> collect(double (SessionRecord::*fn)()
                                                 const noexcept) const;
+  /// Value of the registry counter `name`, or 0 when it is not registered.
+  [[nodiscard]] double counter_value(const std::string& name) const;
 
   obs::MetricsRegistry registry_;
   // Cached instrument handles (registry_ map nodes are stable; this
@@ -352,16 +356,6 @@ class ServeMetrics {
   obs::Histogram* repair_hist_;
   obs::Histogram* demand_stall_hist_;
   std::vector<SessionRecord> records_;
-  // Fault-path mirrors (registry instruments register lazily on first
-  // nonzero record; accessors read these so they never create one).
-  Index shed_sessions_ = 0;
-  Index fault_retries_ = 0;
-  double fault_retry_ms_ = 0.0;
-  Index fault_fetch_faults_ = 0;
-  Index fault_retried_ok_ = 0;
-  Index dead_fetches_ = 0;
-  Index wire_retries_ = 0;
-  Index wire_failures_ = 0;
 };
 
 }  // namespace ckv

@@ -353,6 +353,17 @@ void BatchScheduler::enforce_budget(Session* just_stepped) {
     if (just_stepped != nullptr) {
       victims.push_back(just_stepped);
     }
+    // Before its first token a session holds only its sinks and pending
+    // tokens, with nothing in flight, so enforcement can take nothing from
+    // it; advance_and_commit commits a tick's prefill chunks as one wave
+    // on that premise, checked here.
+    const auto expect_first_token = [this](const Session& victim) {
+      if (victim.tokens_generated() == 0) {
+        ensures(false, "BatchScheduler: enforcement took fast-tier bytes from session " +
+                           std::to_string(victim.request().id) +
+                           " before its first token, at tick " + std::to_string(ticks_));
+      }
+    };
     // Phase 1 — take back speculation before touching anyone's resident
     // state: in-flight prefetch bytes are the cheapest to reclaim (the
     // data never landed), and canceling them keeps the *resident* byte
@@ -370,6 +381,7 @@ void BatchScheduler::enforce_budget(Session* just_stepped) {
       // engine's queue too, refunding its un-drained capacity.
       cancel_session_spec(*victim);
       if (canceled > 0) {
+        expect_first_token(*victim);
         tr.instant("enforce-cancel", {{"fetches", canceled}});
       }
     }
@@ -381,6 +393,7 @@ void BatchScheduler::enforce_budget(Session* just_stepped) {
       tr.set_track(session_track(*victim));
       const Index moved = victim->release_fast_tier();
       if (moved > 0) {
+        expect_first_token(*victim);
         tr.instant("preempt", {{"tokens_offloaded", moved}});
       }
     }
@@ -550,7 +563,6 @@ void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
   tr.set_track(session_track(*item.session));
   tr.set_virtual_now_ms(completed_ms);
   if (item.prefilling) {
-    item.fast_bytes_before = item.session->fast_resident_bytes();
     item.session->prefill_next(item.chunk, completed_ms);
   } else {
     item.step = item.session->select_next(completed_ms);
@@ -816,53 +828,17 @@ void BatchScheduler::trace_phases(const TickState& t) {
   }
 }
 
-std::size_t BatchScheduler::wave_end(const std::vector<AdvanceItem>& items,
-                                     std::size_t begin) const {
-  if (!enforceable()) {
-    return items.size();  // no checkpoint can act: the whole tick is one wave
-  }
-  // A prefill chunk adds at most its own tokens to the fast tier (pending
-  // grows by the chunk; flushed clusters offload eagerly, repair moves
-  // metadata only), so prefill items whose chunks fit the headroom share a
-  // wave. A decode step's growth has no such bound: each decoder is a wave
-  // of its own.
-  std::int64_t headroom = config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
-  std::size_t end = begin;
-  while (end < items.size() && items[end].prefilling) {
-    const std::int64_t bound = session_context_bytes(session_config_, items[end].chunk);
-    if (bound > headroom) {
-      break;
-    }
-    headroom -= bound;
-    ++end;
-  }
-  return std::max(end, begin + 1);
-}
-
-void BatchScheduler::check_wave_growth(const AdvanceItem& item) const {
-  // A prefilling session has nothing in flight, so its resident bytes are
-  // all it holds on the ledger.
-  const std::int64_t growth =
-      item.session->fast_resident_bytes() - item.fast_bytes_before;
-  const std::int64_t bound = session_context_bytes(session_config_, item.chunk);
-  if (growth > bound) {
-    ensures(false, "BatchScheduler: session " +
-                       std::to_string(item.session->request().id) + " grew " +
-                       std::to_string(growth) + " fast-tier bytes in a wave at tick " +
-                       std::to_string(ticks_) + ", over its chunk's bound of " +
-                       std::to_string(bound));
-  }
-}
-
 void BatchScheduler::advance_and_commit(TickState& t) {
-  // Wave fan-out: repeatedly take the next wave (wave_end) — items whose
-  // enforcement checkpoints cannot act, so session order cannot matter.
-  // The wave runs concurrently on the worker pool, then its commit phase
-  // (trace edges, metrics, the enforcement checkpoints themselves)
-  // replays in item order. A one-item wave advances on the caller and
-  // commits at once: the step+commit interleaving that keeps enforcement
-  // exact under a tiered budget. A decoder's wave runs only its step's
-  // selection half; the score pass after the last commit runs the rest.
+  // Fixed phases. First one fan-out wave: every prefill chunk, and every
+  // decoder too when enforcement cannot act, advances on the worker pool,
+  // then the wave's order-sensitive effects (trace edges, metrics, the
+  // enforcement checkpoints) commit in item order. Enforcement takes
+  // nothing from a session before its first token (enforce_budget checks
+  // it), and no decoder advances before those commits, so they walk the
+  // same victims to the same stopping point in any chunk order. Under a
+  // tiered budget each decoder then advances its step's selection half on
+  // the tick thread and commits at once, so enforcement acts exactly
+  // between steps; the score pass after the last commit runs the rest.
   //
   // Leaf instrumentation (tiered-store fetch events) records against the
   // ambient context: the tick's completion time, the acting session's
@@ -880,51 +856,36 @@ void BatchScheduler::advance_and_commit(TickState& t) {
   const double tick_begin_ms = now_ms_;
   const double completed_ms = t.completed_ms;
   std::vector<AdvanceItem>& items = t.items;
-  Index fanned_out = 0;
-  for (std::size_t begin = 0; begin < items.size();) {
-    const std::size_t end = wave_end(items, begin);
-    if (end == begin + 1) {
-      advance_item(items[begin], completed_ms);
-    } else {
-      parallel_for_range(
-          static_cast<Index>(begin), static_cast<Index>(end),
-          /*grain=*/1, [&](Index chunk_begin, Index chunk_end) {
-            // Workers trace their occupancy on dedicated tracks so a
-            // Perfetto view shows the fan-out's shape; the advance span
-            // covers the tick's virtual window. grain 1 means inner
-            // engine parallel_for calls self-serialize instead of
-            // re-entering the pool.
-            auto& wtr = obs::tracer();
-            const std::int64_t track = worker_track(wtr);
-            for (Index i = chunk_begin; i < chunk_end; ++i) {
-              wtr.begin_at("advance", track, tick_begin_ms,
-                           {{"session", items[i].session->request().id}});
-              advance_item(items[i], completed_ms);
-              wtr.end_at("advance", track, completed_ms);
-            }
-          });
-      fanned_out += static_cast<Index>(end - begin);
-      if (enforceable()) {
-        // The wave's premise, checked: no item outgrew its chunk.
-        for (std::size_t i = begin; i < end; ++i) {
-          check_wave_growth(items[i]);
+  const std::size_t wave = enforceable() ? t.prefill_count : items.size();
+  parallel_for_range(
+      0, static_cast<Index>(wave), /*grain=*/1, [&](Index begin, Index end) {
+        // Workers trace their occupancy on dedicated tracks so a Perfetto
+        // view shows the fan-out's shape; the advance span covers the
+        // tick's virtual window. grain 1 means inner engine parallel_for
+        // calls self-serialize instead of re-entering the pool.
+        auto& wtr = obs::tracer();
+        const std::int64_t track = worker_track(wtr);
+        for (Index i = begin; i < end; ++i) {
+          AdvanceItem& item = items[static_cast<std::size_t>(i)];
+          wtr.begin_at("advance", track, tick_begin_ms,
+                       {{"session", item.session->request().id}});
+          advance_item(item, completed_ms);
+          wtr.end_at("advance", track, completed_ms);
         }
-      }
-    }
-    // The caller advanced at least one item and its thread-local tracer
-    // context now points at the last session it stepped — restore it.
-    tr.set_virtual_now_ms(completed_ms);
-    for (std::size_t i = begin; i < end; ++i) {
-      commit_item(items[i], completed_ms);
-    }
-    begin = end;
+      });
+  for (std::size_t i = 0; i < wave; ++i) {
+    commit_item(items[i], completed_ms);
+  }
+  for (std::size_t i = wave; i < items.size(); ++i) {
+    advance_item(items[i], completed_ms);
+    commit_item(items[i], completed_ms);
   }
   // Score pass: every decoder's exact-attention oracle. Selection (the
-  // only residency-dependent part of a step) ran in the waves above, and
-  // scoring reads only each session's own context model and stashed
-  // selections, so it fans out at any budget — after every commit, so
-  // enforcement, wire bookkeeping and aborts kept the serial order. Each
-  // score leaves an instant on the worker track that ran it.
+  // only residency-dependent part of a step) ran above, and scoring reads
+  // only each session's own context model and stashed selections, so it
+  // fans out at any budget — after every commit, so enforcement, wire
+  // bookkeeping and aborts kept the serial order. Each score leaves an
+  // instant on the worker track that ran it.
   parallel_for_range(
       static_cast<Index>(t.prefill_count), static_cast<Index>(items.size()),
       /*grain=*/1, [&items, completed_ms](Index begin, Index end) {
@@ -941,7 +902,7 @@ void BatchScheduler::advance_and_commit(TickState& t) {
   const double advance_wall_ms = std::chrono::duration<double, std::milli>(
                                      std::chrono::steady_clock::now() - wall_begin)
                                      .count();
-  metrics_.record_advance_wall(advance_wall_ms, fanned_out,
+  metrics_.record_advance_wall(advance_wall_ms, static_cast<Index>(wave),
                                static_cast<Index>(items.size()));
   tr.set_track(0);
   tr.end_at("tick", 0, completed_ms);
@@ -967,7 +928,7 @@ void BatchScheduler::sample_counters() {
 bool BatchScheduler::tick() {
   // The tick body IS the serial phase; the only escapes are the pool
   // bodies (unannotated on purpose — see batch_scheduler.hpp): synthesis
-  // in admit_arrivals, and the waves (advance_item) and the score pass in
+  // in admit_arrivals, and the wave (advance_item) and the score pass in
   // advance_and_commit.
   const ExclusiveLock serial(serial_phase_);
   if (running_.empty() && queue_.empty()) {

@@ -172,9 +172,6 @@ class BatchScheduler {
     /// Decoders only: the selection half's traffic counts (the commit
     /// phase bills from them; quality is scored in the score pass).
     StepResult step;
-    /// Prefillers only: the session's fast-tier bytes before its chunk (the
-    /// baseline of check_wave_growth).
-    std::int64_t fast_bytes_before = 0;
   };
 
   /// The state one tick's passes share; every tick builds a fresh one.
@@ -210,6 +207,11 @@ class BatchScheduler {
 
   // ---- pass helpers ----
 
+  /// Brings the fast tier back under the budget, coldest sessions first
+  /// (`just_stepped` last): in-flight prefetches, then resident KV. Fails
+  /// `ensures`, naming the session and the tick, if it takes anything from
+  /// a session with no generated token, the premise that lets a tick's
+  /// prefill chunks commit as one wave.
   void enforce_budget(Session* just_stepped) CKV_REQUIRES(serial_phase_);
   /// Runs one item's prefill chunk / decode-step selection half at
   /// `completed_ms`, setting the calling thread's tracer context to the
@@ -238,18 +240,6 @@ class BatchScheduler {
   [[nodiscard]] bool enforceable() const noexcept {
     return config_.fast_tier_budget_bytes > 0 && method_.tiered();
   }
-  /// One past the last item of the wave that starts at `begin`: the whole
-  /// tick when enforcement cannot act; otherwise the longest run of
-  /// prefill items whose summed chunk bytes fit the budget headroom, and
-  /// never fewer than one item.
-  [[nodiscard]] std::size_t wave_end(const std::vector<AdvanceItem>& items,
-                                     std::size_t begin) const
-      CKV_REQUIRES(serial_phase_);
-  /// Fails `ensures`, naming the session, tick, growth and bound, when an
-  /// item of a multi-item wave under an enforceable budget grew its
-  /// session's fast-tier bytes by more than its chunk's bytes: the premise
-  /// that kept every checkpoint in the wave silent.
-  void check_wave_growth(const AdvanceItem& item) const CKV_REQUIRES(serial_phase_);
   /// Sheds the blocked queue head when the fault plan's shed bound says
   /// its wait is hopeless; returns true when a request was dropped (the
   /// admission loop then re-examines the new head).

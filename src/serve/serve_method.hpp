@@ -1,9 +1,9 @@
 // The serving method as one value: which selector every session runs
 // (ClusterKV, Quest or Full KV), ClusterKV's knobs and the k-means seed.
 // The scheduler reads every ClusterKV knob it bills or projects with
-// (admission floors, step costs, the repair bill, the fan-out growth
-// bound) from the same ClusterKVConfig the factory hands
-// every engine, so the two cannot disagree.
+// (admission floors, step costs, the repair bill) from the same
+// ClusterKVConfig the factory hands every engine, so the two cannot
+// disagree.
 #pragma once
 
 #include <cstdint>

@@ -5,10 +5,8 @@
 
 namespace ckv {
 
-LatencyModel::LatencyModel(const HardwareModel& hw, const ModelConfig& model,
-                           Index element_bytes)
-    : hw_(hw), model_(model), element_bytes_(element_bytes) {
-  expects(element_bytes > 0, "LatencyModel: element_bytes must be positive");
+LatencyModel::LatencyModel(const HardwareModel& hw, const ModelConfig& model)
+    : hw_(hw), model_(model) {
   expects(model.num_layers > 0, "LatencyModel: model must have layers");
 }
 
@@ -69,10 +67,10 @@ double LatencyModel::clustering_visible_overhead_ms(Index prompt_len) const {
 
 StepBreakdown LatencyModel::full_kv_step(Index context_len) const {
   StepBreakdown b;
-  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
+  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
   b.kv_read_ms = hbm_ms(static_cast<double>(context_len) *
-                            static_cast<double>(model_.kv_bytes_per_token(element_bytes_)),
+                            static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes)),
                         hw_.attention_bw_efficiency);
   b.overhead_ms = common_overhead_ms();
   return b;
@@ -83,11 +81,11 @@ StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
   expects(miss_rate >= 0.0 && miss_rate <= 1.0,
           "LatencyModel::clusterkv_step: miss_rate must be in [0, 1]");
   StepBreakdown b;
-  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
+  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
   const double attended = static_cast<double>(std::min<Index>(budget, context_len));
   b.kv_read_ms = hbm_ms(attended * static_cast<double>(
-                                       model_.kv_bytes_per_token(element_bytes_)),
+                                       model_.kv_bytes_per_token(kFp16ElemBytes)),
                         hw_.attention_bw_efficiency);
   // Centroid scoring: clusters x head_dim MACs per KV head per layer, plus
   // reading the centroids once.
@@ -97,14 +95,14 @@ StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
                                 static_cast<double>(model_.num_layers);
   b.selection_ms = centroid_flops / (hw_.compute_tflops * 1e9);
   b.metadata_ms = hbm_ms(static_cast<double>(clusters) *
-                             static_cast<double>(model_.head_dim) * element_bytes_ *
+                             static_cast<double>(model_.head_dim) * kFp16ElemBytes *
                              static_cast<double>(model_.num_kv_heads) *
                              static_cast<double>(model_.num_layers),
                          hw_.attention_bw_efficiency);
   // Cache misses cross PCIe as scattered per-cluster gathers, partially
   // hidden under compute.
   const double miss_bytes =
-      miss_rate * attended * static_cast<double>(model_.kv_bytes_per_token(element_bytes_));
+      miss_rate * attended * static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes));
   b.transfer_ms =
       (1.0 - hw_.transfer_overlap) * miss_bytes / (hw_.pcie_gather_gbps * 1e6);
   b.overhead_ms = common_overhead_ms();
@@ -115,11 +113,11 @@ StepBreakdown LatencyModel::quest_step(Index context_len, Index budget,
                                        Index page_size) const {
   expects(page_size > 0, "LatencyModel::quest_step: page_size must be positive");
   StepBreakdown b;
-  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
+  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
   const double attended = static_cast<double>(std::min<Index>(budget, context_len));
   b.kv_read_ms = hbm_ms(attended * static_cast<double>(
-                                       model_.kv_bytes_per_token(element_bytes_)),
+                                       model_.kv_bytes_per_token(kFp16ElemBytes)),
                         hw_.attention_bw_efficiency);
   // Page metadata: per-channel max and min vectors per page per KV head.
   // A partial trailing page stores full min/max vectors and is scored like
@@ -127,7 +125,7 @@ StepBreakdown LatencyModel::quest_step(Index context_len, Index budget,
   const double pages =
       std::ceil(static_cast<double>(context_len) / static_cast<double>(page_size));
   const double metadata_bytes = pages * 2.0 * static_cast<double>(model_.head_dim) *
-                                element_bytes_ *
+                                kFp16ElemBytes *
                                 static_cast<double>(model_.num_kv_heads) *
                                 static_cast<double>(model_.num_layers);
   b.metadata_ms = hbm_ms(metadata_bytes, hw_.attention_bw_efficiency);
@@ -142,11 +140,11 @@ StepBreakdown LatencyModel::quest_step(Index context_len, Index budget,
 StepBreakdown LatencyModel::infinigen_step(Index context_len, Index budget,
                                            Index partial_dim) const {
   StepBreakdown b;
-  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
+  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
   const double attended = static_cast<double>(std::min<Index>(budget, context_len));
   b.kv_read_ms = hbm_ms(attended * static_cast<double>(
-                                       model_.kv_bytes_per_token(element_bytes_)),
+                                       model_.kv_bytes_per_token(kFp16ElemBytes)),
                         hw_.attention_bw_efficiency);
   // Per-token partial scoring over the whole context (§II-C: cost scales
   // linearly with L), executed on the host management path.
@@ -159,7 +157,7 @@ StepBreakdown LatencyModel::infinigen_step(Index context_len, Index budget,
   // Selected KV is fetched from host memory every step (no cluster cache);
   // speculation overlaps part of it.
   const double fetch_bytes =
-      attended * static_cast<double>(model_.kv_bytes_per_token(element_bytes_));
+      attended * static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes));
   b.transfer_ms =
       (1.0 - hw_.transfer_overlap) * fetch_bytes / (hw_.pcie_gather_gbps * 1e6);
   b.overhead_ms = common_overhead_ms();
@@ -168,11 +166,11 @@ StepBreakdown LatencyModel::infinigen_step(Index context_len, Index budget,
 
 StepBreakdown LatencyModel::full_kv_offload_step(Index context_len) const {
   StepBreakdown b;
-  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(element_bytes_)),
+  b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
   // Whole KV cache streams over PCIe each step (contiguous transfers).
   const double kv_bytes = static_cast<double>(context_len) *
-                          static_cast<double>(model_.kv_bytes_per_token(element_bytes_));
+                          static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes));
   b.transfer_ms = (1.0 - hw_.transfer_overlap) * kv_bytes / (hw_.pcie_gbps * 1e6);
   b.kv_read_ms = hbm_ms(kv_bytes, hw_.attention_bw_efficiency);
   b.overhead_ms = common_overhead_ms();

@@ -51,8 +51,7 @@ struct RunLatency {
 
 class LatencyModel {
  public:
-  LatencyModel(const HardwareModel& hw, const ModelConfig& model,
-               Index element_bytes = 2);
+  LatencyModel(const HardwareModel& hw, const ModelConfig& model);
 
   [[nodiscard]] const ModelConfig& model() const noexcept { return model_; }
 
@@ -69,7 +68,7 @@ class LatencyModel {
   /// Wire bytes of one fetched token's KV entry at model scale (the byte
   /// unit every transfer term bills with).
   [[nodiscard]] std::int64_t fetch_bytes_per_token() const noexcept {
-    return model_.kv_bytes_per_token(element_bytes_);
+    return model_.kv_bytes_per_token(kFp16ElemBytes);
   }
   /// Visible stall of `bytes` of demand traffic on a shared link running
   /// at `link_gbps` (0 = the hardware gather rate): clusterkv_step's
@@ -150,9 +149,11 @@ class LatencyModel {
   [[nodiscard]] double hbm_ms(double bytes, double efficiency) const noexcept;
   [[nodiscard]] double common_overhead_ms() const noexcept;
 
+  /// Bytes of one weight or KV element: the model is priced in fp16.
+  static constexpr Index kFp16ElemBytes = 2;
+
   HardwareModel hw_;
   ModelConfig model_;
-  Index element_bytes_;
 };
 
 /// Display name for tables.

@@ -307,10 +307,10 @@ void run_obs_fleet(BatchScheduler& scheduler) { scheduler.run(); }
 /// fetches are fully explained: hits plus the three cancellation reasons.
 TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
   const auto session = obs_session_config();
-  BatchScheduler scheduler(obs_trace(4), obs_method(), session,
-                           LatencyModel(HardwareModel::ada6000(),
-                                        ModelConfig::llama31_8b()),
-                           obs_scheduler_config(session));
+  BatchScheduler scheduler(
+      obs_trace(4), obs_method(), session,
+      LatencyModel(HardwareModel::ada6000(), ModelConfig::llama31_8b()),
+      obs_scheduler_config(session));
   run_obs_fleet(scheduler);
   const auto& m = scheduler.metrics();
   ASSERT_EQ(m.sessions(), 4);
@@ -354,8 +354,7 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   TracerGuard tracer_guard;
   const auto session = obs_session_config();
   const auto scheduler_config = obs_scheduler_config(session);
-  const LatencyModel latency(HardwareModel::ada6000(),
-                             ModelConfig::llama31_8b());
+  const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
 
   struct Snapshot {
     std::string name;
@@ -441,8 +440,7 @@ TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
   TracerGuard tracer_guard;
   const auto session = obs_session_config();
   const auto ckv = obs_ckv_config();
-  const LatencyModel latency(HardwareModel::ada6000(),
-                             ModelConfig::llama31_8b());
+  const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
   // Tighter than the shared obs budget: room for a few residual floors but
   // not for the admitted working sets, so enforcement must preempt.
   BatchSchedulerConfig config = obs_scheduler_config(session);
@@ -476,23 +474,26 @@ TEST(TraceEdges, ResumeFollowsPreemptOnEverySessionTrack) {
   }
 }
 
-/// Under a binding ClusterKV budget only prefill chunks share a wave: a
-/// chunk adds at most its own tokens to the fast tier, while a decode
-/// step's growth has no bound the scheduler could check, so each decoder
-/// advances and commits on its own. Every advance span on a worker track
-/// must therefore end where its session's track records a prefill chunk.
-/// A burst of twelve sessions under a 450-token budget preempts, yet often
-/// leaves headroom for several decoders' 48-token selections plus their
-/// prefetch rounds, so decoders let into waves would show up here. The
-/// score pass still fans every decoder out: each decode step leaves one
-/// `score` instant on a worker track.
+/// Under a binding ClusterKV budget a tick's prefill chunks share one wave
+/// and each decoder advances and commits on its own: enforcement takes
+/// nothing from a session before its first token, so the chunks may commit
+/// in any order, while a decode step's growth has no bound the scheduler
+/// could check. Every advance span on a worker track must therefore end
+/// where its session's track records a prefill chunk. The wave is not held
+/// to the budget headroom: a burst of twelve sessions in 16-token chunks
+/// (shorter than a cluster, so each chunk's pending tokens stay on the fast
+/// tier) under a 300-token budget preempts, and some tick whose prefill
+/// chunks all ran in a multi-item wave enforces the budget before any of
+/// its decode steps commits. The score pass still fans every decoder out:
+/// each decode step leaves one `score` instant on a worker track.
 TEST(WaveFanOut, OnlyPrefillChunksShareAWaveUnderAClusterKVBudget) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
   const auto session = obs_session_config();
   const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
   BatchSchedulerConfig config = obs_scheduler_config(session);
-  config.fast_tier_budget_bytes = session_context_bytes(session, 450);
+  config.fast_tier_budget_bytes = session_context_bytes(session, 300);
+  config.prefill_chunk_tokens = 16;
   auto trace = obs_trace(12);
   for (auto& request : trace) {
     request.arrival_ms = 0.0;
@@ -508,6 +509,12 @@ TEST(WaveFanOut, OnlyPrefillChunksShareAWaveUnderAClusterKVBudget) {
   std::map<std::pair<std::int64_t, double>, std::string> commits;
   std::vector<std::pair<std::int64_t, double>> advances;
   std::map<std::int64_t, std::int64_t> open_advance;  // worker track -> session
+  // Per tick (completion virtual us): its prefill chunks and wave advances,
+  // and whether enforcement acted before its first decode step committed.
+  std::map<double, Index> tick_chunks;
+  std::map<double, Index> tick_advances;
+  std::map<double, bool> tick_decoded;
+  std::map<double, bool> tick_enforced_in_prefill;
   Index decode_steps = 0;
   Index worker_scores = 0;
   for (const auto& event : tr.events()) {
@@ -516,10 +523,15 @@ TEST(WaveFanOut, OnlyPrefillChunksShareAWaveUnderAClusterKVBudget) {
     worker_scores += name == "score" && event.track >= obs::kWorkerTrackBase ? 1 : 0;
     if (name == "prefill-chunk" || name == "decode-step") {
       commits[{event.track, event.virtual_us}] = name;
+      tick_chunks[event.virtual_us] += name == "prefill-chunk" ? 1 : 0;
+      tick_decoded[event.virtual_us] |= name == "decode-step";
+    } else if (name == "enforce-cancel" || name == "preempt") {
+      tick_enforced_in_prefill[event.virtual_us] |= !tick_decoded[event.virtual_us];
     } else if (name == "advance" && event.phase == obs::TraceEvent::Phase::kBegin) {
       open_advance[event.track] = event.args[0];
     } else if (name == "advance" && event.phase == obs::TraceEvent::Phase::kEnd) {
       advances.emplace_back(1 + open_advance.at(event.track), event.virtual_us);
+      ++tick_advances[event.virtual_us];
     }
   }
   ASSERT_FALSE(advances.empty()) << "no prefill chunks shared a wave";
@@ -532,6 +544,14 @@ TEST(WaveFanOut, OnlyPrefillChunksShareAWaveUnderAClusterKVBudget) {
   EXPECT_EQ(decoders, 0) << "of " << advances.size() << " worker-track advances";
   EXPECT_GT(decode_steps, 0);
   EXPECT_EQ(worker_scores, decode_steps);
+  Index overrun_waves = 0;
+  for (const auto& [tick_us, chunks] : tick_chunks) {
+    if (chunks >= 2 && tick_advances[tick_us] == chunks &&
+        tick_enforced_in_prefill[tick_us]) {
+      ++overrun_waves;
+    }
+  }
+  EXPECT_GT(overrun_waves, 0) << "no multi-item wave outgrew the budget headroom";
 }
 
 /// Per-worker utilization: the serial path bills slot 0; total indices

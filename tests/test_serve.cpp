@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -336,8 +338,8 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   // enforcement has to preempt; small chunks so the invariants are
   // exercised mid-prefill, not just between whole-prompt admissions.
   const Index per_token = session_token_bytes(session_config);
-  const Index floor_tokens =
-      ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session_config.engine.budget;
+  const Index floor_tokens = ckv.sink_tokens + ckv.decode_interval +
+                             ckv.cache_depth * session_config.engine.budget;
   config.fast_tier_budget_bytes =
       2 * floor_tokens * per_token * session_config.shape.total_heads();
   config.admission_overcommit = 2.0;
@@ -389,8 +391,8 @@ TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
   const auto ckv = small_ckv_config();
   BatchSchedulerConfig config;
   const Index per_token = session_token_bytes(session_config);
-  const Index floor_tokens =
-      ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session_config.engine.budget;
+  const Index floor_tokens = ckv.sink_tokens + ckv.decode_interval +
+                             ckv.cache_depth * session_config.engine.budget;
   // Exactly one session fits: the rest must queue.
   config.fast_tier_budget_bytes =
       floor_tokens * per_token * session_config.shape.total_heads() + 1;
@@ -449,6 +451,103 @@ TEST(BatchScheduler, TieredResidencyRequiresTieredFactory) {
   EXPECT_THROW(scheduler.tick(), std::logic_error);
 }
 
+/// A tiered selector that breaks the premise prefill waves rest on: it
+/// keeps every prompt token fast-resident, reports it through the ledger
+/// like a tiered store, and gives it all up on preemption.
+class ResidentPromptSelector final : public KVSelector {
+ public:
+  explicit ResidentPromptSelector(Index head_dim)
+      : token_bytes_(2 * head_dim * kKVElementBytes) {}
+
+  [[nodiscard]] std::string name() const override { return "ResidentPrompt"; }
+  [[nodiscard]] bool supports_chunked_prefill() const override { return true; }
+  void observe_prefill(const Matrix& keys, const Matrix& values) override {
+    observe_prefill_chunk(keys, values, /*last_chunk=*/true);
+  }
+  void observe_prefill_chunk(const Matrix& keys, const Matrix& /*values*/,
+                             bool /*last_chunk*/) override {
+    append(keys.rows());
+  }
+  void observe_decode(std::span<const float> /*key*/,
+                      std::span<const float> /*value*/) override {
+    append(1);
+  }
+  SelectionResult select(std::span<const float> /*query*/, Index budget) override {
+    SelectionResult result;
+    for (Index p = 0; p < std::min(budget, context_); ++p) {
+      result.indices.push_back(p);
+    }
+    return result;
+  }
+  [[nodiscard]] Index context_size() const override { return context_; }
+  [[nodiscard]] Index fast_resident_tokens() const override { return resident_; }
+  Index release_fast_tier() override {
+    const Index moved = resident_;
+    add_resident(-moved);
+    return moved;
+  }
+  void attach_fast_tier_ledger(FastTierLedger* ledger) override {
+    if (ledger_ != nullptr) {
+      ledger_->add(-resident_ * token_bytes_);
+    }
+    ledger_ = ledger;
+    if (ledger_ != nullptr) {
+      ledger_->add(resident_ * token_bytes_);
+    }
+  }
+
+ private:
+  void append(Index tokens) {
+    context_ += tokens;
+    add_resident(tokens);
+  }
+  void add_resident(Index tokens) {
+    resident_ += tokens;
+    if (ledger_ != nullptr) {
+      ledger_->add(tokens * token_bytes_);
+    }
+  }
+
+  Index token_bytes_;
+  Index context_ = 0;
+  Index resident_ = 0;
+  FastTierLedger* ledger_ = nullptr;
+};
+
+// A tick's prefill chunks share one wave because enforcement can take
+// nothing from a session before its first token. A selector that keeps
+// its prompt fast-resident breaks that: once its chunks outgrow the
+// budget, enforcement preempts the prefilling session, and the run must
+// fail, naming the session and the tick.
+TEST(BatchScheduler, EnforcementOnAPrefillingSessionFailsTheRun) {
+  const auto session_config = small_session_config();
+  BatchSchedulerConfig config;
+  config.method = LatencyModel::Method::kClusterKV;
+  config.tiered_residency = true;
+  // Mirrors small enough that a 200-token prompt projects 60 tokens and a
+  // residual of 12, so a 100-token budget admits it.
+  config.sink_tokens = 4;
+  config.decode_interval = 8;
+  config.tokens_per_cluster = 8;
+  config.fast_tier_budget_bytes = session_context_bytes(session_config, 100);
+  config.prefill_chunk_tokens = 64;
+  const SelectorFactory factory = [](Index, Index, Index head_dim) {
+    return std::make_unique<ResidentPromptSelector>(head_dim);
+  };
+  BatchScheduler scheduler(fixed_trace(1, 200, 4, 0.0), factory, session_config,
+                           test_latency(), config);
+  EXPECT_TRUE(scheduler.tick());  // 64 resident tokens fit the budget
+  try {
+    scheduler.tick();  // 128 do not
+    ADD_FAILURE() << "enforcement preempted a prefilling session silently";
+  } catch (const std::logic_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("session 0 before its first token, at tick 2"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(BatchScheduler, OvercommitRequiresTieredResidency) {
   const auto session_config = small_session_config();
   BatchSchedulerConfig config;
@@ -472,8 +571,8 @@ TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
                std::invalid_argument);
 }
 
-// The ClusterKV knobs feed the admission floors and the fan-out growth
-// bound as well as the engines, so ClusterKVConfig::validate() checks each
+// The ClusterKV knobs feed the admission floors and the bills as well as
+// the engines, so ClusterKVConfig::validate() checks each
 // at construction, whatever the method (negative counts, a zero flush
 // cadence / cluster size, or a prefetch prior weight or decay outside its
 // finite range, are typed errors), and a method without a serving selector
@@ -1153,11 +1252,12 @@ FleetSnapshot expect_fleet_identical(const std::vector<ServeRequest>& trace,
 }
 
 /// The tentpole contract: every quality and billing column is bit-identical
-/// whether a tick's synthesis, advance waves and score pass run on 1, 2 or
+/// whether a tick's synthesis, advance wave and score pass run on 1, 2 or
 /// 8 pool workers — across the scheduling modes the serving bench
 /// compares, with and without a contended budget (under the contended
-/// budget only prefill chunks share a wave and each decoder is a wave of
-/// its own; the unlimited sweep fans out whole batches). The
+/// budget the wave holds every prefill chunk of the tick, with no headroom
+/// rule, and each decoder advances and commits alone; the unlimited sweep
+/// fans out whole batches). The
 /// SelectorFactory constructor, handed the same knobs through its mirror
 /// fields, must replay every ServeMethod run too.
 TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
@@ -1294,7 +1394,7 @@ TEST(BatchScheduler, DecodeGapsTelescopeToEachSessionsDecodeSpan) {
 
 /// Every arrival at t = 0: the first tick admits several sessions at once,
 /// so their contexts synthesize in one parallel pass, and under the capped
-/// budget enforcement fires between the advance waves and the score pass.
+/// budget enforcement fires between the advance wave and the score pass.
 std::vector<ServeRequest> burst_trace() {
   auto trace = varied_trace();
   for (auto& request : trace) {
@@ -1345,7 +1445,8 @@ TEST(FleetDeterminism, QuestAndFullKVIdenticalAcrossWorkerCounts) {
   // The longest varied_trace context is 304 tokens; 400 fits one at a time.
   const std::int64_t capped =
       400 * session_token_bytes(session) * session.shape.total_heads();
-  for (const auto method : {LatencyModel::Method::kQuest, LatencyModel::Method::kFullKV}) {
+  for (const auto method :
+       {LatencyModel::Method::kQuest, LatencyModel::Method::kFullKV}) {
     const ServeMethod serve{method, small_ckv_config(), 7};
     const std::string name =
         method == LatencyModel::Method::kQuest ? "quest" : "full-kv";
