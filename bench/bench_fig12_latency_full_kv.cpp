@@ -83,7 +83,7 @@ int main() {
 
   for (const Index p : {8192, 16384, 32768}) {
     const double prefill = model.prefill_ms(p);
-    const double clustering = model.clustering_visible_overhead_ms(p);
+    const double clustering = model.clustering_cost_ms(p);
     std::cout << "clustering overhead at P=" << p << ": "
               << format_double(100.0 * clustering / (prefill + clustering), 1)
               << "% of prefill (paper: 6-8%)\n";

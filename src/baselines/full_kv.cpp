@@ -20,7 +20,6 @@ SelectionResult FullKVSelector::select(std::span<const float> /*query*/,
   SelectionResult result;
   result.indices.resize(static_cast<std::size_t>(store_.size()));
   std::iota(result.indices.begin(), result.indices.end(), Index{0});
-  result.scoring_dim = store_.head_dim();
   return result;
 }
 

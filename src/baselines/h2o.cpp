@@ -75,7 +75,6 @@ SelectionResult H2OSelector::select(std::span<const float> /*query*/, Index budg
     // hitters in equal shares.
     result.indices.resize(static_cast<std::size_t>(budget));
   }
-  result.scoring_dim = store_.head_dim();
   return result;
 }
 

@@ -57,7 +57,6 @@ SelectionResult InfiniGenSelector::select(std::span<const float> query, Index bu
   expects(budget >= 0, "InfiniGenSelector::select: budget must be non-negative");
   SelectionResult result;
   if (budget == 0 || store_.size() == 0) {
-    result.scoring_dim = config_.partial_dim;
     return result;
   }
   auto q_partial = project(query);
@@ -81,7 +80,6 @@ SelectionResult InfiniGenSelector::select(std::span<const float> query, Index bu
   // Per-token scoring over the whole context in the partial dimension —
   // the O(L * r) selection cost of §II-C.
   result.representations_scored = store_.size();
-  result.scoring_dim = config_.partial_dim;
   // InfiniGen speculates/fetches selected KV from host memory each step
   // (no cluster cache): every selected token is a fetch.
   result.tokens_fetched = static_cast<Index>(result.indices.size());

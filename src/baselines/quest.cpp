@@ -120,8 +120,6 @@ SelectionResult QuestSelector::select(std::span<const float> query, Index budget
 
   std::sort(indices.begin(), indices.end());
   result.indices = std::move(indices);
-  // A page score reads the max and min vectors: 2d channels per page.
-  result.scoring_dim = 2 * store_.head_dim();
   return result;
 }
 

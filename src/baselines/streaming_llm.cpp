@@ -33,7 +33,6 @@ SelectionResult StreamingLLMSelector::select(std::span<const float> /*query*/,
   for (Index t = window_begin; t < n; ++t) {
     result.indices.push_back(t);
   }
-  result.scoring_dim = store_.head_dim();
   return result;
 }
 

@@ -312,7 +312,6 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   result.indices = std::move(indices);
-  result.scoring_dim = tiered_.store().head_dim();
   return result;
 }
 

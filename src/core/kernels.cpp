@@ -191,11 +191,6 @@ std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
   return labels;
 }
 
-std::vector<Index> assign_labels(const Matrix& keys, const Matrix& centroids,
-                                 DistanceMetric metric) {
-  return batched_argmax(keys, centroids, metric);
-}
-
 void centroid_update(const Matrix& keys, std::span<const Index> labels,
                      const Matrix& previous, Index channel_partitions,
                      Matrix& centroids_out, std::vector<Index>& counts_out) {

@@ -59,12 +59,6 @@ void batched_pair_scores(const Matrix& a, const Matrix& b,
 std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
                                   DistanceMetric metric);
 
-/// Assignment step: label[i] = argmax_c similarity(metric, keys[i],
-/// centroids[c]). Retained name for the Lloyd iteration; delegates to
-/// batched_argmax.
-std::vector<Index> assign_labels(const Matrix& keys, const Matrix& centroids,
-                                 DistanceMetric metric);
-
 /// Centroid update step mirroring Fig. 7: accumulates keys per cluster
 /// into (centroids_out, counts_out) walking the sequence with the given
 /// stride pattern and splitting channels into `channel_partitions` chunks.

@@ -109,7 +109,7 @@ void run_lloyd(const Matrix& keys, const KMeansConfig& config, KMeansResult& res
   result.labels.assign(static_cast<std::size_t>(keys.rows()), -1);
   std::vector<Index> counts;
   for (Index iter = 0; iter < config.max_iterations; ++iter) {
-    auto labels = assign_labels(keys, result.centroids, config.metric);
+    auto labels = batched_argmax(keys, result.centroids, config.metric);
     result.iterations = iter + 1;
     if (labels == result.labels) {
       result.converged = true;
@@ -125,7 +125,7 @@ void run_lloyd(const Matrix& keys, const KMeansConfig& config, KMeansResult& res
   if (result.labels.front() < 0) {
     // max_iterations == 0: no assignment ran yet; label once so callers
     // always get a full (and compactable) assignment.
-    result.labels = assign_labels(keys, result.centroids, config.metric);
+    result.labels = batched_argmax(keys, result.centroids, config.metric);
   }
   compact_empty_clusters(result.centroids, result.labels);
 }

@@ -29,10 +29,6 @@ struct SelectionResult {
   /// InfiniGen, 0 for Full KV / static policies).
   Index representations_scored = 0;
 
-  /// Reduced dimension of the scoring products (head_dim by default;
-  /// InfiniGen scores in its partial dimension).
-  Index scoring_dim = 0;
-
   /// Tokens whose KV had to be fetched from the slow tier this step
   /// (demand fetches plus prefetch hits — identical with prefetch on or
   /// off, since prefetch only changes when bytes cross, never whether).

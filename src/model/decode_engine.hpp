@@ -1,17 +1,17 @@
 // Runs one compression method over a procedural context: prefill feeds all
-// per-head selectors, then each decode step selects tokens per head,
-// computes approximate attention, and scores it against exact attention.
-// This is the measurement harness behind Fig. 9/10/11 and §V-C.
+// per-head selectors, then each decode step selects tokens per head and
+// scores the selection against the exact attention scores. This is the
+// measurement harness behind Fig. 9/11 and §V-C.
 //
 // A decode step has two halves. The selection half (select_step) appends
 // the generated token, feeds it to the selectors and runs select on every
 // head — the only part that touches a selector's tiered store and the
 // source of the step's traffic counts. The scoring half (score_step) is
-// the exact-attention oracle: exact and approximate attention, recall@B,
-// coverage, output error and the features. It reads only this engine's
-// context model and the selections stashed by the selection half, so a
-// scheduler may run residency changes (enforcement, degraded-mode resets)
-// between the halves and score many sessions' steps concurrently.
+// the exact-attention oracle: recall@B and coverage against the exact
+// scores, plus the attention feedback when configured. It reads only this
+// engine's context model and the selections stashed by the selection half,
+// so a scheduler may run residency changes (enforcement, degraded-mode
+// resets) between the halves and score many sessions' steps concurrently.
 // decode_step is the composition of the two.
 #pragma once
 
@@ -38,15 +38,13 @@ struct DecodeEngineConfig {
 /// Aggregated measurements of one decode step across selection-active
 /// layers/heads.
 struct StepResult {
-  double mean_recall = 0.0;        ///< |I_T ∩ I_true| / B, Fig. 11 metric
-  double mean_coverage = 0.0;      ///< attention mass captured by I_T
-  double mean_output_error = 0.0;  ///< relative L2 error of attention output
+  double mean_recall = 0.0;    ///< |I_T ∩ I_true| / B, Fig. 11 metric
+  double mean_coverage = 0.0;  ///< attention mass captured by I_T
   Index tokens_selected = 0;
-  Index tokens_fetched = 0;        ///< slow-tier fetches (cache misses)
+  Index tokens_fetched = 0;  ///< slow-tier fetches (cache misses)
   Index tokens_cache_hit = 0;
   Index tokens_prefetch_hit = 0;     ///< fetches covered by async prefetch
   Index tokens_prefetch_issued = 0;  ///< speculative fetches issued this step
-  std::vector<float> features;     ///< last-layer concat of attention outputs
 };
 
 class DecodeEngine {
@@ -75,9 +73,9 @@ class DecodeEngine {
   [[nodiscard]] Index prefill_tokens_done() const noexcept { return prefill_done_; }
 
   /// Executes decode step `step` (0-based, strictly increasing): appends
-  /// one generated token, selects, computes approximate + exact attention,
-  /// and returns the step's measurements. Equals select_step(step)
-  /// followed by score_step().
+  /// one generated token, selects, scores the selection against exact
+  /// attention, and returns the step's measurements. Equals
+  /// select_step(step) followed by score_step().
   StepResult decode_step(Index step);
 
   /// The selection half of decode step `step` (see the file comment).
@@ -92,11 +90,12 @@ class DecodeEngine {
   StepResult select_next() { return select_step(next_step_); }
 
   /// The scoring half of the pending step (see the file comment), folded
-  /// into the recall / coverage / error statistics. Returns the full step
-  /// result, traffic counts included. With attention_feedback on it also
-  /// feeds the approximate attention back to the selectors
-  /// (observe_attention) before the next selection. Throws
-  /// std::invalid_argument when no step is pending.
+  /// into the recall / coverage statistics. Returns the full step result,
+  /// traffic counts included. With attention_feedback on it also feeds each
+  /// head's attention over its selected positions (softmax of the first
+  /// group member's exact scores) back to the selector (observe_attention)
+  /// before the next selection. Throws std::invalid_argument when no step
+  /// is pending.
   StepResult score_step();
 
   [[nodiscard]] bool prefilled() const noexcept { return prefilled_; }

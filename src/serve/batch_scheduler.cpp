@@ -321,10 +321,10 @@ double BatchScheduler::prefill_chunk_cost_ms(const Session& session,
   double cost_ms =
       latency_.prefill_chunk_ms(session.prefill_tokens_done(), chunk_tokens);
   if (method_.tiered()) {
-    // Per-chunk incremental clustering: the visible k-means tail of this
-    // chunk's centroids (chunk/tokens_per_cluster of them over chunk
-    // tokens), mirroring ClusterKVEngine::observe_prefill_chunk.
-    cost_ms += latency_.clustering_visible_overhead_ms(chunk_tokens);
+    // Per-chunk incremental clustering: the k-means of this chunk's
+    // centroids (chunk/tokens_per_cluster of them over chunk tokens),
+    // mirroring ClusterKVEngine::observe_prefill_chunk.
+    cost_ms += latency_.clustering_cost_ms(chunk_tokens);
   }
   return cost_ms;
 }

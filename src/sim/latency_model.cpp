@@ -53,25 +53,14 @@ double LatencyModel::clustering_cost_ms(Index prompt_len, Index iterations,
   return flops / (tflops * 1e9);
 }
 
-double LatencyModel::clustering_visible_overhead_ms(Index prompt_len) const {
-  // Fig. 6: clustering overlaps attention + FFN of its layer and the
-  // QKV/RoPE of the next; roughly the non-overlappable tail remains.
-  const double kOverlapHidden = 0.0;  // fully asynchronous launch ...
-  const double kVisibleShare = 1.0 - kOverlapHidden;
-  // ... but the paper still measures 6-8% of prefill as visible clustering
-  // cost, which matches the raw kernel time at our calibrated efficiency,
-  // so the visible share stays 1.0 and the efficiency factor carries the
-  // calibration.
-  return kVisibleShare * clustering_cost_ms(prompt_len);
-}
-
 StepBreakdown LatencyModel::full_kv_step(Index context_len) const {
   StepBreakdown b;
   b.weights_ms = hbm_ms(static_cast<double>(model_.weight_bytes(kFp16ElemBytes)),
                         hw_.weight_bw_efficiency);
-  b.kv_read_ms = hbm_ms(static_cast<double>(context_len) *
-                            static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes)),
-                        hw_.attention_bw_efficiency);
+  b.kv_read_ms =
+      hbm_ms(static_cast<double>(context_len) *
+                 static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes)),
+             hw_.attention_bw_efficiency);
   b.overhead_ms = common_overhead_ms();
   return b;
 }
@@ -102,7 +91,8 @@ StepBreakdown LatencyModel::clusterkv_step(Index context_len, Index budget,
   // Cache misses cross PCIe as scattered per-cluster gathers, partially
   // hidden under compute.
   const double miss_bytes =
-      miss_rate * attended * static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes));
+      miss_rate * attended *
+      static_cast<double>(model_.kv_bytes_per_token(kFp16ElemBytes));
   b.transfer_ms =
       (1.0 - hw_.transfer_overlap) * miss_bytes / (hw_.pcie_gather_gbps * 1e6);
   b.overhead_ms = common_overhead_ms();
@@ -181,7 +171,7 @@ RunLatency LatencyModel::run_latency(const RunParams& params) const {
   RunLatency run;
   run.prefill_ms = prefill_ms(params.prompt_len);
   if (params.method == Method::kClusterKV) {
-    run.prefill_ms += clustering_visible_overhead_ms(params.prompt_len);
+    run.prefill_ms += clustering_cost_ms(params.prompt_len);
   }
 
   Index clusters = std::max<Index>(

@@ -61,19 +61,4 @@ void attention_output(std::span<const float> scores, std::span<const Index> rows
   }
 }
 
-std::vector<float> attention_output_full(std::span<const float> scores,
-                                         const Matrix& values, std::span<float> out) {
-  expects(static_cast<Index>(scores.size()) == values.rows(),
-          "attention_output_full: scores length must equal value rows");
-  expects(static_cast<Index>(out.size()) == values.cols(),
-          "attention_output_full: output width mismatch");
-  fill(out, 0.0f);
-  std::vector<float> probs(scores.begin(), scores.end());
-  softmax_in_place(probs);
-  for (Index r = 0; r < values.rows(); ++r) {
-    axpy(probs[static_cast<std::size_t>(r)], values.row(r), out);
-  }
-  return probs;
-}
-
 }  // namespace ckv

@@ -1,5 +1,5 @@
-// Numerically stable softmax family plus the attention-output helper used
-// by both exact attention and every approximate-selection method.
+// Numerically stable softmax family plus the attention-output helper the
+// PG19 harness and the tiny transformer attend through.
 #pragma once
 
 #include <span>
@@ -24,11 +24,5 @@ double entropy(std::span<const float> probabilities);
 /// softmax(q K_S^T / sqrt(d)) V_S computation over a selected token subset.
 void attention_output(std::span<const float> scores, std::span<const Index> rows,
                       const Matrix& values, std::span<float> out);
-
-/// Full-cache attention output over all rows of values (rows implied 0..N).
-/// Returns softmax(scores), the weights it applied, so a caller that also
-/// needs the attention distribution does not compute it twice.
-std::vector<float> attention_output_full(std::span<const float> scores,
-                                         const Matrix& values, std::span<float> out);
 
 }  // namespace ckv

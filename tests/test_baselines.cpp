@@ -172,7 +172,7 @@ TEST(InfiniGen, ScoringWorkIsPerToken) {
   const auto q = stream.query(0);
   const auto result = sel.select(q, 32);
   EXPECT_EQ(result.representations_scored, 256);  // O(L) selection (§II-C)
-  EXPECT_EQ(result.scoring_dim, 16);
+  EXPECT_EQ(sel.partial_dim(), 16);
   EXPECT_EQ(result.tokens_fetched, 32);  // no cluster cache
 }
 

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/full_kv.hpp"
+#include "baselines/h2o.hpp"
 #include "baselines/quest.hpp"
 #include "baselines/streaming_llm.hpp"
 #include "core/clusterkv_engine.hpp"
 #include "model/decode_engine.hpp"
+#include "tensor/softmax.hpp"
 
 namespace ckv {
 namespace {
@@ -49,15 +53,14 @@ TEST(DecodeEngine, FullKVIsPerfect) {
     const auto step = engine.decode_step(s);
     EXPECT_DOUBLE_EQ(step.mean_recall, 1.0);
     EXPECT_NEAR(step.mean_coverage, 1.0, 1e-6);
-    EXPECT_NEAR(step.mean_output_error, 0.0, 1e-6);
   }
 }
 
-// Lists every position of the wrapped selector's choice twice, the first
-// copy in descending order.
-class RepeatingSelector : public KVSelector {
+// Forwards every call to the wrapped selector; the wrappers below
+// override what they change or observe.
+class ForwardingSelector : public KVSelector {
  public:
-  explicit RepeatingSelector(std::unique_ptr<KVSelector> inner)
+  explicit ForwardingSelector(std::unique_ptr<KVSelector> inner)
       : inner_(std::move(inner)) {}
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   void observe_prefill(const Matrix& keys, const Matrix& values) override {
@@ -68,16 +71,30 @@ class RepeatingSelector : public KVSelector {
     inner_->observe_decode(key, value);
   }
   SelectionResult select(std::span<const float> query, Index budget) override {
-    SelectionResult result = inner_->select(query, budget);
-    std::vector<Index> repeated(result.indices.rbegin(), result.indices.rend());
-    repeated.insert(repeated.end(), result.indices.begin(), result.indices.end());
-    result.indices = std::move(repeated);
-    return result;
+    return inner_->select(query, budget);
+  }
+  void observe_attention(std::span<const Index> indices,
+                         std::span<const float> probabilities) override {
+    inner_->observe_attention(indices, probabilities);
   }
   [[nodiscard]] Index context_size() const override { return inner_->context_size(); }
 
  private:
   std::unique_ptr<KVSelector> inner_;
+};
+
+// Lists every position of the wrapped selector's choice twice, the first
+// copy in descending order.
+class RepeatingSelector : public ForwardingSelector {
+ public:
+  using ForwardingSelector::ForwardingSelector;
+  SelectionResult select(std::span<const float> query, Index budget) override {
+    SelectionResult result = ForwardingSelector::select(query, budget);
+    std::vector<Index> repeated(result.indices.rbegin(), result.indices.rend());
+    repeated.insert(repeated.end(), result.indices.begin(), result.indices.end());
+    result.indices = std::move(repeated);
+    return result;
+  }
 };
 
 // Recall@B has set semantics: a selector returning positions repeatedly
@@ -103,6 +120,120 @@ TEST(DecodeEngine, RecallCountsRepeatedUnsortedSelectionsOnce) {
     const auto b = repeated.decode_step(s);
     EXPECT_LT(a.mean_recall, 1.0);
     EXPECT_EQ(a.mean_recall, b.mean_recall) << "step " << s;
+  }
+}
+
+// Keeps what the wrapped selector's last select() returned and what its
+// last observe_attention() received.
+class RecordingSelector : public ForwardingSelector {
+ public:
+  using ForwardingSelector::ForwardingSelector;
+  SelectionResult select(std::span<const float> query, Index budget) override {
+    SelectionResult result = ForwardingSelector::select(query, budget);
+    selected = result.indices;
+    return result;
+  }
+  void observe_attention(std::span<const Index> indices,
+                         std::span<const float> probabilities) override {
+    fed_indices.assign(indices.begin(), indices.end());
+    fed_probabilities.assign(probabilities.begin(), probabilities.end());
+    ForwardingSelector::observe_attention(indices, probabilities);
+  }
+
+  std::vector<Index> selected;
+  std::vector<Index> fed_indices;
+  std::vector<float> fed_probabilities;
+};
+
+// The oracle against a recomputation from the context model alone. The
+// attention fed back is the softmax of sub-query 0's exact scores at the
+// selected positions (every position on a full-attention layer); recall
+// and coverage average |selected ∩ top-B| / B and the softmax mass of the
+// selected positions over every selection-active head and group member.
+TEST(DecodeEngine, ScoreStepMatchesIndependentRecomputation) {
+  SimShape shape = small_shape();
+  shape.queries_per_kv = 2;
+  ProceduralContextModel model(shape, small_params(), 8, 300);
+  DecodeEngineConfig config;
+  config.budget = 64;
+  config.full_attention_layers = 1;
+  config.attention_feedback = true;
+  H2OConfig h2o;
+  h2o.budget = config.budget;
+  const auto inner = make_h2o_factory(h2o);
+  DecodeEngine engine(
+      model,
+      [&inner](Index layer, Index head, Index head_dim) -> std::unique_ptr<KVSelector> {
+        return std::make_unique<RecordingSelector>(inner(layer, head, head_dim));
+      },
+      config);
+  engine.run_prefill();
+  const Index b = config.budget;
+  for (Index s = 0; s < 6; ++s) {
+    SCOPED_TRACE(testing::Message() << "step " << s);
+    const StepResult step = engine.decode_step(s);
+    double recall_sum = 0.0;
+    double coverage_sum = 0.0;
+    Index samples = 0;
+    for (Index l = 0; l < shape.num_layers; ++l) {
+      const bool selection_active = l >= config.full_attention_layers;
+      for (Index h = 0; h < shape.num_heads; ++h) {
+        SCOPED_TRACE(testing::Message() << "layer " << l << " head " << h);
+        HeadStream& stream = model.head(l, h);
+        const auto& recorder =
+            dynamic_cast<const RecordingSelector&>(engine.selectors().at(l, h));
+        const Index n = stream.size();
+        ASSERT_GT(n, b);
+        std::vector<Index> selected(static_cast<std::size_t>(n));
+        std::iota(selected.begin(), selected.end(), Index{0});
+        if (selection_active) {
+          selected = recorder.selected;
+        }
+
+        const auto scores = stream.attention_scores(stream.query(s, 0));
+        std::vector<float> fed(selected.size());
+        for (std::size_t i = 0; i < selected.size(); ++i) {
+          fed[i] = scores[static_cast<std::size_t>(selected[i])];
+        }
+        softmax_in_place(fed);
+        EXPECT_EQ(recorder.fed_indices, selected);
+        EXPECT_EQ(recorder.fed_probabilities, fed);
+        if (!selection_active) {
+          continue;
+        }
+
+        for (Index sub = 0; sub < shape.queries_per_kv; ++sub) {
+          std::vector<float> probs = stream.attention_scores(stream.query(s, sub));
+          // Top-B by score, ties toward the smaller position.
+          const auto higher = [&probs](Index x, Index y) {
+            const float px = probs[static_cast<std::size_t>(x)];
+            const float py = probs[static_cast<std::size_t>(y)];
+            return px > py || (px == py && x < y);
+          };
+          std::vector<Index> truth(static_cast<std::size_t>(n));
+          std::iota(truth.begin(), truth.end(), Index{0});
+          std::partial_sort(truth.begin(), truth.begin() + b, truth.end(), higher);
+          Index overlap = 0;
+          for (Index i = 0; i < b; ++i) {
+            const Index t = truth[static_cast<std::size_t>(i)];
+            if (std::find(selected.begin(), selected.end(), t) != selected.end()) {
+              ++overlap;
+            }
+          }
+          recall_sum += static_cast<double>(overlap) / static_cast<double>(b);
+          softmax_in_place(probs);
+          double mass = 0.0;
+          for (const Index t : selected) {
+            mass += static_cast<double>(probs[static_cast<std::size_t>(t)]);
+          }
+          coverage_sum += mass;
+          ++samples;
+        }
+      }
+    }
+    ASSERT_EQ(samples, shape.num_heads * shape.queries_per_kv);
+    EXPECT_NEAR(step.mean_recall, recall_sum / static_cast<double>(samples), 1e-12);
+    EXPECT_NEAR(step.mean_coverage, coverage_sum / static_cast<double>(samples), 1e-12);
   }
 }
 
@@ -136,8 +267,6 @@ void expect_steps_identical(const StepResult& a, const StepResult& b,
                             const std::string& label) {
   EXPECT_EQ(a.mean_recall, b.mean_recall) << label;
   EXPECT_EQ(a.mean_coverage, b.mean_coverage) << label;
-  EXPECT_EQ(a.mean_output_error, b.mean_output_error) << label;
-  EXPECT_EQ(a.features, b.features) << label;
   EXPECT_EQ(a.tokens_selected, b.tokens_selected) << label;
   EXPECT_EQ(a.tokens_fetched, b.tokens_fetched) << label;
   EXPECT_EQ(a.tokens_cache_hit, b.tokens_cache_hit) << label;
@@ -148,7 +277,7 @@ void expect_steps_identical(const StepResult& a, const StepResult& b,
 // The scheduler runs budget enforcement and the degraded-mode reset
 // between a step's two halves. Scoring reads only the context model and
 // the stashed selections, so what happened to the selectors' residency in
-// between must not change a bit of the step's quality or features.
+// between must not change a bit of the step's quality.
 TEST(DecodeEngine, ResidencyChangesBetweenHalvesLeaveScoresIdentical) {
   ClusterKVConfig ckv = small_ckv();
   ckv.prefetch_clusters = 3;
@@ -265,15 +394,6 @@ TEST(DecodeEngine, ChunkedPrefillDrivesClusterKVIncrementally) {
   EXPECT_GT(step.mean_recall, 0.0);
 }
 
-TEST(DecodeEngine, FeaturesHaveLastLayerWidth) {
-  ProceduralContextModel model(small_shape(), small_params(), 3, 100);
-  DecodeEngineConfig config;
-  DecodeEngine engine(model, make_full_kv_factory(), config);
-  engine.run_prefill();
-  const auto step = engine.decode_step(0);
-  EXPECT_EQ(step.features.size(), 2u * 32u);  // heads * head_dim
-}
-
 TEST(DecodeEngine, ClusterKVBeatsStreamingWindow) {
   const std::uint64_t seed = 4;
   const Index budget = 96;
@@ -310,7 +430,6 @@ TEST(DecodeEngine, FullAttentionLayersBypassSelection) {
   // aggregates collect no sample (recall_steps stays 0).
   EXPECT_DOUBLE_EQ(step.mean_recall, 1.0);
   EXPECT_DOUBLE_EQ(step.mean_coverage, 1.0);
-  EXPECT_DOUBLE_EQ(step.mean_output_error, 0.0);
   EXPECT_EQ(step.tokens_selected, 0);
   EXPECT_EQ(engine.recall_steps(), 0);
 }

@@ -78,8 +78,8 @@ TEST(GqaDecodeEngine, FullKVPerfectForEveryGroupMember) {
   engine.run_prefill();
   const auto step = engine.decode_step(0);
   EXPECT_DOUBLE_EQ(step.mean_recall, 1.0);
-  // Features: one output per (kv head, group member).
-  EXPECT_EQ(step.features.size(), 2u * 4u * 64u);
+  // Every group member's attention mass lies in the shared selection.
+  EXPECT_NEAR(step.mean_coverage, 1.0, 1e-6);
 }
 
 TEST(GqaDecodeEngine, SharedSelectionServesTheGroup) {

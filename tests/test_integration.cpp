@@ -166,7 +166,6 @@ TEST(Integration, ClusterKVMatchesFullKVWhenBudgetCoversContext) {
               shape.num_layers * shape.num_heads * (500 + s + 1));
     EXPECT_DOUBLE_EQ(step.mean_recall, 1.0);
     EXPECT_DOUBLE_EQ(step.mean_coverage, 1.0);
-    EXPECT_DOUBLE_EQ(step.mean_output_error, 0.0);
   }
   // Such steps contribute no recall sample to the engine aggregates (they
   // would only dilute comparisons — see DecodeEngine::recall_stat), which

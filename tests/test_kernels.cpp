@@ -147,9 +147,15 @@ std::vector<Index> reference_argmax(const Matrix& keys, const Matrix& centroids,
 TEST(BatchedArgmax, MatchesScalarReferenceAllMetrics) {
   const Matrix keys = random_matrix(200, 40, 13);
   const Matrix centroids = random_matrix(23, 40, 14);
+  // Unit keys on the centroid axes: each key is nearest its own axis.
+  Matrix axes(2, 2);
+  axes.at(0, 0) = 1.0f;
+  axes.at(1, 1) = 1.0f;
   for (const auto metric : kAllMetrics) {
     EXPECT_EQ(batched_argmax(keys, centroids, metric),
               reference_argmax(keys, centroids, metric))
+        << to_string(metric);
+    EXPECT_EQ(batched_argmax(axes, axes, metric), (std::vector<Index>{0, 1}))
         << to_string(metric);
   }
 }

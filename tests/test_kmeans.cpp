@@ -288,17 +288,6 @@ TEST(CentroidUpdate, EmptyClusterKeepsPrevious) {
   EXPECT_FLOAT_EQ(out.at(0, 0), 1.0f);  // mean of ones
 }
 
-TEST(AssignLabels, NearestByMetric) {
-  Matrix keys(2, 2);
-  keys.at(0, 0) = 1.0f;
-  keys.at(1, 1) = 1.0f;
-  Matrix centroids(2, 2);
-  centroids.at(0, 0) = 1.0f;
-  centroids.at(1, 1) = 1.0f;
-  const auto labels = assign_labels(keys, centroids, DistanceMetric::kCosine);
-  EXPECT_EQ(labels, (std::vector<Index>{0, 1}));
-}
-
 TEST(AssignmentFlops, Formula) {
   EXPECT_EQ(assignment_flops(1000, 10, 64), 640000);
 }

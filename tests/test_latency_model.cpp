@@ -135,7 +135,7 @@ TEST(LatencyModel, ClusteringOverheadSmallShareOfPrefill) {
   const auto model = llama_model();
   for (const Index p : {8192, 16384, 32768}) {
     const double prefill = model.prefill_ms(p);
-    const double clustering = model.clustering_visible_overhead_ms(p);
+    const double clustering = model.clustering_cost_ms(p);
     const double share = clustering / prefill;
     EXPECT_GT(share, 0.01) << p;
     EXPECT_LT(share, 0.15) << p;

@@ -202,15 +202,26 @@ TEST(Softmax, AttentionOutputMatchesFull) {
   for (auto& s : scores) {
     s = static_cast<float>(rng.normal());
   }
-  std::vector<float> full(4);
-  attention_output_full(scores, values, full);
+  // Attending every row: the softmax-weighted sum of all value rows.
+  std::vector<double> weights(scores.size());
+  double z = 0.0;
+  for (std::size_t r = 0; r < scores.size(); ++r) {
+    weights[r] = std::exp(static_cast<double>(scores[r]));
+    z += weights[r];
+  }
+  std::vector<double> expected(4, 0.0);
+  for (Index r = 0; r < values.rows(); ++r) {
+    const double p = weights[static_cast<std::size_t>(r)] / z;
+    for (Index c = 0; c < values.cols(); ++c) {
+      expected[static_cast<std::size_t>(c)] += p * static_cast<double>(values.at(r, c));
+    }
+  }
 
   std::vector<Index> all{0, 1, 2, 3, 4, 5};
-  std::vector<float> subset(4);
-  attention_output(scores, all, values, subset);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(full[static_cast<std::size_t>(i)], subset[static_cast<std::size_t>(i)],
-                1e-5);
+  std::vector<float> out(4);
+  attention_output(scores, all, values, out);
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    EXPECT_NEAR(out[c], expected[c], 1e-5);
   }
 }
 
