@@ -26,7 +26,6 @@
 #include "core/kernels.hpp"
 #include "core/kmeans.hpp"
 #include "core/selector_index.hpp"
-#include "kvcache/kv_store.hpp"
 #include "model/procedural.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/vec_ops.hpp"
@@ -253,9 +252,7 @@ int main(int argc, char** argv) {
   // Per-step attention scores over the full context (§II-C, O(L d)).
   {
     const Index n = 32768;
-    KVStore store(dim);
     const auto keys = random_keys(n, dim, 12);
-    store.append_block(keys, keys);
     Rng rng(13);
     const auto q = rng.unit_vector(dim);
     const float inv_sqrt_d = static_cast<float>(1.0 / std::sqrt(double(dim)));
@@ -266,8 +263,8 @@ int main(int argc, char** argv) {
     row.dim = dim;
     row.bytes_per_call = static_cast<double>(n * dim) * sizeof(float);
     std::vector<float> out;
-    // Both lanes allocate their result vector (attention_scores returns a
-    // fresh vector), so the comparison stays like for like.
+    // Both lanes allocate their result vector, as HeadStream's
+    // attention_scores does, so the comparison stays like for like.
     row.scalar_ns = ns_per_call(
         [&] {
           std::vector<float> scores(static_cast<std::size_t>(n));
@@ -278,8 +275,13 @@ int main(int argc, char** argv) {
           out.swap(scores);
         },
         min_seconds);
-    row.batched_ns = ns_per_call([&] { auto s = store.attention_scores(q); out.swap(s); },
-                                 min_seconds);
+    row.batched_ns = ns_per_call(
+        [&] {
+          std::vector<float> scores(static_cast<std::size_t>(n));
+          batched_scores(keys, q, DistanceMetric::kInnerProduct, scores, inv_sqrt_d);
+          out.swap(scores);
+        },
+        min_seconds);
     rows.push_back(row);
   }
 
@@ -302,34 +304,6 @@ int main(int argc, char** argv) {
         [&] { scalar_scores_at(keys, pick, q, 1.0f, out); }, min_seconds);
     row.batched_ns =
         ns_per_call([&] { batched_dot_at(keys, pick, q, out); }, min_seconds);
-    rows.push_back(row);
-  }
-
-  // The CPU->GPU gather of selected KV (simulated as a contiguous copy);
-  // timing-only, tracked for the BENCH_KERNELS.json trend.
-  {
-    const Index n = 32768;
-    const Index budget = 2048;
-    KVStore store(dim);
-    const auto keys = random_keys(n, dim, 9);
-    const auto values = random_keys(n, dim, 10);
-    store.append_block(keys, values);
-    Rng rng(11);
-    const auto pick = rng.sample_without_replacement(n, budget);
-    Row row;
-    row.kernel = "kv-gather";
-    row.metric = "-";
-    row.n = budget;
-    row.dim = dim;
-    row.bytes_per_call = static_cast<double>(budget * dim) * 2 * sizeof(float);
-    row.batched_ns = ns_per_call(
-        [&] {
-          auto gathered = store.gather(pick);
-          if (gathered.first.rows() != budget) {
-            std::abort();
-          }
-        },
-        min_seconds);
     rows.push_back(row);
   }
 

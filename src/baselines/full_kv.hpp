@@ -4,24 +4,21 @@
 #pragma once
 
 #include "core/kv_selector.hpp"
-#include "kvcache/kv_store.hpp"
 
 namespace ckv {
 
 class FullKVSelector : public KVSelector {
  public:
-  explicit FullKVSelector(Index head_dim);
-
   [[nodiscard]] std::string name() const override { return "Full KV"; }
 
   void observe_prefill(const Matrix& keys, const Matrix& values) override;
   void observe_decode(std::span<const float> key,
                       std::span<const float> value) override;
   SelectionResult select(std::span<const float> query, Index budget) override;
-  [[nodiscard]] Index context_size() const override { return store_.size(); }
+  [[nodiscard]] Index context_size() const override { return tokens_; }
 
  private:
-  KVStore store_;
+  Index tokens_ = 0;
 };
 
 /// Factory adapter for the decode engine.

@@ -4,27 +4,24 @@
 
 namespace ckv {
 
-H2OSelector::H2OSelector(Index head_dim, const H2OConfig& config)
-    : config_(config), store_(head_dim) {
+H2OSelector::H2OSelector(const H2OConfig& config) : config_(config) {
   expects(config.budget > 0, "H2OSelector: budget must be positive");
   expects(config.recent_fraction >= 0.0 && config.recent_fraction <= 1.0,
           "H2OSelector: recent_fraction must be in [0, 1]");
 }
 
-void H2OSelector::observe_prefill(const Matrix& keys, const Matrix& values) {
-  store_.append_block(keys, values);
-  evicted_.assign(static_cast<std::size_t>(store_.size()), false);
-  for (Index t = 0; t < store_.size(); ++t) {
+void H2OSelector::observe_prefill(const Matrix& keys, const Matrix& /*values*/) {
+  evicted_.assign(static_cast<std::size_t>(keys.rows()), false);
+  for (Index t = 0; t < keys.rows(); ++t) {
     cumulative_score_.emplace(t, 0.0);
   }
   evict_to_budget();
 }
 
-void H2OSelector::observe_decode(std::span<const float> key,
-                                 std::span<const float> value) {
-  store_.append(key, value);
+void H2OSelector::observe_decode(std::span<const float> /*key*/,
+                                 std::span<const float> /*value*/) {
   evicted_.push_back(false);
-  cumulative_score_.emplace(store_.size() - 1, 0.0);
+  cumulative_score_.emplace(context_size() - 1, 0.0);
   evict_to_budget();
 }
 
@@ -35,7 +32,7 @@ void H2OSelector::evict_to_budget() {
   }
   const Index recent_keep = static_cast<Index>(
       config_.recent_fraction * static_cast<double>(config_.budget));
-  const Index recent_boundary = store_.size() - recent_keep;
+  const Index recent_boundary = context_size() - recent_keep;
 
   // Candidates for eviction: alive tokens outside the recent window,
   // lowest cumulative attention first (ties: older token evicted first).
@@ -102,14 +99,14 @@ std::vector<Index> H2OSelector::alive_positions() const {
 }
 
 bool H2OSelector::is_evicted(Index position) const {
-  expects(position >= 0 && position < store_.size(),
+  expects(position >= 0 && position < context_size(),
           "H2OSelector::is_evicted: position out of range");
   return evicted_[static_cast<std::size_t>(position)];
 }
 
 SelectorFactory make_h2o_factory(const H2OConfig& config) {
-  return [config](Index /*layer*/, Index /*head*/, Index head_dim) {
-    return std::make_unique<H2OSelector>(head_dim, config);
+  return [config](Index /*layer*/, Index /*head*/, Index /*head_dim*/) {
+    return std::make_unique<H2OSelector>(config);
   };
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/kv_selector.hpp"
-#include "kvcache/kv_store.hpp"
 
 namespace ckv {
 
@@ -20,7 +19,7 @@ struct H2OConfig {
 
 class H2OSelector : public KVSelector {
  public:
-  H2OSelector(Index head_dim, const H2OConfig& config);
+  explicit H2OSelector(const H2OConfig& config);
 
   [[nodiscard]] std::string name() const override { return "H2O"; }
 
@@ -31,7 +30,9 @@ class H2OSelector : public KVSelector {
   void observe_attention(std::span<const Index> indices,
                          std::span<const float> probabilities) override;
   [[nodiscard]] bool is_recallable() const override { return false; }
-  [[nodiscard]] Index context_size() const override { return store_.size(); }
+  [[nodiscard]] Index context_size() const override {
+    return static_cast<Index>(evicted_.size());
+  }
 
   /// Positions still alive (not permanently evicted), ascending.
   [[nodiscard]] std::vector<Index> alive_positions() const;
@@ -41,8 +42,8 @@ class H2OSelector : public KVSelector {
   void evict_to_budget();
 
   H2OConfig config_;
-  KVStore store_;
   std::unordered_map<Index, double> cumulative_score_;  ///< alive set
+  /// One entry per observed token, so its length is the context size.
   std::vector<bool> evicted_;
 };
 

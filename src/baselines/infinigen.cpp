@@ -11,7 +11,7 @@
 namespace ckv {
 
 InfiniGenSelector::InfiniGenSelector(Index head_dim, const InfiniGenConfig& config)
-    : config_(config), store_(head_dim), speculation_rng_(config.seed) {
+    : config_(config), head_dim_(head_dim), speculation_rng_(config.seed) {
   expects(config.partial_dim > 0 && config.partial_dim <= head_dim,
           "InfiniGenSelector: partial_dim must be in (0, head_dim]");
   expects(config.calibration_tokens > 0,
@@ -24,8 +24,8 @@ std::vector<float> InfiniGenSelector::project(std::span<const float> vec) const 
   return matvec(basis_, vec);
 }
 
-void InfiniGenSelector::observe_prefill(const Matrix& keys, const Matrix& values) {
-  store_.append_block(keys, values);
+void InfiniGenSelector::observe_prefill(const Matrix& keys, const Matrix& /*values*/) {
+  expects(keys.cols() == head_dim_, "InfiniGenSelector::observe_prefill: key width");
   // Offline phase: fit the reduced basis on the leading calibration slice
   // only. This mirrors InfiniGen's offline SVD on calibration data — the
   // basis is frozen before the bulk of the context arrives.
@@ -34,21 +34,20 @@ void InfiniGenSelector::observe_prefill(const Matrix& keys, const Matrix& values
   const auto svd = jacobi_svd(sample);
   const Index r = std::min<Index>(config_.partial_dim,
                                   static_cast<Index>(svd.singular_values.size()));
-  basis_ = Matrix(r, store_.head_dim());
+  basis_ = Matrix(r, head_dim_);
   for (Index k = 0; k < r; ++k) {
-    for (Index c = 0; c < store_.head_dim(); ++c) {
+    for (Index c = 0; c < head_dim_; ++c) {
       basis_.at(k, c) = svd.v.at(c, k);
     }
   }
   projected_keys_ = Matrix(0, 0);
-  for (Index t = 0; t < store_.size(); ++t) {
-    projected_keys_.append_row(project(store_.key(t)));
+  for (Index t = 0; t < keys.rows(); ++t) {
+    projected_keys_.append_row(project(keys.row(t)));
   }
 }
 
 void InfiniGenSelector::observe_decode(std::span<const float> key,
-                                       std::span<const float> value) {
-  store_.append(key, value);
+                                       std::span<const float> /*value*/) {
   expects(!basis_.empty(), "InfiniGenSelector: observe_prefill must come first");
   projected_keys_.append_row(project(key));
 }
@@ -56,7 +55,7 @@ void InfiniGenSelector::observe_decode(std::span<const float> key,
 SelectionResult InfiniGenSelector::select(std::span<const float> query, Index budget) {
   expects(budget >= 0, "InfiniGenSelector::select: budget must be non-negative");
   SelectionResult result;
-  if (budget == 0 || store_.size() == 0) {
+  if (budget == 0 || context_size() == 0) {
     return result;
   }
   auto q_partial = project(query);
@@ -71,7 +70,7 @@ SelectionResult InfiniGenSelector::select(std::span<const float> query, Index bu
     }
   }
   const float inv_sqrt_d =
-      static_cast<float>(1.0 / std::sqrt(static_cast<double>(store_.head_dim())));
+      static_cast<float>(1.0 / std::sqrt(static_cast<double>(head_dim_)));
   std::vector<float> approx(static_cast<std::size_t>(projected_keys_.rows()));
   batched_scores(projected_keys_, q_partial, DistanceMetric::kInnerProduct, approx,
                  inv_sqrt_d);
@@ -79,7 +78,7 @@ SelectionResult InfiniGenSelector::select(std::span<const float> query, Index bu
   std::sort(result.indices.begin(), result.indices.end());
   // Per-token scoring over the whole context in the partial dimension —
   // the O(L * r) selection cost of §II-C.
-  result.representations_scored = store_.size();
+  result.representations_scored = context_size();
   // InfiniGen speculates/fetches selected KV from host memory each step
   // (no cluster cache): every selected token is a fetch.
   result.tokens_fetched = static_cast<Index>(result.indices.size());

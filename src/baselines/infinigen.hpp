@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/kv_selector.hpp"
-#include "kvcache/kv_store.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 
@@ -38,7 +37,7 @@ class InfiniGenSelector : public KVSelector {
   void observe_decode(std::span<const float> key,
                       std::span<const float> value) override;
   SelectionResult select(std::span<const float> query, Index budget) override;
-  [[nodiscard]] Index context_size() const override { return store_.size(); }
+  [[nodiscard]] Index context_size() const override { return projected_keys_.rows(); }
 
   [[nodiscard]] const Matrix& basis() const noexcept { return basis_; }
   [[nodiscard]] Index partial_dim() const noexcept { return config_.partial_dim; }
@@ -47,9 +46,9 @@ class InfiniGenSelector : public KVSelector {
   [[nodiscard]] std::vector<float> project(std::span<const float> vec) const;
 
   InfiniGenConfig config_;
-  KVStore store_;
+  Index head_dim_;
   Matrix basis_;           ///< r x d projection (top right-singular vectors)
-  Matrix projected_keys_;  ///< N x r partial keys, appended per token
+  Matrix projected_keys_;  ///< N x r partial keys, one row per token seen
   Rng speculation_rng_;    ///< per-step speculation-error stream
 };
 

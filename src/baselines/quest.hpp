@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/kv_selector.hpp"
-#include "kvcache/kv_store.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ckv {
@@ -26,7 +25,7 @@ class QuestSelector : public KVSelector {
   void observe_decode(std::span<const float> key,
                       std::span<const float> value) override;
   SelectionResult select(std::span<const float> query, Index budget) override;
-  [[nodiscard]] Index context_size() const override { return store_.size(); }
+  [[nodiscard]] Index context_size() const override { return keys_.rows(); }
 
   [[nodiscard]] Index page_count() const noexcept { return page_max_.rows(); }
 
@@ -38,7 +37,7 @@ class QuestSelector : public KVSelector {
   void finalize_full_pages();
 
   QuestConfig config_;
-  KVStore store_;
+  Matrix keys_;      ///< one row per token; finalize_full_pages reads them
   Matrix page_max_;  ///< per finalized page: per-channel max key
   Matrix page_min_;  ///< per finalized page: per-channel min key
 };

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "core/kv_selector.hpp"
-#include "kvcache/kv_store.hpp"
 
 namespace ckv {
 
@@ -14,7 +13,7 @@ struct StreamingLLMConfig {
 
 class StreamingLLMSelector : public KVSelector {
  public:
-  StreamingLLMSelector(Index head_dim, const StreamingLLMConfig& config);
+  explicit StreamingLLMSelector(const StreamingLLMConfig& config);
 
   [[nodiscard]] std::string name() const override { return "StreamingLLM"; }
 
@@ -23,11 +22,11 @@ class StreamingLLMSelector : public KVSelector {
                       std::span<const float> value) override;
   SelectionResult select(std::span<const float> query, Index budget) override;
   [[nodiscard]] bool is_recallable() const override { return false; }
-  [[nodiscard]] Index context_size() const override { return store_.size(); }
+  [[nodiscard]] Index context_size() const override { return tokens_; }
 
  private:
   StreamingLLMConfig config_;
-  KVStore store_;
+  Index tokens_ = 0;
 };
 
 /// Factory adapter for the decode engine.

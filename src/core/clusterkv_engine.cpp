@@ -73,7 +73,7 @@ void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count)
   if (begin >= end) {
     return;
   }
-  const Matrix block_keys = tiered_.store().keys().row_slice(begin, end);
+  const Matrix block_keys = tiered_.keys().row_slice(begin, end);
   KMeansConfig kconfig;
   kconfig.num_clusters = std::max<Index>(1, std::min<Index>(cluster_count, end - begin));
   kconfig.metric = config_.cluster_metric;
@@ -82,7 +82,7 @@ void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count)
   const auto result = kmeans_cluster(block_keys, kconfig, rng_);
   clustering_flops_ += result.iterations *
                        assignment_flops(end - begin, kconfig.num_clusters,
-                                        tiered_.store().head_dim());
+                                        tiered_.keys().cols());
 
   // kmeans_cluster compacts degenerate empty clusters away itself, so the
   // result registers directly: every cluster is non-empty and the
@@ -103,7 +103,7 @@ bool ClusterKVEngine::repair_now() {
   repair.tokens_per_cluster = config_.tokens_per_cluster;
   repair.metric = config_.cluster_metric;
   const std::int64_t flops =
-      repair_clusters(centroids_, tiered_.store().keys(), sink_count_, repair);
+      repair_clusters(centroids_, tiered_.keys(), sink_count_, repair);
   repair_flops_ += flops;
   ++repair_passes_;
   // The repaired clusters form one batch: a later pass (periodic decode
@@ -122,10 +122,10 @@ void ClusterKVEngine::observe_prefill(const Matrix& keys, const Matrix& values) 
   observe_prefill_chunk(keys, values, /*last_chunk=*/true);
 }
 
-void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& values,
+void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& /*values*/,
                                             bool last_chunk) {
   const Index begin = tiered_.size();
-  tiered_.append_block(keys, values);
+  tiered_.append_block(keys);
   const Index end = tiered_.size();
   // The sink prefix can span chunks when the first chunk is smaller than
   // sink_tokens: keep extending it while every prior token is a sink.
@@ -147,8 +147,8 @@ void ClusterKVEngine::observe_prefill_chunk(const Matrix& keys, const Matrix& va
 }
 
 void ClusterKVEngine::observe_decode(std::span<const float> key,
-                                     std::span<const float> value) {
-  tiered_.append(key, value);
+                                     std::span<const float> /*value*/) {
+  tiered_.append(key);
   pending_positions_.push_back(tiered_.size() - 1);
   if (static_cast<Index>(pending_positions_.size()) >= config_.decode_interval) {
     flush_pending();

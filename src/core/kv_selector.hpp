@@ -48,6 +48,12 @@ struct SelectionResult {
 
 /// Per-head selection policy. Lifecycle: one observe_prefill, then an
 /// alternation of select / observe_decode as tokens are generated.
+///
+/// The observe_* methods take each token's value as well as its key, but
+/// no method here reads a value: selection depends on keys, queries and
+/// attention feedback only, and the tiered store models the bytes of K
+/// and V without holding V. The parameter stays because perfbench's
+/// TimedSelector overrides these exact signatures.
 class KVSelector {
  public:
   virtual ~KVSelector() = default;
@@ -59,7 +65,8 @@ class KVSelector {
   /// Human-readable method name ("ClusterKV", "Quest", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Consumes the prompt's keys/values after prefill (N x d each).
+  /// Consumes the prompt's keys/values after prefill (N x d each; values
+  /// unread, see the class comment).
   virtual void observe_prefill(const Matrix& keys, const Matrix& values) = 0;
 
   /// True when this method can build its prefill state incrementally via
@@ -78,7 +85,8 @@ class KVSelector {
   virtual void observe_prefill_chunk(const Matrix& keys, const Matrix& values,
                                      bool last_chunk);
 
-  /// Consumes one generated token's key/value during decoding.
+  /// Consumes one generated token's key/value during decoding (value
+  /// unread).
   virtual void observe_decode(std::span<const float> key,
                               std::span<const float> value) = 0;
 

@@ -1,22 +1,6 @@
 #include "kvcache/tiered_store.hpp"
 
-#include "tensor/matrix.hpp"
-
 namespace ckv {
-
-void TransferStats::merge(const TransferStats& other) noexcept {
-  bytes_to_fast += other.bytes_to_fast;
-  bytes_to_slow += other.bytes_to_slow;
-  fetch_events += other.fetch_events;
-  tokens_fetched += other.tokens_fetched;
-  demand_landed += other.demand_landed;
-  tokens_offloaded += other.tokens_offloaded;
-  tokens_prefetch_issued += other.tokens_prefetch_issued;
-  tokens_prefetch_canceled += other.tokens_prefetch_canceled;
-  for (int r = 0; r < obs::kFetchCancelReasonCount; ++r) {
-    tokens_prefetch_canceled_by[r] += other.tokens_prefetch_canceled_by[r];
-  }
-}
 
 namespace {
 
@@ -36,7 +20,9 @@ const char* cancel_event_name(obs::FetchCancelReason reason) noexcept {
 
 }  // namespace
 
-TieredKVStore::TieredKVStore(Index head_dim) : store_(head_dim) {}
+TieredKVStore::TieredKVStore(Index head_dim) : keys_(0, head_dim) {
+  expects(head_dim > 0, "TieredKVStore: head_dim must be positive");
+}
 
 TieredKVStore::Placement TieredKVStore::placement_of(Index position) const {
   return position >= 0 && position < static_cast<Index>(placement_.size())
@@ -72,25 +58,30 @@ bool TieredKVStore::unmark_fast(Index position) {
   return true;
 }
 
-void TieredKVStore::append(std::span<const float> key, std::span<const float> value) {
+void TieredKVStore::append(std::span<const float> key) {
+  expects(static_cast<Index>(key.size()) == keys_.cols(),
+          "TieredKVStore::append: key width");
   const ExclusiveLock own(owner_);
-  store_.append(key, value);
+  keys_.append_row(key);
   placement_.push_back(Placement::kSlow);
-  mark_fast(store_.size() - 1);
+  mark_fast(size() - 1);
 }
 
-void TieredKVStore::append_block(const Matrix& keys, const Matrix& values) {
+void TieredKVStore::append_block(const Matrix& keys) {
+  expects(keys.cols() == keys_.cols(), "TieredKVStore::append_block: key width");
   const ExclusiveLock own(owner_);
-  const Index begin = store_.size();
-  store_.append_block(keys, values);
-  placement_.resize(static_cast<std::size_t>(store_.size()), Placement::kSlow);
-  for (Index p = begin; p < store_.size(); ++p) {
+  const Index begin = size();
+  for (Index r = 0; r < keys.rows(); ++r) {
+    keys_.append_row(keys.row(r));
+  }
+  placement_.resize(static_cast<std::size_t>(size()), Placement::kSlow);
+  for (Index p = begin; p < size(); ++p) {
     mark_fast(p);
   }
 }
 
 void TieredKVStore::offload_to_slow(Index begin, Index end) {
-  expects(begin >= 0 && begin <= end && end <= store_.size(),
+  expects(begin >= 0 && begin <= end && end <= size(),
           "TieredKVStore::offload_to_slow: bad range");
   const ExclusiveLock own(owner_);
   for (Index p = begin; p < end; ++p) {
@@ -105,7 +96,7 @@ Index TieredKVStore::offload_positions(std::span<const Index> positions) {
   const ExclusiveLock own(owner_);
   Index moved = 0;
   for (const Index p : positions) {
-    expects(p >= 0 && p < store_.size(),
+    expects(p >= 0 && p < size(),
             "TieredKVStore::offload_positions: position out of range");
     if (unmark_fast(p)) {
       stats_.bytes_to_slow += token_bytes();
@@ -120,7 +111,7 @@ Index TieredKVStore::ensure_resident(std::span<const Index> positions) {
   const ExclusiveLock own(owner_);
   Index moved = 0;
   for (const Index p : positions) {
-    expects(p >= 0 && p < store_.size(),
+    expects(p >= 0 && p < size(),
             "TieredKVStore::ensure_resident: position out of range");
     if (placement_of(p) == Placement::kInFlight) {
       // The demand path caught up with an issued copy: land it. Its PCIe
@@ -154,7 +145,7 @@ Index TieredKVStore::begin_fetch(std::span<const Index> positions) {
   const ExclusiveLock own(owner_);
   Index issued = 0;
   for (const Index p : positions) {
-    expects(p >= 0 && p < store_.size(),
+    expects(p >= 0 && p < size(),
             "TieredKVStore::begin_fetch: position out of range");
     Placement& place = placement_[static_cast<std::size_t>(p)];
     if (place != Placement::kSlow) {
@@ -301,7 +292,7 @@ std::vector<Index> TieredKVStore::fast_positions() const {
 }
 
 Index TieredKVStore::token_bytes() const noexcept {
-  return 2 * store_.head_dim() * kKVElementBytes;
+  return 2 * keys_.cols() * kKVElementBytes;
 }
 
 std::int64_t TieredKVStore::fast_resident_bytes() const noexcept {

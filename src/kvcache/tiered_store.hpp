@@ -1,6 +1,7 @@
-// Two-tier placement model over a KVStore: a bounded fast tier (GPU HBM in
-// the paper) backed by an unbounded slow tier (CPU memory over PCIe). The
-// simulation keeps all data in RAM; this class tracks *placement* and
+// Two-tier placement model of one head's KV cache: a bounded fast tier
+// (GPU HBM in the paper) backed by an unbounded slow tier (CPU memory over
+// PCIe). The simulation keeps only the keys, which ClusterKV clusters, in
+// RAM; this class tracks where each token's K and V would live and
 // accounts the bytes that would cross the interconnect (Fig. 5 offload /
 // fetch arrows), which feeds the latency model.
 //
@@ -16,8 +17,8 @@
 #include <span>
 #include <vector>
 
-#include "kvcache/kv_store.hpp"
 #include "obs/trace.hpp"
+#include "tensor/matrix.hpp"
 #include "util/common.hpp"
 #include "util/thread_safety.hpp"
 
@@ -49,8 +50,6 @@ struct TransferStats {
   /// tokens_prefetch_canceled attributed by cause, indexed by
   /// obs::FetchCancelReason; the entries always sum to the total above.
   std::int64_t tokens_prefetch_canceled_by[obs::kFetchCancelReasonCount] = {};
-
-  void merge(const TransferStats& other) noexcept;
 };
 
 /// Shared fast-tier byte counter. Serving attaches one ledger to every
@@ -121,11 +120,14 @@ class TieredKVStore {
   explicit TieredKVStore(Index head_dim);
 
   /// Appends a token on the fast tier (where it is produced) without
-  /// counting transfer bytes; call offload_to_slow to move it out.
-  void append(std::span<const float> key, std::span<const float> value);
+  /// counting transfer bytes; call offload_to_slow to move it out. Only
+  /// the key is stored (head_dim elements); placement and bytes model K
+  /// and V together.
+  void append(std::span<const float> key);
 
-  /// Appends a block of tokens on the fast tier (prefill output).
-  void append_block(const Matrix& keys, const Matrix& values);
+  /// Appends a block of tokens (rows of keys) on the fast tier (prefill
+  /// output).
+  void append_block(const Matrix& keys);
 
   /// Marks tokens [begin, end) as slow-tier resident, accounting offload
   /// traffic for those currently fast-resident.
@@ -193,13 +195,14 @@ class TieredKVStore {
 
   [[nodiscard]] bool is_fast_resident(Index position) const;
   [[nodiscard]] Index fast_resident_count() const noexcept;
-  [[nodiscard]] Index size() const noexcept { return store_.size(); }
+  [[nodiscard]] Index size() const noexcept { return keys_.rows(); }
 
   /// Fast-resident token positions, ascending (preemption victim scan): an
   /// ordered walk of the placement array.
   [[nodiscard]] std::vector<Index> fast_positions() const;
 
-  /// Bytes of one token's KV entry (key + value) at kKVElementBytes.
+  /// Bytes of one token's KV entry at kKVElementBytes: key and value
+  /// (2 x head_dim elements), though only the key is stored here.
   [[nodiscard]] Index token_bytes() const noexcept;
 
   /// Bytes currently held on the fast tier.
@@ -212,9 +215,10 @@ class TieredKVStore {
   /// fetches — session release — implicitly cancels their reservation).
   void attach_ledger(FastTierLedger* ledger) noexcept;
 
-  /// Read-only: tokens enter only through append/append_block, which keep
-  /// the per-position placement array the same length as the store.
-  [[nodiscard]] const KVStore& store() const noexcept { return store_; }
+  /// Stored keys, one row per token. Read-only: tokens enter only through
+  /// append/append_block, which keep the per-position placement array the
+  /// same length.
+  [[nodiscard]] const Matrix& keys() const noexcept { return keys_; }
   [[nodiscard]] const TransferStats& stats() const noexcept {
     const ExclusiveLock own(owner_);
     return stats_;
@@ -243,10 +247,10 @@ class TieredKVStore {
   Index cancel_fetch_impl(std::span<const Index> positions,
                           obs::FetchCancelReason reason) CKV_REQUIRES(owner_);
 
-  KVStore store_;
+  Matrix keys_;  ///< size() x head_dim
   /// Static stand-in for the owning session (see the class comment).
   mutable ExclusiveContext owner_;
-  /// One entry per stored token (always store_.size() long).
+  /// One entry per stored token (always size() long).
   std::vector<Placement> placement_ CKV_GUARDED_BY(owner_);
   Index fast_count_ CKV_GUARDED_BY(owner_) = 0;       ///< kFast entries
   Index in_flight_count_ CKV_GUARDED_BY(owner_) = 0;  ///< kInFlight entries

@@ -31,7 +31,8 @@ HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len
   sink_dir_ = structure_rng.unit_vector(params.head_dim);
 
   const Index outliers = std::min<Index>(params.outlier_channels, params.head_dim);
-  const auto channels = structure_rng.sample_without_replacement(params.head_dim, outliers);
+  const auto channels =
+      structure_rng.sample_without_replacement(params.head_dim, outliers);
   for (const Index c : channels) {
     outlier_channel_ids_.push_back(c);
     const double sign = structure_rng.bernoulli(0.5) ? 1.0 : -1.0;
@@ -133,7 +134,7 @@ void HeadStream::append_generated() { append_token(size()); }
 void HeadStream::pin_focus(Index step_begin, Index step_end,
                            std::span<const Index> positions) {
   expects(step_begin >= 0 && step_begin <= step_end, "HeadStream::pin_focus: bad range");
-  expects(static_cast<Index>(focus_by_step_.size()) <= step_begin,
+  expects(queries_.front().rows() <= step_begin,
           "HeadStream::pin_focus: steps already materialized");
   // Topics of the pinned positions, most frequent first, capped at the
   // focus width.
@@ -197,7 +198,6 @@ std::vector<float> HeadStream::query(Index step, Index sub_query) {
 void HeadStream::materialize_next_query() {
   const Index step = queries_.front().rows();
   const auto focus = focus_for_step(step);
-  focus_by_step_.push_back(focus);
 
   // Shared semantic part: the group's focus topics plus sink alignment.
   std::vector<float> base(static_cast<std::size_t>(params_.head_dim), 0.0f);

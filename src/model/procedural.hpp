@@ -113,7 +113,6 @@ class HeadStream {
   Matrix values_;
 
   std::vector<Index> current_focus_;
-  std::vector<std::vector<Index>> focus_by_step_;  ///< memoized focus sets
   std::vector<Matrix> queries_;  ///< memoized queries, one matrix per sub-query
   std::vector<Rng> sub_query_rngs_;
   struct PinnedRange {

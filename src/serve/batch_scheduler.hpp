@@ -254,8 +254,8 @@ class BatchScheduler {
   /// Latency-model step cost for one session at its current context.
   [[nodiscard]] StepBreakdown step_cost(const Session& session) const;
   /// Latency-model cost of one `chunk_tokens` prefill chunk for a
-  /// prefilling session (causal-prefix attention + GEMM compute, plus
-  /// visible per-chunk clustering overhead for ClusterKV).
+  /// prefilling session (causal-prefix attention + GEMM compute, plus the
+  /// chunk's k-means cost, clustering_cost_ms, for ClusterKV).
   [[nodiscard]] double prefill_chunk_cost_ms(const Session& session,
                                              Index chunk_tokens) const;
   /// Chunk size a prefilling session consumes this tick (remaining prompt

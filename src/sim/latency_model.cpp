@@ -168,6 +168,12 @@ StepBreakdown LatencyModel::full_kv_offload_step(Index context_len) const {
 }
 
 RunLatency LatencyModel::run_latency(const RunParams& params) const {
+  expects(params.budget >= 1, "LatencyModel::run_latency: budget must be >= 1");
+  expects(params.decode_len >= 0, "LatencyModel::run_latency: decode_len must be >= 0");
+  expects(params.decode_interval >= 1,
+          "LatencyModel::run_latency: decode_interval must be >= 1");
+  expects(params.decode_clusters >= 0,
+          "LatencyModel::run_latency: decode_clusters must be >= 0");
   RunLatency run;
   run.prefill_ms = prefill_ms(params.prompt_len);
   if (params.method == Method::kClusterKV) {

@@ -142,7 +142,10 @@ class LatencyModel {
   };
 
   /// Sums per-step costs over the decode phase (context grows each step)
-  /// plus prefill (and clustering overhead for ClusterKV).
+  /// plus prefill (and clustering overhead for ClusterKV). Throws
+  /// std::invalid_argument, naming the field, unless budget >= 1,
+  /// decode_len >= 0 (0 = prefill only), decode_interval >= 1 and
+  /// decode_clusters >= 0.
   [[nodiscard]] RunLatency run_latency(const RunParams& params) const;
 
  private:

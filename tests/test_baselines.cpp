@@ -30,7 +30,7 @@ HeadStream make_stream(Index prompt_len, std::uint64_t seed = 5) {
 
 TEST(FullKV, SelectsEverythingAlways) {
   auto stream = make_stream(50);
-  FullKVSelector sel(32);
+  FullKVSelector sel;
   sel.observe_prefill(stream.keys(), stream.values());
   const auto q = stream.query(0);
   const auto result = sel.select(q, 1);  // budget ignored by design
@@ -41,7 +41,7 @@ TEST(FullKV, SelectsEverythingAlways) {
 
 TEST(FullKV, TracksDecodeTokens) {
   auto stream = make_stream(10);
-  FullKVSelector sel(32);
+  FullKVSelector sel;
   sel.observe_prefill(stream.keys(), stream.values());
   stream.append_generated();
   sel.observe_decode(stream.keys().row(10), stream.values().row(10));
@@ -200,7 +200,7 @@ TEST(H2O, AliveSetBoundedByBudget) {
   auto stream = make_stream(300);
   H2OConfig config;
   config.budget = 64;
-  H2OSelector sel(32, config);
+  H2OSelector sel(config);
   sel.observe_prefill(stream.keys(), stream.values());
   EXPECT_EQ(sel.alive_positions().size(), 64u);
 }
@@ -209,7 +209,7 @@ TEST(H2O, EvictionIsPermanent) {
   auto stream = make_stream(300);
   H2OConfig config;
   config.budget = 64;
-  H2OSelector sel(32, config);
+  H2OSelector sel(config);
   sel.observe_prefill(stream.keys(), stream.values());
   EXPECT_FALSE(sel.is_recallable());
 
@@ -238,7 +238,7 @@ TEST(H2O, HeavyHittersSurvive) {
   H2OConfig config;
   config.budget = 64;
   config.recent_fraction = 0.25;
-  H2OSelector sel(32, config);
+  H2OSelector sel(config);
   sel.observe_prefill(stream.keys(), stream.values());
 
   // Feed attention that concentrates on one alive token: it must survive
@@ -260,7 +260,7 @@ TEST(StreamingLLM, SinksPlusWindow) {
   auto stream = make_stream(200);
   StreamingLLMConfig config;
   config.sink_tokens = 4;
-  StreamingLLMSelector sel(32, config);
+  StreamingLLMSelector sel(config);
   sel.observe_prefill(stream.keys(), stream.values());
   const auto q = stream.query(0);
   const auto result = sel.select(q, 20);
@@ -276,7 +276,7 @@ TEST(StreamingLLM, SinksPlusWindow) {
 
 TEST(StreamingLLM, WindowSlidesWithDecode) {
   auto stream = make_stream(50);
-  StreamingLLMSelector sel(32, {});
+  StreamingLLMSelector sel(StreamingLLMConfig{});
   sel.observe_prefill(stream.keys(), stream.values());
   stream.append_generated();
   sel.observe_decode(stream.keys().row(50), stream.values().row(50));

@@ -106,7 +106,7 @@ TEST(Integration, RecallableMethodsCanReselectEvictedImportance) {
   HeadStream stream(p, Rng(23), 2000);
 
   ClusterKVEngine ckv(64, fast_ckv(), Rng(5));
-  StreamingLLMSelector window(64, StreamingLLMConfig{});
+  StreamingLLMSelector window(StreamingLLMConfig{});
   ckv.observe_prefill(stream.keys(), stream.values());
   window.observe_prefill(stream.keys(), stream.values());
 

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "kvcache/kv_store.hpp"
+#include "baselines/infinigen.hpp"
+#include "baselines/quest.hpp"
 #include "kvcache/tiered_store.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/vec_ops.hpp"
 
 namespace ckv {
 namespace {
@@ -17,84 +15,47 @@ Matrix random_block(Index rows, Index cols, std::uint64_t seed) {
   return m;
 }
 
-TEST(KVStore, AppendAndAccess) {
-  KVStore store(4);
-  const std::vector<float> k{1.0f, 2.0f, 3.0f, 4.0f};
-  const std::vector<float> v{5.0f, 6.0f, 7.0f, 8.0f};
-  store.append(k, v);
-  EXPECT_EQ(store.size(), 1);
-  EXPECT_FLOAT_EQ(store.key(0)[2], 3.0f);
-  EXPECT_FLOAT_EQ(store.value(0)[3], 8.0f);
+TEST(TieredStore, KeysKeepAppendOrder) {
+  TieredKVStore store(3);
+  const auto block = random_block(5, 3, 1);
+  store.append_block(block);
+  const std::vector<float> k{1.0f, 2.0f, 3.0f};
+  store.append(k);
+  ASSERT_EQ(store.size(), 6);
+  ASSERT_EQ(store.keys().rows(), 6);
+  for (Index i = 0; i < 5; ++i) {
+    for (Index c = 0; c < 3; ++c) {
+      EXPECT_EQ(store.keys().at(i, c), block.at(i, c));
+    }
+  }
+  EXPECT_EQ(store.keys().at(5, 2), 3.0f);
 }
 
-TEST(KVStore, WidthValidated) {
-  KVStore store(4);
+// A method stores only the keys it reads, and each reader checks their
+// width: the tiered store (ClusterKV clusters them), Quest (page bounds)
+// and InfiniGen (its prefill projection).
+TEST(KeyWidth, RejectedWhereverAKeyIsRead) {
   const std::vector<float> bad{1.0f, 2.0f};
   const std::vector<float> ok(4, 0.0f);
-  EXPECT_THROW(store.append(bad, ok), std::invalid_argument);
-  EXPECT_THROW(store.append(ok, bad), std::invalid_argument);
-}
+  TieredKVStore tiered(4);
+  EXPECT_THROW(tiered.append(bad), std::invalid_argument);
+  EXPECT_THROW(tiered.append_block(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_EQ(tiered.size(), 0);
 
-TEST(KVStore, AppendBlock) {
-  KVStore store(3);
-  const auto keys = random_block(5, 3, 1);
-  const auto values = random_block(5, 3, 2);
-  store.append_block(keys, values);
-  EXPECT_EQ(store.size(), 5);
-  for (Index i = 0; i < 5; ++i) {
-    EXPECT_FLOAT_EQ(store.key(i)[0], keys.at(i, 0));
-  }
-}
+  QuestSelector quest(4, {});
+  EXPECT_THROW(quest.observe_decode(bad, ok), std::invalid_argument);
+  EXPECT_EQ(quest.context_size(), 0);
 
-TEST(KVStore, GatherPreservesOrder) {
-  KVStore store(2);
-  for (Index i = 0; i < 6; ++i) {
-    const std::vector<float> k{static_cast<float>(i), 0.0f};
-    store.append(k, k);
-  }
-  const std::vector<Index> pick{4, 1, 5};
-  const auto [k, v] = store.gather(pick);
-  EXPECT_EQ(k.rows(), 3);
-  EXPECT_FLOAT_EQ(k.at(0, 0), 4.0f);
-  EXPECT_FLOAT_EQ(k.at(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(k.at(2, 0), 5.0f);
-}
-
-TEST(KVStore, GatherValidatesRange) {
-  KVStore store(2);
-  const std::vector<float> k{0.0f, 0.0f};
-  store.append(k, k);
-  const std::vector<Index> bad{1};
-  EXPECT_THROW(store.gather(bad), std::invalid_argument);
-}
-
-TEST(KVStore, AttentionScoresScaledDot) {
-  KVStore store(4);
-  const std::vector<float> k{2.0f, 0.0f, 0.0f, 0.0f};
-  store.append(k, k);
-  const std::vector<float> q{3.0f, 0.0f, 0.0f, 0.0f};
-  const auto scores = store.attention_scores(q);
-  ASSERT_EQ(scores.size(), 1u);
-  EXPECT_NEAR(scores[0], 6.0 / std::sqrt(4.0), 1e-6);
-}
-
-TEST(KVStore, AttentionScoresAtSubset) {
-  KVStore store(2);
-  for (Index i = 0; i < 4; ++i) {
-    const std::vector<float> k{static_cast<float>(i), 0.0f};
-    store.append(k, k);
-  }
-  const std::vector<float> q{1.0f, 0.0f};
-  const std::vector<Index> at{3, 0};
-  const auto scores = store.attention_scores_at(q, at);
-  ASSERT_EQ(scores.size(), 2u);
-  EXPECT_GT(scores[0], scores[1]);
+  InfiniGenSelector infinigen(4, InfiniGenConfig{.partial_dim = 2});
+  EXPECT_THROW(infinigen.observe_prefill(Matrix(8, 3), Matrix(8, 4)),
+               std::invalid_argument);
+  EXPECT_EQ(infinigen.context_size(), 0);
 }
 
 TEST(TieredStore, AppendIsFastResident) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
-  store.append(x, x);
+  store.append(x);
   EXPECT_TRUE(store.is_fast_resident(0));
   EXPECT_EQ(store.fast_resident_count(), 1);
   EXPECT_EQ(store.stats().bytes_to_fast, 0);  // produced in place, no transfer
@@ -104,7 +65,7 @@ TEST(TieredStore, OffloadAccountsBytes) {
   TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
   for (int i = 0; i < 3; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   store.offload_to_slow(0, 3);
   EXPECT_EQ(store.fast_resident_count(), 0);
@@ -118,7 +79,7 @@ TEST(TieredStore, EnsureResidentFetchesOnlyMissing) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
   for (int i = 0; i < 4; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   store.offload_to_slow(0, 4);
   const std::vector<Index> want{1, 2};
@@ -133,7 +94,7 @@ TEST(TieredStore, EnsureResidentFetchesOnlyMissing) {
 TEST(TieredStore, DropFromFastIsFree) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
-  store.append(x, x);
+  store.append(x);
   const auto before = store.stats().bytes_to_slow;
   const std::vector<Index> drop{0};
   store.drop_from_fast(drop);
@@ -144,25 +105,11 @@ TEST(TieredStore, DropFromFastIsFree) {
 TEST(TieredStore, DoubleOffloadCountsOnce) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
-  store.append(x, x);
+  store.append(x);
   store.offload_to_slow(0, 1);
   store.offload_to_slow(0, 1);
   EXPECT_EQ(store.stats().tokens_offloaded, 1);
 }
-
-TEST(TieredStore, StatsMerge) {
-  TransferStats a;
-  a.bytes_to_fast = 10;
-  a.tokens_fetched = 1;
-  TransferStats b;
-  b.bytes_to_fast = 5;
-  b.fetch_events = 2;
-  a.merge(b);
-  EXPECT_EQ(a.bytes_to_fast, 15);
-  EXPECT_EQ(a.tokens_fetched, 1);
-  EXPECT_EQ(a.fetch_events, 2);
-}
-
 
 TEST(TieredStore, RepeatedEvictRefetchCyclesStaySymmetric) {
   // Offload/fetch churn (the serving preemption pattern) must keep the
@@ -171,7 +118,7 @@ TEST(TieredStore, RepeatedEvictRefetchCyclesStaySymmetric) {
   TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
   for (int i = 0; i < 16; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   store.offload_to_slow(0, 16);  // initial placement: all slow
   const auto baseline = store.stats();
@@ -196,7 +143,7 @@ TEST(TieredStore, OffloadPositionsCountsOnlyResident) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
   for (int i = 0; i < 4; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   const std::vector<Index> some{0, 2};
   EXPECT_EQ(store.offload_positions(some), 2);
@@ -210,7 +157,7 @@ TEST(TieredStore, FastPositionsAreSortedAndComplete) {
   TieredKVStore store(4);
   const std::vector<float> x(4, 1.0f);
   for (int i = 0; i < 5; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   store.offload_to_slow(1, 3);
   const auto fast = store.fast_positions();
@@ -218,37 +165,16 @@ TEST(TieredStore, FastPositionsAreSortedAndComplete) {
   EXPECT_EQ(fast, want);
 }
 
-TEST(TieredStore, TransferStatsMergeAllFields) {
-  TransferStats a;
-  a.bytes_to_fast = 10;
-  a.bytes_to_slow = 20;
-  a.fetch_events = 3;
-  a.tokens_fetched = 5;
-  a.tokens_offloaded = 7;
-  TransferStats b = a;
-  a.merge(b);
-  EXPECT_EQ(a.bytes_to_fast, 20);
-  EXPECT_EQ(a.bytes_to_slow, 40);
-  EXPECT_EQ(a.fetch_events, 6);
-  EXPECT_EQ(a.tokens_fetched, 10);
-  EXPECT_EQ(a.tokens_offloaded, 14);
-  // Merging an empty accumulator is the identity.
-  TransferStats before = a;
-  a.merge(TransferStats{});
-  EXPECT_EQ(a.bytes_to_fast, before.bytes_to_fast);
-  EXPECT_EQ(a.tokens_offloaded, before.tokens_offloaded);
-}
-
 TEST(TieredStore, LedgerTracksEveryResidencyMutation) {
   FastTierLedger ledger;
   TieredKVStore store(8);
   const std::vector<float> x(8, 1.0f);
-  store.append(x, x);  // resident before attach
+  store.append(x);  // resident before attach
   store.attach_ledger(&ledger);
   EXPECT_EQ(ledger.bytes(), store.fast_resident_bytes());  // attach credits
 
   for (int i = 0; i < 7; ++i) {
-    store.append(x, x);
+    store.append(x);
   }
   EXPECT_EQ(ledger.bytes(), 8 * store.token_bytes());
 
@@ -274,9 +200,9 @@ TEST(TieredStore, LedgerSharedAcrossStores) {
   a.attach_ledger(&ledger);
   b.attach_ledger(&ledger);
   const std::vector<float> x(4, 1.0f);
-  a.append(x, x);
-  b.append(x, x);
-  b.append(x, x);
+  a.append(x);
+  b.append(x);
+  b.append(x);
   EXPECT_EQ(ledger.bytes(), a.fast_resident_bytes() + b.fast_resident_bytes());
   a.offload_to_slow(0, 1);
   EXPECT_EQ(ledger.bytes(), b.fast_resident_bytes());
@@ -289,7 +215,7 @@ TEST(TieredStore, RangeValidation) {
   const std::vector<Index> bad{0};
   EXPECT_THROW(store.ensure_resident(bad), std::invalid_argument);
 
-  store.append_block(Matrix(3, 4), Matrix(3, 4));
+  store.append_block(Matrix(3, 4));
   store.offload_to_slow(0, 3);
   FastTierLedger ledger;
   store.attach_ledger(&ledger);

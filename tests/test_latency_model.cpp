@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "model/model_config.hpp"
 #include "sim/latency_model.hpp"
@@ -205,6 +207,43 @@ TEST(LatencyModel, BreakdownComponentsNonNegative) {
               b.weights_ms + b.kv_read_ms + b.metadata_ms + b.selection_ms +
                   b.sync_ms + b.transfer_ms + b.overhead_ms,
               1e-12);
+}
+
+TEST(LatencyModel, RunLatencyRejectsInvalidParams) {
+  // Each is named in the error; a decode_interval of 0 would otherwise
+  // divide by zero in `step % decode_interval`.
+  const auto model = llama_model();
+  using Params = LatencyModel::RunParams;
+  Params ok;
+  ok.method = LatencyModel::Method::kClusterKV;
+  ok.prompt_len = 4096;
+  ok.decode_len = 8;
+  struct Bad {
+    const char* field;
+    Index Params::*member;
+    Index value;
+  };
+  for (const Bad& bad : {Bad{"budget", &Params::budget, 0},
+                         Bad{"budget", &Params::budget, -5},
+                         Bad{"decode_len", &Params::decode_len, -1},
+                         Bad{"decode_interval", &Params::decode_interval, 0},
+                         Bad{"decode_clusters", &Params::decode_clusters, -1}}) {
+    Params params = ok;
+    params.*bad.member = bad.value;
+    try {
+      (void)model.run_latency(params);
+      ADD_FAILURE() << bad.field << " = " << bad.value << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(bad.field), std::string::npos)
+          << error.what();
+    }
+  }
+  // Prefill only stays valid.
+  Params prefill_only = ok;
+  prefill_only.decode_len = 0;
+  const auto run = model.run_latency(prefill_only);
+  EXPECT_GT(run.prefill_ms, 0.0);
+  EXPECT_EQ(run.decode_ms, 0.0);
 }
 
 TEST(LatencyModel, MethodNames) {

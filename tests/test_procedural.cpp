@@ -231,6 +231,33 @@ TEST(HeadStream, QueryMemoizationStable) {
   EXPECT_EQ(far.size(), 32u);
 }
 
+TEST(HeadStream, PinFocusRejectsMaterializedSteps) {
+  auto p = default_params();
+  HeadStream s(p, Rng(11), 100);
+  const std::vector<Index> positions{50, 51, 52};
+  (void)s.query(5);  // materializes steps 0..5
+  EXPECT_THROW(s.pin_focus(5, 8, positions), std::invalid_argument);
+  EXPECT_NO_THROW(s.pin_focus(6, 8, positions));
+}
+
+TEST(HeadStream, AttentionScoresScaledDot) {
+  // The decode oracle's truth: q . k_i / sqrt(d) for every stored key, or
+  // for the first prefix_len keys.
+  auto p = default_params();
+  HeadStream s(p, Rng(13), 100);
+  const auto q = s.query(0);
+  const auto scores = s.attention_scores(q);
+  ASSERT_EQ(scores.size(), 100u);
+  const double sqrt_d = std::sqrt(static_cast<double>(p.head_dim));
+  for (Index i = 0; i < s.size(); ++i) {
+    const double want = dot(q, s.keys().row(i)) / sqrt_d;
+    EXPECT_NEAR(scores[static_cast<std::size_t>(i)], want, 1e-5 * (1.0 + std::abs(want)))
+        << "token " << i;
+  }
+  EXPECT_EQ(s.attention_scores(q, 40),
+            std::vector<float>(scores.begin(), scores.begin() + 40));
+}
+
 TEST(HeadStream, AppendGeneratedContinuesProcess) {
   auto p = default_params();
   HeadStream s(p, Rng(12), 100);

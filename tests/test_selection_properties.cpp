@@ -2,15 +2,23 @@
 // caching and prefill-flush invariants the ClusterKV pipeline relies on,
 // plus the serving residency sweep: randomized admit/prefill/decode/
 // preempt/repair/prefetch schedules asserting the fast-tier budget and
-// sink-residency invariants at every tick. Runs under `ctest -L
+// sink-residency invariants at every tick, and a check that no method's
+// selection depends on the values it is fed. Runs under `ctest -L
 // properties` with this fixed seed set in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
+#include "baselines/full_kv.hpp"
+#include "baselines/h2o.hpp"
+#include "baselines/infinigen.hpp"
 #include "baselines/quest.hpp"
+#include "baselines/streaming_llm.hpp"
 #include "core/cluster_cache.hpp"
 #include "core/centroid_store.hpp"
 #include "core/clusterkv_engine.hpp"
@@ -18,6 +26,8 @@
 #include "model/procedural.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/softmax.hpp"
+#include "tensor/vec_ops.hpp"
 #include "worker_guard.hpp"
 
 namespace ckv {
@@ -143,16 +153,14 @@ TEST_P(QuestBoundFuzz, UpperBoundHoldsOnRandomData) {
   rng.fill_normal(values.flat(), 0.0, 1.0);
   quest.observe_prefill(keys, values);
 
-  KVStore reference(dim);
-  reference.append_block(keys, values);
+  const double sqrt_d = std::sqrt(static_cast<double>(dim));
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<float> query(static_cast<std::size_t>(dim));
     rng.fill_normal(query, 0.0, 3.0);
-    const auto scores = reference.attention_scores(query);
     for (Index page = 0; page < quest.page_count(); ++page) {
       const double bound = quest.page_score(query, page);
       for (Index t = page * 8; t < (page + 1) * 8; ++t) {
-        EXPECT_GE(bound + 1e-4, scores[static_cast<std::size_t>(t)]);
+        EXPECT_GE(bound + 1e-4, dot(query, keys.row(t)) / sqrt_d);
       }
     }
   }
@@ -354,7 +362,8 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
       request.prompt_len = rng.uniform_int(60, 400);
       request.decode_len = rng.uniform_int(3, 8);
       request.seed = derive_seed(GetParam(), "fuzz/req/" + std::to_string(i));
-      longest_context = std::max(longest_context, request.prompt_len + request.decode_len);
+      longest_context =
+          std::max(longest_context, request.prompt_len + request.decode_len);
       trace.push_back(request);
     }
     std::sort(trace.begin(), trace.end(),
@@ -469,6 +478,106 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingResidencyFuzz,
                          ::testing::Values(101, 102, 103, 104, 105, 106));
+
+void expect_same_selection(const SelectionResult& a, const SelectionResult& b) {
+  EXPECT_EQ(a.indices, b.indices);
+  EXPECT_EQ(a.representations_scored, b.representations_scored);
+  EXPECT_EQ(a.tokens_fetched, b.tokens_fetched);
+  EXPECT_EQ(a.tokens_cache_hit, b.tokens_cache_hit);
+  EXPECT_EQ(a.tokens_prefetch_hit, b.tokens_prefetch_hit);
+  EXPECT_EQ(a.tokens_prefetch_issued, b.tokens_prefetch_issued);
+}
+
+void expect_same_state(const KVSelector& a, const KVSelector& b) {
+  EXPECT_EQ(a.context_size(), b.context_size());
+  EXPECT_EQ(a.fast_resident_tokens(), b.fast_resident_tokens());
+}
+
+class ValueIndependenceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ValueIndependenceFuzz, NoMethodReadsValues) {
+  // Two instances of each method see the same keys, queries and attention
+  // feedback; one gets the stream's values and the other unrelated ones.
+  // Every step must select, bill and place the same tokens.
+  ProceduralParams params;
+  params.head_dim = 32;
+  params.num_topics = 16;
+  const Index prompt_len = 400;
+  const Index steps = 40;
+  const Index budget = 64;
+  ClusterKVConfig ckv;
+  ckv.decode_interval = 8;
+  ckv.repair_decode_interval = 16;
+  ckv.prefetch_clusters = 2;
+  H2OConfig h2o;
+  h2o.budget = budget;
+  h2o.recent_fraction = 0.25;  // decode tokens leave the window mid-test
+  const std::vector<std::pair<std::string, SelectorFactory>> methods{
+      {"clusterkv", make_clusterkv_factory(ckv, GetParam())},
+      {"quest", make_quest_factory()},
+      {"infinigen", make_infinigen_factory()},
+      {"h2o", make_h2o_factory(h2o)},
+      {"window", make_streaming_llm_factory()},
+      {"full", make_full_kv_factory()},
+  };
+  for (const auto& [name, factory] : methods) {
+    SCOPED_TRACE(name);
+    HeadStream stream(params, Rng(derive_seed(GetParam(), "values")), prompt_len);
+    Rng other_rng(derive_seed(GetParam(), "other-values"));
+    Matrix other(prompt_len, params.head_dim);
+    other_rng.fill_normal(other.flat(), 0.0, 1.0);
+    const auto a = factory(0, 0, params.head_dim);
+    const auto b = factory(0, 0, params.head_dim);
+    if (a->supports_chunked_prefill()) {
+      // Three uneven chunks: the ClusterKV path serving takes.
+      const std::vector<Index> bounds{0, 130, 260, prompt_len};
+      for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+        const Index begin = bounds[c];
+        const Index end = bounds[c + 1];
+        const bool last = end == prompt_len;
+        a->observe_prefill_chunk(stream.keys().row_slice(begin, end),
+                                 stream.values().row_slice(begin, end), last);
+        b->observe_prefill_chunk(stream.keys().row_slice(begin, end),
+                                 other.row_slice(begin, end), last);
+        expect_same_state(*a, *b);
+      }
+    } else {
+      a->observe_prefill(stream.keys(), stream.values());
+      b->observe_prefill(stream.keys(), other);
+      expect_same_state(*a, *b);
+    }
+    Index prefetched = 0;
+    for (Index step = 0; step < steps; ++step) {
+      const auto q = stream.query(step);
+      const auto ra = a->select(q, budget);
+      const auto rb = b->select(q, budget);
+      expect_same_selection(ra, rb);
+      prefetched += ra.tokens_prefetch_issued;
+      // H2O's feedback: softmax of the exact scores at the selection.
+      const auto scores = stream.attention_scores(q);
+      std::vector<float> probs;
+      for (const Index t : ra.indices) {
+        probs.push_back(scores[static_cast<std::size_t>(t)]);
+      }
+      softmax_in_place(probs);
+      a->observe_attention(ra.indices, probs);
+      b->observe_attention(ra.indices, probs);
+
+      stream.append_generated();
+      const Index last = stream.size() - 1;
+      std::vector<float> other_value(static_cast<std::size_t>(params.head_dim));
+      other_rng.fill_normal(other_value, 0.0, 1.0);
+      a->observe_decode(stream.keys().row(last), stream.values().row(last));
+      b->observe_decode(stream.keys().row(last), other_value);
+      expect_same_state(*a, *b);
+    }
+    if (name == "clusterkv") {
+      EXPECT_GT(prefetched, 0);  // the speculative path ran
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValueIndependenceFuzz, ::testing::Values(111, 112));
 
 }  // namespace
 }  // namespace ckv
