@@ -39,40 +39,38 @@ float page_bound_f32(std::span<const float> q, std::span<const float> hi,
 }  // namespace
 
 QuestSelector::QuestSelector(Index head_dim, const QuestConfig& config)
-    : config_(config), keys_(0, head_dim) {
+    : config_(config), head_dim_(head_dim) {
   expects(head_dim > 0, "QuestSelector: head_dim must be positive");
   expects(config.page_size > 0, "QuestSelector: page_size must be positive");
 }
 
-void QuestSelector::finalize_full_pages() {
-  while ((page_max_.rows() + 1) * config_.page_size <= keys_.rows()) {
-    const Index begin = page_max_.rows() * config_.page_size;
-    std::vector<float> max_row(keys_.row(begin).begin(), keys_.row(begin).end());
-    std::vector<float> min_row = max_row;
-    for (Index t = begin + 1; t < begin + config_.page_size; ++t) {
-      const auto key = keys_.row(t);
-      elementwise_max_in_place(max_row, key);
-      elementwise_min_in_place(min_row, key);
-    }
-    page_max_.append_row(max_row);
-    page_min_.append_row(min_row);
+void QuestSelector::append(std::span<const float> key) {
+  if (tokens_ % config_.page_size == 0) {
+    open_max_.assign(key.begin(), key.end());
+    open_min_ = open_max_;
+  } else {
+    elementwise_max_in_place(open_max_, key);
+    elementwise_min_in_place(open_min_, key);
+  }
+  ++tokens_;
+  if (tokens_ % config_.page_size == 0) {
+    page_max_.append_row(open_max_);
+    page_min_.append_row(open_min_);
   }
 }
 
 void QuestSelector::observe_prefill(const Matrix& keys, const Matrix& /*values*/) {
-  expects(keys.cols() == keys_.cols(), "QuestSelector::observe_prefill: key width");
+  expects(keys.cols() == head_dim_, "QuestSelector::observe_prefill: key width");
   for (Index r = 0; r < keys.rows(); ++r) {
-    keys_.append_row(keys.row(r));
+    append(keys.row(r));
   }
-  finalize_full_pages();
 }
 
 void QuestSelector::observe_decode(std::span<const float> key,
                                    std::span<const float> /*value*/) {
-  expects(static_cast<Index>(key.size()) == keys_.cols(),
+  expects(static_cast<Index>(key.size()) == head_dim_,
           "QuestSelector::observe_decode: key width");
-  keys_.append_row(key);
-  finalize_full_pages();
+  append(key);
 }
 
 double QuestSelector::page_score(std::span<const float> query, Index page) const {
@@ -85,7 +83,7 @@ double QuestSelector::page_score(std::span<const float> query, Index page) const
     acc += std::max(q * static_cast<double>(max_row[c]),
                     q * static_cast<double>(min_row[c]));
   }
-  return acc / std::sqrt(static_cast<double>(keys_.cols()));
+  return acc / std::sqrt(static_cast<double>(head_dim_));
 }
 
 SelectionResult QuestSelector::select(std::span<const float> query, Index budget) {
@@ -96,7 +94,7 @@ SelectionResult QuestSelector::select(std::span<const float> query, Index budget
   // attended — they are the local context Quest never drops.
   std::vector<Index> indices;
   const Index paged_tokens = page_max_.rows() * config_.page_size;
-  for (Index t = paged_tokens; t < keys_.rows(); ++t) {
+  for (Index t = paged_tokens; t < tokens_; ++t) {
     indices.push_back(t);
   }
 
@@ -106,7 +104,7 @@ SelectionResult QuestSelector::select(std::span<const float> query, Index budget
 
   if (pages_wanted > 0 && page_max_.rows() > 0) {
     const float inv_sqrt_d =
-        static_cast<float>(1.0 / std::sqrt(static_cast<double>(keys_.cols())));
+        static_cast<float>(1.0 / std::sqrt(static_cast<double>(head_dim_)));
     std::vector<float> scores(static_cast<std::size_t>(page_max_.rows()));
     parallel_for_range(0, page_max_.rows(), /*grain=*/0, [&](Index begin, Index end) {
       for (Index p = begin; p < end; ++p) {

@@ -25,7 +25,7 @@ class QuestSelector : public KVSelector {
   void observe_decode(std::span<const float> key,
                       std::span<const float> value) override;
   SelectionResult select(std::span<const float> query, Index budget) override;
-  [[nodiscard]] Index context_size() const override { return keys_.rows(); }
+  [[nodiscard]] Index context_size() const override { return tokens_; }
 
   [[nodiscard]] Index page_count() const noexcept { return page_max_.rows(); }
 
@@ -34,12 +34,16 @@ class QuestSelector : public KVSelector {
   [[nodiscard]] double page_score(std::span<const float> query, Index page) const;
 
  private:
-  void finalize_full_pages();
+  /// Folds one key into the open page and finalizes the page once full.
+  void append(std::span<const float> key);
 
   QuestConfig config_;
-  Matrix keys_;      ///< one row per token; finalize_full_pages reads them
-  Matrix page_max_;  ///< per finalized page: per-channel max key
-  Matrix page_min_;  ///< per finalized page: per-channel min key
+  Index head_dim_ = 0;
+  Index tokens_ = 0;             ///< tokens observed (the context size)
+  std::vector<float> open_max_;  ///< open page: per-channel max key so far
+  std::vector<float> open_min_;  ///< open page: per-channel min key so far
+  Matrix page_max_;              ///< per finalized page: per-channel max key
+  Matrix page_min_;              ///< per finalized page: per-channel min key
 };
 
 /// Factory adapter for the decode engine.

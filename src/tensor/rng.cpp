@@ -25,7 +25,23 @@ Index Rng::uniform_int(Index lo, Index hi) {
 }
 
 double Rng::normal() {
-  return std::normal_distribution<double>(0.0, 1.0)(gen_);
+  if (has_spare_) {
+    has_spare_ = false;
+    return spare_;
+  }
+  // Marsaglia polar method on 53-bit uniforms in [-1, 1).
+  double u = 0.0;
+  double v = 0.0;
+  double s = 0.0;
+  do {
+    u = static_cast<double>(gen_() >> 11) * 0x1p-52 - 1.0;
+    v = static_cast<double>(gen_() >> 11) * 0x1p-52 - 1.0;
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  const double f = std::sqrt(-2.0 * std::log(s) / s);
+  spare_ = v * f;
+  has_spare_ = true;
+  return u * f;
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -33,7 +49,7 @@ double Rng::normal(double mean, double stddev) {
   if (stddev == 0.0) {
     return mean;
   }
-  return std::normal_distribution<double>(mean, stddev)(gen_);
+  return mean + stddev * normal();
 }
 
 void Rng::fill_normal(std::span<float> out, double mean, double stddev) {

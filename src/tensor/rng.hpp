@@ -15,12 +15,17 @@ namespace ckv {
 
 /// Seeded wrapper around std::mt19937_64 with the sampling helpers the
 /// reproduction needs (Gaussian fills, unit directions, permutations).
+/// `normal()` is a Marsaglia polar sampler that keeps the second variate of
+/// each pair. `uniform`, `uniform_int` and `permutation` draw through
+/// libstdc++'s distributions and `std::shuffle`, and they shape the
+/// perfbench and serving traces (see docs/PERFORMANCE.md).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : gen_(seed), seed_(seed) {}
 
   /// Child generator with an independent, reproducible stream derived from
-  /// this generator's seed and the tag (not from consumed state).
+  /// this generator's seed and the tag (not from consumed state or a held
+  /// normal spare).
   [[nodiscard]] Rng fork(std::string_view tag) const;
 
   /// Uniform double in [0, 1).
@@ -32,10 +37,11 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   Index uniform_int(Index lo, Index hi);
 
-  /// Standard normal sample.
+  /// Standard normal sample: the held spare if there is one, else the first
+  /// of a fresh polar pair (whose second becomes the spare).
   double normal();
 
-  /// Normal sample with the given mean / standard deviation.
+  /// mean + stddev * normal(); draws nothing when stddev == 0.
   double normal(double mean, double stddev);
 
   /// Fills the span with i.i.d. normal(mean, stddev) samples.
@@ -58,11 +64,12 @@ class Rng {
   bool bernoulli(double p);
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return gen_; }
 
  private:
   std::mt19937_64 gen_;
   std::uint64_t seed_ = 0;
+  double spare_ = 0.0;
+  bool has_spare_ = false;
 };
 
 }  // namespace ckv

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "tensor/rng.hpp"
 
@@ -22,6 +24,12 @@ TEST(Rng, ForkIsIndependentOfConsumption) {
   (void)a.uniform();  // consume state from a only
   // fork derives from the seed, not from generator state.
   EXPECT_DOUBLE_EQ(a.fork("child").uniform(), b.fork("child").uniform());
+  (void)a.normal();  // a now holds a normal spare, b holds none
+  Rng child_a = a.fork("child");
+  Rng child_b = b.fork("child");
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(child_a.normal(), child_b.normal());
+  }
 }
 
 TEST(Rng, ForksWithDifferentTagsDiffer) {
@@ -51,21 +59,82 @@ TEST(Rng, NormalMomentsRoughlyCorrect) {
   Rng rng(3);
   double sum = 0.0;
   double sum_sq = 0.0;
+  int tail = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     const double x = rng.normal(2.0, 3.0);
     sum += x;
     sum_sq += x * x;
+    if (std::abs(x - 2.0) > 2.0 * 3.0) {
+      ++tail;
+    }
   }
   const double mean = sum / n;
   const double var = sum_sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+  // P(|z| > 2) = 0.0455; its standard error at n = 20000 is 0.0015.
+  EXPECT_NEAR(static_cast<double>(tail) / n, 0.0455, 0.006);
 }
 
 TEST(Rng, ZeroStddevIsDeterministic) {
-  Rng rng(4);
-  EXPECT_DOUBLE_EQ(rng.normal(5.0, 0.0), 5.0);
+  // A zero-width draw returns the mean and spends neither a fresh pair nor
+  // a held spare.
+  Rng a(4);
+  Rng b(4);
+  EXPECT_EQ(a.normal(5.0, 0.0), 5.0);
+  EXPECT_EQ(a.normal(), b.normal());  // a now holds a spare, as b does
+  EXPECT_EQ(a.normal(-1.0, 0.0), -1.0);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(a.normal(), b.normal());
+  }
+  EXPECT_EQ(a.uniform(), b.uniform());
+}
+
+TEST(Rng, CopyContinuesIdenticallyWithHeldSpare) {
+  Rng a(16);
+  (void)a.normal();  // leaves the pair's second variate held
+  Rng copy = a;
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(copy.normal(), a.normal());
+  }
+  EXPECT_EQ(copy.uniform(), a.uniform());
+}
+
+TEST(Rng, NormalFirstValuesPinned) {
+  // Marsaglia polar on mt19937_64: u * f, then the held spare v * f.
+  // DOUBLE_EQ (4 ulps) leaves room for a libm whose log differs by an ulp.
+  Rng rng(2024);
+  const double expected[] = {0x1.f044db830627cp-2,  0x1.447c891d355edp+0,
+                             -0x1.377743b6de7adp+0, -0x1.b878eb425be45p-1,
+                             0x1.64ef4ccebcf44p-1,  0x1.b52b327974835p-4};
+  for (const double value : expected) {
+    EXPECT_DOUBLE_EQ(rng.normal(), value);
+  }
+}
+
+TEST(Rng, TraceShapingDrawsPinned) {
+  // uniform, uniform_int and permutation shape the perfbench and serving
+  // traces (perfbench's make_trace, src/serve/trace.cpp): a change to any
+  // of them reshapes every registered workload, so their first draws are
+  // pinned exactly.
+  Rng u(2024);
+  EXPECT_EQ(u.uniform(), 0x1.39b1c9e957cb2p-1);
+  EXPECT_EQ(u.uniform(), 0x1.96e50634f5cdbp-1);
+  EXPECT_EQ(u.uniform(), 0x1.10086ce6c6f19p-2);
+  EXPECT_EQ(u.uniform(), 0x1.5652000d72624p-2);
+
+  Rng ints(2024);
+  const std::vector<Index> expected_ints{612, 794, 265, 334, 6, 140, 936, 566};
+  std::vector<Index> got_ints;
+  for (std::size_t i = 0; i < expected_ints.size(); ++i) {
+    got_ints.push_back(ints.uniform_int(0, 999));
+  }
+  EXPECT_EQ(got_ints, expected_ints);
+
+  Rng perm(2024);
+  const std::vector<Index> expected_perm{9, 10, 7, 1, 3, 4, 11, 6, 0, 8, 5, 2};
+  EXPECT_EQ(perm.permutation(12), expected_perm);
 }
 
 TEST(Rng, UnitVectorHasUnitNorm) {

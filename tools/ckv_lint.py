@@ -12,6 +12,10 @@ determinism contract (docs/PERFORMANCE.md) and the concurrency contract
                     rand/srand, default-constructed mt19937) outside the
                     seeded wrapper in src/tensor/rng.hpp. Every stream of
                     randomness must be reproducible from a named seed.
+  std-sampler       No std::*_distribution, std::shuffle or std::sample
+                    outside src/tensor/rng.*: the standard fixes the
+                    engines' output but not these algorithms, so every
+                    draw goes through Rng, whose samplers are pinned.
   unordered-iter    No iteration over std::unordered_map/set variables:
                     bucket order is implementation-defined, so anything
                     ordered derived from it silently varies across
@@ -74,6 +78,7 @@ ALLOW_RE = re.compile(r"ckv-lint:\s*allow\(([a-z\-,\s]+)\)\s*--\s*\S")
 RULE_ALLOWED_PREFIXES = {
     "wall-clock": ("src/obs/", "bench/"),
     "unseeded-rng": ("src/tensor/rng.",),
+    "std-sampler": ("src/tensor/rng.",),
     "unordered-iter": (),
     "raw-thread": ("src/util/parallel.",),
     "float-accumulate": ("src/tensor/vec_ops.",),
@@ -89,6 +94,9 @@ SIMPLE_RULES = {
         r"std::random_device|\brand\s*\(\s*\)|\bsrand\s*\("
         r"|std::mt19937(?:_64)?\s+\w+\s*[;{]"
     ),
+    "std-sampler": re.compile(
+        r"std::\w+_distribution\b|std::(?:ranges::)?(?:shuffle|sample)\b"
+    ),
     "raw-thread": re.compile(
         r"std::thread\b(?!::)|std::jthread\b|std::async\b|#\s*pragma\s+omp"
     ),
@@ -100,6 +108,8 @@ RULE_MESSAGES = {
     "code must stay on the virtual clock",
     "unseeded-rng": "ambient-seeded randomness — route through the seeded "
     "RNG in src/tensor/rng.hpp",
+    "std-sampler": "standard-library sampler outside src/tensor/rng — its "
+    "algorithm is implementation-defined; draw through Rng",
     "unordered-iter": "iteration over an unordered container ({var}) — "
     "bucket order is implementation-defined; sort first or justify with a "
     "suppression",
